@@ -77,22 +77,6 @@ def root_bracketed(name, root, tol, func):
     return Check(name, float(root), measure, lambda x: x + 2.01 * tol)
 
 
-def all_pass(name, rows):
-    """Every (check, status) row of a summary reads PASS."""
-
-    def measure(table):
-        return 0.0 if table and all(status == "PASS" for _, status in table) else math.inf
-
-    def perturb(table):
-        return table[:-1] + [(table[-1][0], "FAIL")]
-
-    return Check(name, list(rows), measure, perturb)
-
-
-def equals(name, got, want, wrong):
-    return Check(name, got, lambda v: 0.0 if v == want else math.inf, lambda v: wrong)
-
-
 def evaluate(checks):
     """(every check passes and rejects its perturbation, failure messages)."""
     failures = []

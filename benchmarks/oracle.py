@@ -10,8 +10,11 @@ program outputs by another method, or states a value known in closed form:
 * ``sextic_gamma``: the quantization correction gamma = S/pi - n - 1/2 with
   the action S from adaptive ``scipy.integrate.quad`` using the algebraic
   end-point weight, where the program uses a sine-mapped Gauss-Legendre rule;
+* ``sextic_qes_levels``, ``sextic_partner_potential``: the algebraic levels of
+  the sextic well at integer N and the partner well of its ground state,
+  from the Hamiltonian acting on polynomials in u = x^2, written anew;
 * closed forms: the exactly known sextic levels and the Morse spectrum;
-* the two rational models of the paper, written anew from their formulas.
+* the gamma model of the paper, written anew from its formula.
 """
 
 import math
@@ -59,6 +62,43 @@ def morse_levels(b, alpha, depth, count):
     return 0.5 * alpha * n * (2.0 * beta - alpha * n)
 
 
+def _sextic_qes_block(depth):
+    """H on P(u) exp(-x^4/4 - x^2/2), u = x^2, in the basis 1, u, ..., u^N.
+
+    H P = -2u P'' + (2u^2 + 2u - 1) P' + (1/2 - 2N u) P, so u^k maps to
+    2(k - N) u^(k+1) + (2k + 1/2) u^k - k(2k - 1) u^(k-1); the block closes
+    at k = N.
+    """
+    size = depth + 1
+    block = np.zeros((size, size))
+    for k in range(size):
+        block[k, k] = 2.0 * k + 0.5
+        if k + 1 < size:
+            block[k + 1, k] = 2.0 * (k - depth)
+        if k > 0:
+            block[k - 1, k] = -k * (2.0 * k - 1.0)
+    return block
+
+
+def sextic_qes_levels(depth):
+    """The N + 1 algebraic even levels of the reduced sextic well at integer N."""
+    return np.sort(np.linalg.eigvals(_sextic_qes_block(depth)).real)
+
+
+def sextic_partner_potential(depth, x):
+    """V1 = V - (ln psi0)'' for the algebraic ground state psi0 at integer N.
+
+    psi0 = P(x^2) exp(-x^4/4 - x^2/2) with P the eigenvector of the lowest
+    level; (ln psi0)'' = (2P' + 4u P'')/P - 4u (P'/P)^2 - 3x^2 - 1.
+    """
+    values, vectors = np.linalg.eig(_sextic_qes_block(depth))
+    poly = np.polynomial.Polynomial(vectors[:, np.argmin(values.real)].real)
+    u = x * x
+    p, p1, p2 = poly(u), poly.deriv(1)(u), poly.deriv(2)(u)
+    log_second = (2.0 * p1 + 4.0 * u * p2) / p - 4.0 * u * (p1 / p) ** 2 - 3.0 * u - 1.0
+    return sextic_potential(depth, x) - log_second
+
+
 def sextic_turning_point(depth, energy):
     """Outer turning point a > 0 with V(a) = E, from np.roots in u = x^2."""
     roots = np.roots([1.0, 2.0, -2.0 * (2.0 * depth + 1.0), -2.0 * energy])
@@ -99,12 +139,3 @@ def gamma_model(params, n):
     a0, a1, b1, b2, b3, b4 = params
     m = np.asarray(n, dtype=float) - 2.0
     return (a0 + a1 * m) / np.sqrt(1.0 + b1**2 * m + b2**2 * m**2 + b3**2 * m**3 + b4**2 * m**4)
-
-
-def energy_model(params, n):
-    """E0 m + sqrt(m - 1) sum_i A_i m^i / (1 + sum_j B_j^2 m^j), m = n + 1."""
-    e0, numer, denom = params[0], params[1:8], params[8:13]
-    m = np.asarray(n, dtype=float) + 1.0
-    top = sum(c * m**i for i, c in enumerate(numer))
-    bottom = 1.0 + sum(c * c * m ** (j + 1) for j, c in enumerate(denom))
-    return e0 * m + np.sqrt(m - 1.0) * top / bottom

@@ -2,12 +2,13 @@
 
 Usage (from the repository root):
 
-    python3 benchmarks/run.py --workload spectra --seed 1 --seconds 20 --trace 0
+    python3 benchmarks/run.py --workload spectra --seed 1 --seconds 12 --trace 0
 
 The run imports ``qeswkb`` from ``src/`` of the checkout it sits in, makes
-the workload's inputs from ``--seed``, and repeats whole passes of the
-workload until ``--seconds`` have elapsed.  Every pass starts with the
-program's function caches empty, as a fresh ``qeswkb`` process does.  After
+the workload's inputs from ``--seed``, and repeats whole blocks of passes
+of the workload until ``--seconds`` have elapsed.  Every
+pass starts with the program's function caches empty, as a fresh
+``qeswkb`` process does.  After
 the timed passes it checks every pass's output against references computed
 apart from the program (``oracle.py``), and confirms that every check
 rejects a result perturbed just beyond its tolerance (``checks.py``).
@@ -32,8 +33,8 @@ import argparse
 import functools
 import json
 import math
+import pickle
 import resource
-import shutil
 import statistics
 import subprocess
 import sys
@@ -46,7 +47,9 @@ BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH_DIR)
 SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, ".bench_out")
-SETUP_SAMPLES = 3
+# Set-ups in fresh processes before and after the timed passes; with the
+# run's own set-up, setup_s is the median of 1 + 2 * SETUP_FRESH samples.
+SETUP_FRESH = 2
 
 DEPTHS = (0.0, 0.25, 0.5, 0.7)
 LEVELS = 51
@@ -55,6 +58,8 @@ MORSE_DEPTHS = (0, 1, 2, 3)
 SCAN_POINTS = 20
 CRITICAL_TOL = 1e-6
 CRITICAL_PAPER = 0.73295
+QES_DEPTHS = (1, 2, 3)
+GAMMA_FIELDS = ("a0", "a1", "b1", "b2", "b3", "b4")
 
 
 class Program:
@@ -84,7 +89,8 @@ class Program:
 
 # ---------------------------------------------------------------------------
 # workloads: prepare(program, seed) -> inputs; operations(program, inputs)
-# -> [(key, callable)], one pass; checks(inputs, {key: result}) -> [Check]
+# -> [(key, callable)], one pass; collect(key, value) -> result, outside the
+# timer; checks(inputs, {key: result}) -> [Check]
 #
 # ``checks`` and ``oracle`` import NumPy and SciPy, so they are imported
 # inside the functions that use them: set-up time then includes the
@@ -96,7 +102,25 @@ class OperationFailed(Exception):
     """An operation that reported failure without raising a QeswkbError."""
 
 
-class Spectra:
+class Workload:
+    # Passes per block.  wall_s takes each operation's shortest time within
+    # a block, and the block holds the same number of passes whatever the
+    # program's speed, so that a faster program gets no more samples per
+    # minimum.  Sized so that a run of 12 s holds one to sixteen blocks today.
+    block = 3
+    # A function of the seed whose result, computed in a separate process
+    # before set-up, becomes inputs["reference"]; None if there is none.
+    reference = None
+
+    def collect(self, key, value):
+        return value
+
+    def files_written(self, out):
+        """(files, bytes) that one pass's operations wrote."""
+        return 0, 0
+
+
+class Spectra(Workload):
     """51 lowest sextic levels at the paper's depths with their gamma, and
     the full bound Morse spectra with theirs."""
 
@@ -137,7 +161,7 @@ class Spectra:
         return found
 
 
-class DepthScan:
+class DepthScan(Workload):
     """Ground energies on a seeded grid of depths in [0, 1], and the depth
     where the ground level crosses the barrier top."""
 
@@ -177,9 +201,11 @@ class DepthScan:
         return found
 
 
-class Quantize:
+class Quantize(Workload):
     """Energies from the quantization rule corrected by the published gamma
     model, n = 3..50 at the paper's depths, and gamma at each result."""
+
+    block = 15
 
     def prepare(self, q, seed):
         fm = q.fitmodels
@@ -205,126 +231,112 @@ class Quantize:
         ]
 
 
-class Refit:
+class Refit(Workload):
     """The correction-model refits at the paper's depths on reference data."""
 
-    def prepare(self, q, seed):
+    block = 12
+
+    @staticmethod
+    def reference(seed):
+        """(depth, levels, [(n, gamma_n)]) from ``oracle``, so the eigensolver
+        does not run; computed in its own process, so that neither set-up
+        time nor peak memory counts it."""
         import oracle
 
-        data = {}
+        data = []
         for depth in DEPTHS:
             energies = [float(e) for e in oracle.sinc_dvr_levels(depth, LEVELS)]
-            data[depth] = (energies, {n: oracle.sextic_gamma(depth, n, energies[n]) for n in range(3, LEVELS)})
+            data.append((depth, energies, [(n, oracle.sextic_gamma(depth, n, energies[n])) for n in range(3, LEVELS)]))
         return data
 
-    def operations(self, q, inputs):
-        def refit(depth):
-            report = q.fitmodels.fit_gamma(sorted(inputs[depth][1].items()), n_label=depth)
-            return params_tuple("gamma", report.params)
-
-        return [(d, lambda d=d: refit(d)) for d in DEPTHS]
-
-    def checks(self, inputs, out):
-        found = []
-        for depth, params in sorted(out.items()):
-            found.extend(refit_checks({"gamma": params}, inputs, depth))
-        return found
-
-
-class Reproduce:
-    """``qeswkb reproduce`` into a fresh directory.  Not listed in
-    BENCHMARK.json: one pass takes 66-90 s."""
-
     def prepare(self, q, seed):
-        return {"seed": seed}
+        return {}
 
     def operations(self, q, inputs):
-        target = os.path.join(OUT_DIR, f"reproduce-seed{inputs['seed']}")
+        def refit(samples, depth):
+            report = q.fitmodels.fit_gamma(samples, n_label=depth)
+            return tuple(float(getattr(report.params, name)) for name in GAMMA_FIELDS)
 
-        def reproduce():
-            shutil.rmtree(target, ignore_errors=True)
-            status = q.cli.main(["reproduce", "--out", target])
-            if status == 2:
-                raise OperationFailed("reproduce stopped on an error; see summary.txt")
-            return status, read_reproduce_output(target)
-
-        return [("reproduce", reproduce)]
+        return [(d, lambda s=s, d=d: refit(s, d)) for d, _, s in inputs["reference"]]
 
     def checks(self, inputs, out):
         import checks as c
         import oracle
 
-        if "reproduce" not in out:
-            return []
-        status, written = out["reproduce"]
-        tags = {"0": 0.0, "1q": 0.25, "1h": 0.5, "7t": 0.7}
-        found = [c.equals("reproduce_exit_status", status, 0, 1),
-                 c.all_pass("reproduce_summary_all_pass", written["summary"])]
-        for depth in DEPTHS:
-            energies = [float(e) for e in dvr(depth, LEVELS)]
-            gammas = {n: oracle.sextic_gamma(depth, n, energies[n]) for n in range(3, LEVELS)}
-            params = {kind: p for (kind, tag), p in written["params"].items() if tags[tag] == depth}
-            found.extend(refit_checks(params, {depth: (energies, gammas)}, depth))
+        found = []
+        for depth, _, samples in inputs["reference"]:
+            if depth in out:
+                n = [k for k, _ in samples]
+                found.append(c.close(f"refit_gamma_N{depth}", oracle.gamma_model(out[depth], n),
+                                     [g for _, g in samples], 2e-3))
         return found
 
 
-def read_reproduce_output(target):
-    """Summary rows, refit parameters and the file count and size of a run."""
-    written = {"summary": [], "params": {}, "files": 0, "bytes": 0}
-    for name in sorted(os.listdir(target)):
-        path = os.path.join(target, name)
-        written["files"] += 1
-        written["bytes"] += os.path.getsize(path)
-        if name.endswith(".txt") and "_refit_params_N" in name:
-            kind, tag = name[:-4].split("_refit_params_N")
-            written["params"][(kind, tag)] = read_params(path)
-    with open(os.path.join(target, "summary.txt")) as handle:
-        rows = [line.split("\t") for line in handle.read().splitlines()[1:] if line]
-    written["summary"] = [(row[0], row[-1]) for row in rows]
-    return written
+class Susy(Workload):
+    """The ``qes`` and ``susy`` commands of ``qeswkb`` on the sextic well at
+    integer depths: algebraic levels, and the partner well of the ground
+    state with the intertwining residuals of the excited states."""
 
+    block = 50
 
-def read_params(path):
-    """Model parameters from a ``*_refit_params_N*.txt`` file, in model order."""
-    values = {}
-    with open(path) as handle:
-        for line in handle:
-            name, _, value = line.strip().partition(" ")
-            values[name] = value
-    kind = values["model"]
-    return tuple(float(values[name]) for name in MODEL_FIELDS[kind])
+    def prepare(self, q, seed):
+        return {"dir": os.path.join(OUT_DIR, f"susy-seed{seed}")}
 
+    def operations(self, q, inputs):
+        ops = []
+        for depth in QES_DEPTHS:
+            for command in ("qes", "susy"):
+                target = os.path.join(inputs["dir"], f"{command}-N{depth}")
+                argv = [command, "--family", "sextic_reduced", "--N", str(depth), "--out", target]
+                ops.append(((command, depth), lambda argv=argv, target=target: (q.cli.main(argv), target)))
+        return ops
 
-MODEL_FIELDS = {
-    "gamma": ("a0", "a1", "b1", "b2", "b3", "b4"),
-    "energy": ("E0", "A0", "A1", "A2", "A3", "A4", "A5", "A6", "B1", "B2", "B3", "B4", "B5"),
-}
+    def collect(self, key, value):
+        """The written tables, read back after the timer has stopped."""
+        import numpy as np
 
+        status, target = value
+        if status != 0:
+            raise OperationFailed(f"qeswkb {key[0]} exited with status {status}")
+        sizes = [os.path.getsize(os.path.join(target, name)) for name in os.listdir(target)]
+        found = {"files": len(sizes), "bytes": sum(sizes)}
+        if key[0] == "qes":
+            with open(os.path.join(target, "qes_report.txt")) as handle:
+                found["energies"] = [float(line.split()[2]) for line in handle.read().splitlines()[1:]]
+        else:
+            found["table"] = np.loadtxt(os.path.join(target, "susy_partner.csv"), delimiter=",", skiprows=1)
+            with open(os.path.join(target, "susy_report.txt")) as handle:
+                rows = dict(line.split() for line in handle.read().splitlines()[1:])
+            found["annihilation"] = float(rows.pop("annihilation_ratio"))
+            found["residuals"] = [float(rows[f"intertwining_residual_state_{k}"]) for k in range(1, len(rows) + 1)]
+        return found
 
-def params_tuple(kind, params):
-    return tuple(float(getattr(params, name)) for name in MODEL_FIELDS[kind])
+    def files_written(self, out):
+        return sum(v["files"] for v in out.values()), sum(v["bytes"] for v in out.values())
 
+    def checks(self, inputs, out):
+        import checks as c
+        import oracle
 
-def refit_checks(params, data, depth):
-    """Refit errors recomputed with the model formulas of ``oracle``.
-
-    The thresholds are the paper's: 2e-3 for gamma on n = 3..50; 1e-4 at
-    depth 0 and 1e-3 elsewhere for the energy on 2 < n < 50.
-    """
-    import checks as c
-    import oracle
-
-    energies, gammas = data[depth]
-    found = []
-    if "gamma" in params:
-        n = sorted(gammas)
-        found.append(c.close(f"refit_gamma_N{depth}", oracle.gamma_model(params["gamma"], n),
-                             [gammas[k] for k in n], 2e-3))
-    if "energy" in params:
-        n = list(range(3, LEVELS - 1))
-        found.append(c.close(f"refit_energy_N{depth}", oracle.energy_model(params["energy"], n),
-                             [energies[k] for k in n], 1e-4 if depth == 0.0 else 1e-3))
-    return found
+        found = []
+        for (command, depth), result in sorted(out.items()):
+            if command == "qes":
+                found.append(c.close(f"qes_levels_N{depth}", result["energies"], oracle.sextic_qes_levels(depth),
+                                     1e-10, floor=1.0))
+                for exact_depth, n, energy in oracle.exact_sextic_levels():
+                    if exact_depth == depth:
+                        found.append(c.close(f"exact_E{n}_N{depth}", result["energies"][n], energy, 1e-10, floor=1.0))
+                continue
+            x, v0, v1 = result["table"].T
+            found += [
+                c.close(f"susy_V0_N{depth}", v0, oracle.sextic_potential(depth, x), 1e-10, floor=1.0),
+                c.close(f"susy_partner_N{depth}", v1, oracle.sextic_partner_potential(depth, x), 1e-10, floor=1.0),
+                # The seed is annihilated, and each excited state maps onto a
+                # solution of the partner well: both vanish in exact arithmetic.
+                c.close(f"susy_annihilation_N{depth}", result["annihilation"], 0.0, 1e-10, floor=1.0),
+                c.close(f"susy_intertwining_N{depth}", result["residuals"], [0.0] * depth, 1e-10, floor=1.0),
+            ]
+        return found
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,7 +352,7 @@ WORKLOADS = {
     "depth_scan": DepthScan,
     "quantize": Quantize,
     "refit": Refit,
-    "reproduce": Reproduce,
+    "susy": Susy,
 }
 
 
@@ -357,24 +369,31 @@ def setup(workload, seed):
     return q, inputs, time.perf_counter() - start
 
 
-def setup_samples(args, first):
-    """Set-up times of this process and of SETUP_SAMPLES - 1 fresh processes."""
-    samples = [first]
+def child(args, flag):
+    """The JSON that this script prints when run with ``flag`` in a fresh process."""
     command = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
-               "--seed", str(args.seed), "--setup-only"]
-    for _ in range(SETUP_SAMPLES - 1):
-        done = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
-        samples.append(json.loads(done.stdout.strip().splitlines()[-1])["setup_s"])
-    return samples
+               "--seed", str(args.seed), flag]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def setup_samples(args):
+    """Set-up times of SETUP_FRESH fresh processes."""
+    return [child(args, "--setup-only")["setup_s"] for _ in range(SETUP_FRESH)]
 
 
 def timed_passes(q, workload, inputs, seconds, tracer):
-    """Whole passes until ``seconds`` have elapsed; each operation is timed.
+    """Whole blocks of passes until ``seconds`` have elapsed; each operation is timed.
 
-    With a tracer, passes alternate untraced and traced (at least one of
-    each); each pass records its spans and the mesh builds it caused.
+    With a tracer, passes alternate untraced and traced, and a block holds
+    ``workload.block`` passes of each; each pass records its spans and the
+    mesh builds it caused.  A pass whose output equals an earlier pass's
+    keeps the earlier object, so that memory does not grow with the number
+    of passes.
     """
     passes = []
+    distinct = {}
+    block = workload.block * (2 if tracer is not None else 1)
     deadline = time.perf_counter() + seconds
     while True:
         traced = tracer is not None and len(passes) % 2 == 1
@@ -387,60 +406,78 @@ def timed_passes(q, workload, inputs, seconds, tracer):
             for key, op in ops:
                 wall0, cpu0 = time.perf_counter(), time.process_time()
                 try:
-                    record["out"][key] = op()
-                except (q.errors.QeswkbError, OperationFailed):
-                    record["failed"] += 1
+                    value, error = op(), None
+                except q.errors.QeswkbError as exc:
+                    value, error = None, exc
                 record["wall"].append(time.perf_counter() - wall0)
                 record["cpu"].append(time.process_time() - cpu0)
+                try:
+                    if error is not None:
+                        raise error
+                    record["out"][key] = workload.collect(key, value)
+                except (q.errors.QeswkbError, OperationFailed):
+                    record["failed"] += 1
         finally:
             if traced:
                 tracer.uninstall()
+        record["out"] = distinct.setdefault(pickle.dumps(record["out"]), record["out"])
         record["mesh_builds"] = q.mesh_builds()
         record["spans"] = tracer.take() if traced else None
         passes.append(record)
-        enough = len(passes) >= (2 if tracer is not None else 1)
-        if enough and time.perf_counter() >= deadline:
+        if len(passes) % block == 0 and time.perf_counter() >= deadline:
             return passes
 
 
-def pass_time(passes, field):
-    """Time of one pass: the sum over its operations of each one's shortest time.
+def pass_time(passes, field, block):
+    """Time of one pass: the median over blocks of ``block`` passes of the
+    sum over the operations of each one's shortest time within the block.
 
     Other tenants of the machine slow it down by up to a factor of two for
-    seconds at a time; they only ever add time, and the shortest of several
-    timings of one operation repeats far better than a median of passes.
+    seconds at a time; they only ever add time, and the shortest of a few
+    timings of one operation repeats far better than a single pass.  The
+    block is of fixed size, so a faster program gets no more samples per
+    minimum than a slower one.  Blocks are interleaved (every n-th pass of
+    n blocks), so that each spans the whole run and a slow period shorter
+    than the run does not make a block slow.
     """
-    return sum(min(times) for times in zip(*(p[field] for p in passes)))
+    count = len(passes) // block
+    return statistics.median(sum(min(times) for times in zip(*(p[field] for p in passes[j::count])))
+                             for j in range(count))
 
 
 def check_passes(workload, inputs, passes):
+    """Checks every pass's output; equal outputs are one object and are
+    checked once."""
     import checks
 
-    ok, failures, count = True, [], 0
+    ok, failures, count, verdicts = True, [], 0, {}
     for index, record in enumerate(passes):
-        found = workload.checks(inputs, record["out"])
-        count += len(found)
-        good, why = checks.evaluate(found)
+        if id(record["out"]) not in verdicts:
+            found = workload.checks(inputs, record["out"])
+            verdicts[id(record["out"])] = (len(found),) + checks.evaluate(found)
+        size, good, why = verdicts[id(record["out"])]
+        count += size
         ok = ok and good
         failures.extend(f"pass {index}: {line}" for line in why)
     return ok, count, failures
 
 
-def layer_table(passes, args):
+def layer_table(workload, passes, args):
     """Per-layer metrics averaged over the traced passes, plus the overhead."""
     traced = [p for p in passes if p["traced"]]
     plain = [p for p in passes if not p["traced"]]
     table = {}
     for record in traced:
-        for name, (value, unit) in tracing.layer_metrics(record["spans"], record["mesh_builds"]).items():
-            total, _ = table.get(name, (0.0, unit))
-            table[name] = (total + value / len(traced), unit)
-    base = pass_time(plain, "wall")
-    table["trace.overhead_pct"] = (100.0 * (pass_time(traced, "wall") - base) / base, "%")
-    if "reproduce" in traced[0]["out"]:
-        written = traced[0]["out"]["reproduce"][1]
-        table["cli.files_written"] = (written["files"], "count")
-        table["cli.bytes_written"] = (written["bytes"], "bytes")
+        found = tracing.layer_metrics(record["spans"], record["mesh_builds"])
+        files, size = workload.files_written(record["out"])
+        found["cli.files_written"] = (files, "count")
+        found["cli.bytes_written"] = (size, "bytes")
+        for name, (value, unit) in found.items():
+            total, _ = table.get(name, (0, unit))
+            table[name] = (total + value, unit)
+    table = {name: (total / len(traced), unit) for name, (total, unit) in table.items()}
+    base = pass_time(plain, "wall", workload.block)
+    table["trace.overhead_pct"] = (100.0 * (pass_time(traced, "wall", workload.block) - base) / base, "%")
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, f"{args.workload}-seed{args.seed}-trace.json")
     t0 = traced[0]["spans"][0][3] if traced[0]["spans"] else 0.0
@@ -459,12 +496,21 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--reference-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     workload = WORKLOADS[args.workload]()
 
+    if args.reference_only:
+        print(json.dumps(workload.reference(args.seed)))
+        return 0
+    if not os.path.isfile(os.path.join(SRC, "qeswkb", "__init__.py")):
+        print(f"cannot load the program: no qeswkb package under {SRC}", file=sys.stderr)
+        return 2
+    reference = child(args, "--reference-only") if workload.reference is not None else None
+    setup_all = setup_samples(args) if not (args.trace or args.setup_only) else []
     try:
         q, inputs, setup_s = setup(workload, args.seed)
     except ImportError as exc:
@@ -473,11 +519,14 @@ def main(argv=None):
     if args.setup_only:
         print(json.dumps({"setup_s": setup_s}))
         return 0
-    setup_all = setup_samples(args, setup_s) if not args.trace else [setup_s]
+    if reference is not None:
+        inputs["reference"] = reference
 
     tracer = tracing.Tracer("qeswkb") if args.trace else None
     passes = timed_passes(q, workload, inputs, args.seconds, tracer)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    if not args.trace:
+        setup_all += [setup_s] + setup_samples(args)
     correct, check_count, failures = check_passes(workload, inputs, passes)
     attempted = sum(p["attempted"] for p in passes)
     failed = sum(p["failed"] for p in passes)
@@ -489,7 +538,7 @@ def main(argv=None):
     for line in failures:
         print("CHECK FAILED " + line, file=sys.stderr)
     if args.trace:
-        table, path = layer_table(passes, args)
+        table, path = layer_table(workload, passes, args)
         for name, (value, unit) in table.items():
             print(f"  {name:42s} {value:14.6g} {unit}")
         print(f"  spans of the first traced pass: {os.path.relpath(path, ROOT)}")
@@ -498,12 +547,15 @@ def main(argv=None):
         metrics = {name: {"value": table[name][0], "unit": table[name][1]} for name in reported}
     else:
         metrics = {
-            "wall_s": {"value": pass_time(untraced, "wall"), "unit": "s"},
+            "wall_s": {"value": pass_time(untraced, "wall", workload.block), "unit": "s"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
             "setup_s": {"value": statistics.median(setup_all), "unit": "s"},
         }
-        print("  single passes, wall s: " + " ".join(f"{sum(p['wall']):.4f}" for p in untraced))
-        print(f"  cpu_s (as wall_s, with CPU time): {pass_time(untraced, 'cpu'):.4f}")
+        single = sorted(sum(p["wall"]) for p in untraced)
+        print(f"  single passes, wall s: shortest {single[0]:.4f}, median {statistics.median(single):.4f}, "
+              f"longest {single[-1]:.4f}")
+        print("  set-ups, s: " + " ".join(f"{t:.4f}" for t in setup_all))
+        print(f"  cpu_s (as wall_s, with CPU time): {pass_time(untraced, 'cpu', workload.block):.4f}")
     print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}))
     return 0
 

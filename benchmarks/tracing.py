@@ -17,18 +17,14 @@ import itertools
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 LAYERS = ("potentials", "eigensolver", "wkb", "qes_algebra", "fitmodels", "cli")
 
-# (module, attribute, span name) of names that are not public functions
-# of their own module: SciPy entry points and the reproduce stages.
+# (module, attribute, span name) of the SciPy entry points, which are not
+# public functions of the module that imports them.
 EXTRA = (
     ("eigensolver", "eigh", "eigensolver.eigh"),
     ("fitmodels", "least_squares", "fitmodels.least_squares"),
-    ("cli", "_reproduce_morse", "cli.stage.morse"),
-    ("cli", "_reproduce_harmonic", "cli.stage.harmonic"),
-    ("cli", "_reproduce_sextic", "cli.stage.sextic"),
 )
 
 
@@ -54,25 +50,9 @@ def _annotate(name, args, kwargs, result):
         return None
     if name == "fitmodels.least_squares":
         return {"nfev": int(result.nfev)}
-    if name in ("fitmodels.fit_gamma", "fitmodels.fit_energy"):
+    if name == "fitmodels.fit_gamma":
         return {"winner_nfev": int(result.iterations)}
     return None
-
-
-class _TracingPool(ThreadPoolExecutor):
-    """Pool whose tasks record the submitting span as their parent."""
-
-    tracer = None
-
-    def submit(self, fn, /, *args, **kwargs):
-        tracer = self.tracer
-        parent = tracer._current()
-
-        def task(*a, **k):
-            tracer._local.stack = [parent]
-            return fn(*a, **k)
-
-        return super().submit(task, *args, **kwargs)
 
 
 class Tracer:
@@ -82,10 +62,6 @@ class Tracer:
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._saved = []
-
-    def _current(self):
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
 
     def _wrap(self, name, fn):
         tracer = self
@@ -140,11 +116,6 @@ class Tracer:
                 if wrapper is not None:
                     self._saved.append((module, attr, value))
                     setattr(module, attr, wrapper)
-        cli = sys.modules[f"{self.package}.cli"]
-        if getattr(cli, "ThreadPoolExecutor", None) is ThreadPoolExecutor:
-            pool = type("TracingPool", (_TracingPool,), {"tracer": self})
-            self._saved.append((cli, "ThreadPoolExecutor", ThreadPoolExecutor))
-            cli.ThreadPoolExecutor = pool
 
     def uninstall(self):
         for module, attr, value in reversed(self._saved):
@@ -225,7 +196,7 @@ def layer_metrics(spans, mesh_builds):
     inverts = agg.count("wkb.bohr_sommerfeld_invert")
     fits = agg.count("fitmodels.least_squares")
     nfev = sum(agg.values("fitmodels.least_squares", "nfev"))
-    winner = sum(agg.values("fitmodels.fit_gamma", "winner_nfev") + agg.values("fitmodels.fit_energy", "winner_nfev"))
+    winner = sum(agg.values("fitmodels.fit_gamma", "winner_nfev"))
     ratio = lambda top, bottom: top / bottom if bottom else 0.0
     return {
         "eigensolver.lowest_eigen.calls": (spectra, "count"),
@@ -252,7 +223,6 @@ def layer_metrics(spans, mesh_builds):
         "wkb.gamma.s": (sec("wkb.gamma"), "s"),
         "wkb.turning_points.s": (sec("wkb.turning_points"), "s"),
         "fitmodels.fit_gamma.s": (sec("fitmodels.fit_gamma"), "s"),
-        "fitmodels.fit_energy.s": (sec("fitmodels.fit_energy"), "s"),
         "fitmodels.least_squares.calls": (fits, "count"),
         "fitmodels.least_squares.s": (sec("fitmodels.least_squares"), "s"),
         "fitmodels.nfev": (nfev, "count"),
@@ -264,10 +234,5 @@ def layer_metrics(spans, mesh_builds):
         "potentials.evaluate.points": (
             sum(agg.values("potentials.evaluate", "points", lambda s: not under("potentials.evaluate")(s))), "count"),
         "potentials.evaluate.s": (sec("potentials.evaluate"), "s"),
-        "cli.stage.morse_s": (sec("cli.stage.morse"), "s"),
-        "cli.stage.harmonic_s": (sec("cli.stage.harmonic"), "s"),
-        "cli.stage.sextic_s": (sec("cli.stage.sextic"), "s"),
-        "cli.stage.critical_s": (sum(s[4] - s[3] for s in agg.by_id.values()
-                                     if s[2] == "eigensolver.critical_N" and under("cli.main")(s)), "s"),
         "cli.self_s": (sum(v for k, v in agg.self_seconds.items() if k.startswith("cli.")), "s"),
     }
