@@ -9,7 +9,6 @@ depth indices, published-model residuals, refits, the exponential-well
 suite, and a pass/fail summary against the acceptance thresholds.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import argparse
 import math
@@ -246,6 +245,15 @@ def _cmd_wkb(config):
     return 0
 
 
+def _write_fit_report(path, report):
+    """Fitted parameters followed by the error summary and convergence flag."""
+    with open(path, "w") as handle:
+        handle.write(fitmodels.format_fit_params(report.params))
+        handle.write("max_rel_error %s\n" % _fmt(report.max_rel_error))
+        handle.write("rms_rel_error %s\n" % _fmt(report.rms_rel_error))
+        handle.write("converged %s\n" % report.converged)
+
+
 def _gamma_series(potential, spectrum):
     pairs = []
     for n in range(3, len(spectrum.energies)):
@@ -261,11 +269,7 @@ def _cmd_fit_gamma(config):
     data = _gamma_series(config.potential, spectrum)
     label = getattr(config.potential, "N", None)
     report = fitmodels.fit_gamma(data, n_label=label)
-    with open(os.path.join(config.output_dir, "gamma_fit_params.txt"), "w") as handle:
-        handle.write(fitmodels.format_fit_params(report.params))
-        handle.write("max_rel_error %s\n" % _fmt(report.max_rel_error))
-        handle.write("rms_rel_error %s\n" % _fmt(report.rms_rel_error))
-        handle.write("converged %s\n" % report.converged)
+    _write_fit_report(os.path.join(config.output_dir, "gamma_fit_params.txt"), report)
     rows = [
         (n, g, fitmodels.gamma_fit_eval(report.params, n),
          abs(fitmodels.gamma_fit_eval(report.params, n) - g) / g)
@@ -287,11 +291,7 @@ def _cmd_fit_energy(config):
     data = [(n, float(e)) for n, e in enumerate(spectrum.energies)]
     label = getattr(config.potential, "N", None)
     report = fitmodels.fit_energy(data, data[0][1], n_label=label)
-    with open(os.path.join(config.output_dir, "energy_fit_params.txt"), "w") as handle:
-        handle.write(fitmodels.format_fit_params(report.params))
-        handle.write("max_rel_error %s\n" % _fmt(report.max_rel_error))
-        handle.write("rms_rel_error %s\n" % _fmt(report.rms_rel_error))
-        handle.write("converged %s\n" % report.converged)
+    _write_fit_report(os.path.join(config.output_dir, "energy_fit_params.txt"), report)
     rows = [
         (n, e, fitmodels.energy_fit_eval(report.params, n),
          abs(fitmodels.energy_fit_eval(report.params, n) - e) / abs(e) if e else 0.0)
@@ -392,12 +392,10 @@ class _Summary:
 
 
 def _reproduce_sextic(config, summary):
-    def solve(depth):
+    solved = {}
+    for depth in _DEPTHS:
         potential = SexticReduced(depth)
-        return depth, potential, lowest_eigen(potential, 51, tol=1e-10)
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        solved = {d: (p, s) for d, p, s in pool.map(solve, _DEPTHS)}
+        solved[depth] = (potential, lowest_eigen(potential, 51, tol=1e-10))
 
     gamma_pub_worst = 0.0
     energy_pub_worst = {}
@@ -479,14 +477,10 @@ def _reproduce_sextic(config, summary):
         )
         refit_energy_worst[depth] = refit_e
         for kind, report in (("gamma", gamma_report), ("energy", energy_report)):
-            path = os.path.join(
-                config.output_dir, "%s_refit_params_N%s.txt" % (kind, tag)
+            _write_fit_report(
+                os.path.join(config.output_dir, "%s_refit_params_N%s.txt" % (kind, tag)),
+                report,
             )
-            with open(path, "w") as handle:
-                handle.write(fitmodels.format_fit_params(report.params))
-                handle.write("max_rel_error %s\n" % _fmt(report.max_rel_error))
-                handle.write("rms_rel_error %s\n" % _fmt(report.rms_rel_error))
-                handle.write("converged %s\n" % report.converged)
 
     for kind, tables, fields in (
         ("gamma", gamma_tables, ("a0", "a1", "b1", "b2", "b3", "b4")),

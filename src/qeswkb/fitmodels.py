@@ -18,15 +18,23 @@ Two fixed model shapes are implemented:
 
 Denominator coefficients enter squared, which keeps both denominators
 positive for every m > 0.  Reference parameter sets for the reduced
-sextic well at four depth indices are bundled; refitting from freshly
-computed data uses damped least squares on relative residuals with a
-deterministic multi-start strategy.
+sextic well at four depth indices are bundled.
+
+Refits minimise the squared relative residuals.  Both models are linear
+in their numerator coefficients once the denominator is fixed, so one
+separable fitter serves both (variable projection; Golub & Pereyra,
+SIAM J. Numer. Anal. 10 (1973) 413): at each trial denominator a QR
+factorisation of the weighted basis removes a0, a1 or A0..A6, and
+Levenberg-Marquardt with the analytic projected Jacobian searches only
+the four or five denominator coefficients, from eight deterministic
+starts.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import least_squares
 
 from .errors import DomainError, ModelDomainError, UnsupportedParameterError
@@ -41,6 +49,7 @@ def _level_index(n):
     return int(r)
 
 _STARTS = 8
+_MAX_NFEV = 20000
 _GAMMA_SEED = 12345
 _GAMMA_SPREAD = 0.05
 _ENERGY_SEED = 999
@@ -132,9 +141,10 @@ def published_depth_indices():
 
 
 def _nearest_published(n_label, table):
+    """Key of ``table`` nearest to n_label; depth 0 when there is no label."""
     if n_label is None or not math.isfinite(n_label):
-        return table[0.0]
-    return table[min(table, key=lambda key: abs(key - n_label))]
+        return 0.0
+    return min(table, key=lambda key: abs(key - n_label))
 
 
 def gamma_fit_eval(params, n):
@@ -189,58 +199,82 @@ def asymptotic_coefficient():
     return 0.5 * math.pi**0.75 * (math.gamma(5.0 / 3.0) / math.gamma(7.0 / 6.0)) ** 1.5
 
 
-def _gamma_model_vec(x, m):
-    numer = x[0] + x[1] * m
-    denom = 1.0 + x[2] ** 2 * m + x[3] ** 2 * m**2 + x[4] ** 2 * m**3 + x[5] ** 2 * m**4
-    return numer / np.sqrt(denom)
+def _fit_rational(y, m, basis, offset, degree, exponent, x0, seed, spread):
+    """Separable multi-start least squares for the rational shape
 
+        y ~ offset + (basis @ c) / (1 + b1^2 m + ... + bk^2 m^k)^exponent,
 
-def _energy_model_vec(x, e0, m):
-    numer = np.zeros_like(m)
-    for i in range(6, -1, -1):
-        numer = numer * m + x[i]
-    denom = (
-        1.0
-        + x[7] ** 2 * m
-        + x[8] ** 2 * m**2
-        + x[9] ** 2 * m**3
-        + x[10] ** 2 * m**4
-        + x[11] ** 2 * m**5
-    )
-    return e0 * m + np.sqrt(m - 1.0) * numer / denom
+    k = degree, on the relative residuals (model - y) / y, with c projected
+    out.  The starts are x0 = (c, b) and seven perturbations x0 (1 + spread z),
+    z drawn from ``seed``; only their b part is used.  The lowest final cost
+    wins, ties broken by the lexicographically smallest |(c, b)|.  Returns
+    (c, |b|) as one array, its relative residuals, and the winning
+    ``least_squares`` result.
+    """
+    powers = m[:, None] ** np.arange(1.0, degree + 1.0)
+    weighted = basis / y[:, None]
+    target = 1.0 - offset / y
+    last = {}
 
+    def project(b):
+        # least_squares asks for the Jacobian at the b it last evaluated
+        if "b" not in last or not np.array_equal(last["b"], b):
+            denom = 1.0 + powers @ (b * b)
+            design = weighted * (denom**-exponent)[:, None]
+            q, r = np.linalg.qr(design)
+            qt = q.T @ target
+            last.update(b=b.copy(), denom=denom, design=design, q=q, r=r, qt=qt)
+            last["fit"] = q @ qt
+        return last
 
-def _multi_start(residual, x0, seed, spread):
+    def residual(b):
+        return project(b)["fit"] - target
+
+    def jacobian(b):
+        # The design scales by g_j = -2 exponent b_j m^j / D along b_j, so the
+        # derivative of the projected residual (fit - target) is
+        # P_perp (g_j fit) - Q Q^T (g_j (fit - target)).  Kaufman's variant
+        # drops the second term; without it depth-0 energy starts hit max_nfev.
+        p = project(b)
+        g = (-2.0 * exponent * b) * powers / p["denom"][:, None]
+        moved = g * p["fit"][:, None]
+        return moved - p["q"] @ (p["q"].T @ (g * (2.0 * p["fit"] - target)[:, None]))
+
+    x0 = np.asarray(x0, dtype=float)
+    linear = basis.shape[1]
     rng = np.random.default_rng(seed)
     candidates = []
     for start in range(_STARTS):
-        if start == 0:
-            xs = np.array(x0, dtype=float)
-        else:
-            xs = np.array(x0, dtype=float) * (
-                1.0 + spread * rng.standard_normal(len(x0))
-            )
+        xs = x0 if start == 0 else x0 * (1.0 + spread * rng.standard_normal(len(x0)))
         result = least_squares(
-            residual,
-            xs,
-            method="lm",
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
-            max_nfev=20000,
+            residual, xs[linear:], jac=jacobian, method="lm",
+            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=_MAX_NFEV,
         )
-        candidates.append((result.cost, tuple(np.abs(result.x)), result))
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    return candidates[0][2]
+        p = project(result.x)
+        c = solve_triangular(p["r"], p["qt"])
+        x = np.concatenate([c, np.abs(result.x)])
+        candidates.append((result.cost, tuple(np.abs(x)), x, p["design"] @ c - target, result))
+    return min(candidates, key=lambda item: item[:2])[2:]
+
+
+def _report(params, rel, n_arr, best):
+    rel = np.abs(rel)
+    return FitReport(
+        params=params,
+        max_rel_error=float(np.max(rel)),
+        rms_rel_error=float(np.sqrt(np.mean(rel**2))),
+        n_range=(int(n_arr[0]), int(n_arr[-1])),
+        iterations=int(best.nfev),
+        converged=bool(best.status > 0),
+    )
 
 
 def fit_gamma(data, init=None, n_label=None):
     """Refit the correction model to (n, gamma) samples.
 
-    Minimizes the sum of squared relative residuals with a damped
-    least-squares descent from eight deterministic starts (the reference
-    parameters plus seven fixed perturbations); the lowest final cost
-    wins, ties broken by lexicographically smallest |parameters|.
+    Searches the four denominator coefficients with a0 and a1 projected
+    out, from the reference parameters and seven fixed perturbations of
+    them; see _fit_rational.
     """
     pairs = sorted((_as_int(n, "level index"), float(g)) for n, g in data)
     if len(pairs) < 6:
@@ -253,34 +287,22 @@ def fit_gamma(data, init=None, n_label=None):
     g_arr = np.array([g for _, g in pairs])
     m = n_arr - 2.0
     if init is None:
-        init = _nearest_published(n_label, PUBLISHED_GAMMA)
-    x0 = [init.a0, init.a1, init.b1, init.b2, init.b3, init.b4]
-
-    def residual(x):
-        return (_gamma_model_vec(x, m) - g_arr) / g_arr
-
-    best = _multi_start(residual, x0, _GAMMA_SEED, _GAMMA_SPREAD)
-    x = best.x.copy()
-    x[2:] = np.abs(x[2:])
-    label = float(n_label) if n_label is not None else init.N_label
-    params = GammaFitParams(x[0], x[1], x[2], x[3], x[4], x[5], N_label=label)
-    rel = np.abs(_gamma_model_vec(x, m) - g_arr) / np.abs(g_arr)
-    return FitReport(
-        params=params,
-        max_rel_error=float(np.max(rel)),
-        rms_rel_error=float(np.sqrt(np.mean(rel**2))),
-        n_range=(int(n_arr[0]), int(n_arr[-1])),
-        iterations=int(best.nfev),
-        converged=bool(best.status > 0),
+        init = PUBLISHED_GAMMA[_nearest_published(n_label, PUBLISHED_GAMMA)]
+    x0 = [getattr(init, name) for name in _GAMMA_FIELDS[:-1]]
+    basis = np.stack([np.ones_like(m), m], axis=1)
+    x, rel, best = _fit_rational(
+        g_arr, m, basis, 0.0, 4, 0.5, x0, _GAMMA_SEED, _GAMMA_SPREAD
     )
+    label = float(n_label) if n_label is not None else init.N_label
+    return _report(GammaFitParams(*x, N_label=label), rel, n_arr, best)
 
 
 def fit_energy(data, ground_energy, init=None, n_label=None):
     """Refit the energy model to (n, E) samples with E0 held fixed.
 
     The ground energy is exact by construction (the model pins n = 0), so
-    only the twelve rational coefficients vary.  Same deterministic
-    multi-start reduction as fit_gamma.
+    the fit runs over the five denominator coefficients with A0..A6
+    projected out; same deterministic multi-start as fit_gamma.
     """
     pairs = sorted((_as_int(n, "level index"), float(e)) for n, e in data)
     if len(pairs) < 12:
@@ -291,38 +313,16 @@ def fit_energy(data, ground_energy, init=None, n_label=None):
     n_arr = np.array([n for n, _ in pairs], dtype=float)
     e_arr = np.array([e for _, e in pairs])
     keep = n_arr >= 1.0
-    n_fit = n_arr[keep]
-    e_fit = e_arr[keep]
-    m = n_fit + 1.0
+    m = n_arr[keep] + 1.0
     if init is None:
-        label = n_label if n_label is not None else math.nan
-        key = min(
-            _PUBLISHED_ENERGY_AB,
-            key=lambda k: abs(k - label) if math.isfinite(label) else k,
-        )
-        init = published_energy_params(key, e0)
-    x0 = [
-        init.A0, init.A1, init.A2, init.A3, init.A4, init.A5, init.A6,
-        init.B1, init.B2, init.B3, init.B4, init.B5,
-    ]
-
-    def residual(x):
-        return (_energy_model_vec(x, e0, m) - e_fit) / e_fit
-
-    best = _multi_start(residual, x0, _ENERGY_SEED, _ENERGY_SPREAD)
-    x = best.x.copy()
-    x[7:] = np.abs(x[7:])
-    label = float(n_label) if n_label is not None else init.N_label
-    params = EnergyFitParams(e0, *x, N_label=label)
-    rel = np.abs(_energy_model_vec(x, e0, m) - e_fit) / np.abs(e_fit)
-    return FitReport(
-        params=params,
-        max_rel_error=float(np.max(rel)),
-        rms_rel_error=float(np.sqrt(np.mean(rel**2))),
-        n_range=(int(n_arr[0]), int(n_arr[-1])),
-        iterations=int(best.nfev),
-        converged=bool(best.status > 0),
+        init = published_energy_params(_nearest_published(n_label, _PUBLISHED_ENERGY_AB), e0)
+    x0 = [getattr(init, name) for name in _ENERGY_FIELDS[1:-1]]
+    basis = np.sqrt(m - 1.0)[:, None] * m[:, None] ** np.arange(7.0)
+    x, rel, best = _fit_rational(
+        e_arr[keep], m, basis, e0 * m, 5, 1.0, x0, _ENERGY_SEED, _ENERGY_SPREAD
     )
+    label = float(n_label) if n_label is not None else init.N_label
+    return _report(EnergyFitParams(e0, *x, N_label=label), rel, n_arr, best)
 
 
 _GAMMA_FIELDS = ("a0", "a1", "b1", "b2", "b3", "b4", "N_label")
