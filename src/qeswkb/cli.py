@@ -231,7 +231,8 @@ def _cmd_wkb(config):
     for n, energy in enumerate(spectrum.energies):
         try:
             record = wkb.gamma(config.potential, n, energy)
-        except QeswkbError:
+        except QeswkbError as exc:
+            print("skipped\tn=%d\t%s\t%s" % (n, type(exc).__name__, exc), file=sys.stderr)
             continue
         rows.append(
             (n, energy, record.x_left, record.x_right, record.action, record.gamma)

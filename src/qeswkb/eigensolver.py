@@ -9,9 +9,15 @@ Two discretizations are provided, both yielding dense symmetric matrices:
   suited to the Morse well whose eigenfunctions decay only exponentially
   toward the dissociation side.
 
-Accuracy is controlled by a refinement loop that doubles the basis size
-(retuning the oscillator length scale) until successive eigenvalues agree
-to the requested tolerance.
+The oscillator mesh is reflection-symmetric and serves only reflection-even
+wells, so its Hamiltonian splits into an even and an odd block of half the
+size, solved apart (Baye, Phys. Rep. 565 (2015) 1).  Its scale is fixed once
+per spectrum: the mesh at the starting size reaches the outer turning point
+of the top requested level plus the margin over which the WKB decay
+exponent of that level grows to 40.  One refinement loop serves both
+meshes: it doubles the basis size at that fixed scale (or box) until
+successive eigenvalues agree to the requested tolerance, and keeps the
+eigenvectors of its last solve.
 """
 
 from __future__ import annotations
@@ -29,8 +35,17 @@ from .errors import (
     NodePlacementError,
     SearchError,
     SpectrumExhaustedError,
+    UnsupportedParameterError,
 )
-from .potentials import Morse, SexticReduced, evaluate
+from .potentials import (
+    EvenPolynomial,
+    Morse,
+    SexticGeneral,
+    SexticGround,
+    SexticReduced,
+    SusyPartner,
+    evaluate,
+)
 
 __all__ = [
     "Mesh",
@@ -48,6 +63,12 @@ OSCILLATOR = "oscillator-mesh"
 UNIFORM = "uniform-grid"
 
 _M_CAP_DEFAULT = 2048
+
+# WKB decay exponent of the top requested level at the edge of the starting
+# oscillator mesh: exp(-40) ~ 4e-18 puts the truncated tail below rounding.
+_EDGE_DECAY = 40.0
+
+_SEARCH_STEPS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +124,8 @@ def _hermite_data(M):
 
     The kinetic matrix is the second-derivative operator of the oscillator
     eigenbasis projected onto the mesh: T = -1/2 V^T D2 V, where D2 has
-    -(n + 1/2) on the diagonal and sqrt(m (m-1))/2 two off.
+    -(n + 1/2) on the diagonal and sqrt(m (m-1))/2 two off.  D2 V is formed
+    from three row-shifted products, so one GEMM remains.
 
     Column j of V holds sqrt(w_j) q_n(t_j), n = 0..M-1, with q_n the
     orthonormal Hermite polynomials (q_0 > 0) and w_j the Gauss weights
@@ -112,17 +134,20 @@ def _hermite_data(M):
     exp(-t_j^2/2) and at the outer nodes falls below rounding, even to 0.0,
     while row M-1 stays well scaled.  The zeros of q_{M-1} interlace with
     the nodes, so the true sign of q_{M-1}(t_j) is (-1)^(M-1-j).
+
+    The points are made exactly symmetric, t_{M-1-j} = -t_j, so that the
+    mesh reflects onto itself and the parity blocks are exact.
     """
     off = np.sqrt(np.arange(1, M) / 2.0)
     t, vecs = eigh_tridiagonal(np.zeros(M), off)
+    t = 0.5 * (t - t[::-1])
     vecs = vecs * (np.sign(vecs[-1]) * (-1.0) ** (M - 1 - np.arange(M)))
-    d2 = np.zeros((M, M))
     n = np.arange(M)
-    d2[n, n] = -(n + 0.5)
-    m = np.arange(2, M)
-    d2[m - 2, m] = 0.5 * np.sqrt(m * (m - 1.0))
-    d2[m, m - 2] = d2[m - 2, m]
-    kin = -0.5 * (vecs.T @ d2 @ vecs)
+    coupling = 0.5 * np.sqrt(n[2:] * (n[2:] - 1.0))[:, None]
+    d2v = -(n + 0.5)[:, None] * vecs
+    d2v[:-2] += coupling * vecs[2:]
+    d2v[2:] += coupling * vecs[:-2]
+    kin = -0.5 * (vecs.T @ d2v)
     return t, kin, _hermite_log_weights(t, M)
 
 
@@ -184,11 +209,16 @@ def _sine_kinetic(M, spacing):
     return kin
 
 
-def build_hamiltonian(spec, mesh):
-    """Dense symmetric Hamiltonian T + diag(V(x_i)) for the given mesh."""
+def _potential_at_nodes(spec, mesh):
     v = evaluate(spec, mesh.nodes)
     if not np.all(np.isfinite(v)):
         raise NodePlacementError("potential is not finite at every mesh node")
+    return v
+
+
+def build_hamiltonian(spec, mesh):
+    """Dense symmetric Hamiltonian T + diag(V(x_i)) for the given mesh."""
+    v = _potential_at_nodes(spec, mesh)
     if mesh.kind == OSCILLATOR:
         t, kin, _ = _hermite_data(mesh.size)
         if abs(mesh.nodes[0] / mesh.h - t[0]) > 1e-9 * max(1.0, abs(t[0])):
@@ -199,29 +229,95 @@ def build_hamiltonian(spec, mesh):
     return 0.5 * (ham + ham.T)
 
 
-def _solve(spec, mesh, k, want_vectors=False):
-    ham = build_hamiltonian(spec, mesh)
-    if want_vectors:
-        return eigh(ham, subset_by_index=(0, k - 1))
-    return eigh(ham, eigvals_only=True, subset_by_index=(0, k - 1))
+def _is_even(spec):
+    """Whether the spec's type guarantees V(-x) = V(x)."""
+    if isinstance(spec, (SexticReduced, SexticGeneral, EvenPolynomial)):
+        return True
+    return isinstance(spec, SusyPartner) and _is_even(spec.base) and isinstance(spec.seed, SexticGround)
 
 
-def _scan_h(spec, M, k, hgrid):
-    """Pick the oscillator scale where the top requested energy is flattest.
+def _parity_block(spec, mesh, sign):
+    """Even (sign = +1) or odd (sign = -1) block A + sign B J of an oscillator Hamiltonian.
 
-    Sensitivity of E_{k-1} to neighbouring scales is minimized over an
-    interior point of the grid (a plateau-center criterion).
+    With m = M/2, A = H[:m, :m] and B J = H[:m, m:][:, ::-1]; a state of that
+    parity is [u; sign u[::-1]] / sqrt(2), with u an eigenvector of the block.
     """
-    energies = [_solve(spec, oscillator_mesh(M, h), k) for h in hgrid]
-    top = np.array([e[-1] for e in energies])
-    sens = np.full(len(hgrid), np.inf)
-    for i in range(1, len(hgrid) - 1):
-        # Relative flatness: an undersized box pins every energy near zero,
-        # and absolute differences there would beat the true plateau.
-        scale = max(1.0, abs(top[i]))
-        sens[i] = (abs(top[i + 1] - top[i]) + abs(top[i] - top[i - 1])) / scale
-    best = int(np.argmin(sens))
-    return hgrid[best], energies[best]
+    _, kin, _ = _hermite_data(mesh.size)
+    m = mesh.size // 2
+    block = kin[:m, :m] + sign * kin[:m, m:][:, ::-1]
+    block /= mesh.h**2
+    block[np.diag_indices(m)] += _potential_at_nodes(spec, mesh)[:m]
+    return block
+
+
+def _solve_parity(spec, mesh, k):
+    """k lowest eigenpairs from the two parity blocks, merged by energy.
+
+    State n has parity (-1)^n (oscillation theorem), so the even block
+    supplies ceil(k/2) levels and the odd block floor(k/2).
+    """
+    energies, vectors = [], []
+    for sign, count in ((1.0, (k + 1) // 2), (-1.0, k // 2)):
+        if count == 0:
+            continue
+        e, u = eigh(_parity_block(spec, mesh, sign), subset_by_index=(0, count - 1))
+        energies.append(e)
+        vectors.append(np.vstack((u, sign * u[::-1])) / math.sqrt(2.0))
+    energies = np.concatenate(energies)
+    order = np.argsort(energies, kind="stable")
+    return energies[order], np.hstack(vectors)[:, order]
+
+
+def _solve(spec, mesh, k):
+    """k lowest energies on one mesh, with quadrature-normalized node values."""
+    if mesh.kind == OSCILLATOR:
+        energies, coeffs = _solve_parity(spec, mesh, k)
+        _, _, logw = _hermite_data(mesh.size)
+        scale = np.sqrt(mesh.h * np.exp(logw))
+    else:
+        energies, coeffs = eigh(build_hamiltonian(spec, mesh), subset_by_index=(0, k - 1))
+        scale = np.full(mesh.size, math.sqrt(mesh.h))
+    return energies, _fix_signs(coeffs / scale[:, None])
+
+
+def _edge_extent(spec, energy):
+    """Outer turning point of ``energy`` plus the margin where the WKB
+    exponent, the integral of sqrt(2 (V - energy)) outward, reaches _EDGE_DECAY."""
+    reach = 1.0
+    for _ in range(64):
+        x = np.linspace(0.0, reach, 2049)
+        excess = evaluate(spec, x) - energy
+        allowed = np.flatnonzero(excess <= 0.0)
+        kappa = np.sqrt(2.0 * np.maximum(excess, 0.0))
+        if allowed.size:
+            kappa[: allowed[-1] + 1] = 0.0
+        exponent = np.concatenate(([0.0], np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(x))))
+        if exponent[-1] >= _EDGE_DECAY:
+            return float(np.interp(_EDGE_DECAY, exponent, x))
+        reach *= 2.0
+    raise MeshError(f"no classically forbidden margin found for energy {energy:.6g}")
+
+
+def _oscillator_scale(spec, M, k):
+    """Oscillator scale h for a k-level spectrum that starts at mesh size M.
+
+    A provisional scale balances the potential at the mesh edge against the
+    kinetic cutoff of the basis, V(h t_max) = t_max^2 / (2 h^2), which is
+    h = 1 for the harmonic well.  One parity block solved at that scale
+    gives the top requested level E_{k-1}; the returned scale stretches the
+    mesh to the outer turning point of E_{k-1} plus its decay margin.
+    """
+    t_max = _hermite_data(M)[0][-1]
+    trial = np.geomspace(1e-3, 1e3, 601)
+    with np.errstate(over="ignore", invalid="ignore"):
+        balance = evaluate(spec, trial * t_max) - 0.5 * (t_max / trial) ** 2
+    if not np.any(balance > 0):
+        raise MeshError("no oscillator scale balances the potential against the kinetic cutoff")
+    mesh = oscillator_mesh(M, trial[np.argmax(balance > 0)])
+    top = (k - 1) // 2
+    block = _parity_block(spec, mesh, 1.0 if k % 2 else -1.0)
+    e_top = float(eigh(block, eigvals_only=True, subset_by_index=(top, top))[0])
+    return _edge_extent(spec, e_top) / t_max
 
 
 def _fix_signs(vectors):
@@ -279,8 +375,14 @@ def _morse_box(spec, k):
 def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     """Converged k lowest eigenpairs of the potential.
 
-    The mesh size is doubled (with the oscillator scale retuned) until every
-    requested energy changes by less than ``tol`` between refinements.  On
+    Morse wells are solved on a uniform grid in a fixed box; reflection-even
+    wells (reduced and general sextic, even polynomials, and partners of
+    those built from a sextic seed) on an oscillator mesh in parity blocks,
+    at a scale chosen once, at the starting size, from the turning point of
+    the top requested level; any other spec raises
+    :class:`UnsupportedParameterError`.  The
+    mesh size is doubled at that fixed scale or box until every requested
+    energy changes by less than ``tol`` between refinements.  On
     stagnation at the size cap a :class:`ConvergenceError` carrying the best
     spectrum so far is raised.
     """
@@ -288,81 +390,52 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
         raise MeshError("k must be at least 1")
     if not tol > 0:
         raise MeshError("tol must be positive")
-    if isinstance(spec, Morse):
-        return _lowest_eigen_uniform(spec, k, tol, m_cap)
-    return _lowest_eigen_oscillator(spec, k, tol, m_cap)
-
-
-def _lowest_eigen_oscillator(spec, k, tol, m_cap):
-    # The initial scale scan must already resolve the top requested state,
-    # or the plateau criterion picks an arbitrary scale; eight mesh points
-    # per state is comfortably inside the resolving regime.
     M = 256
+    if isinstance(spec, Morse):
+        count = morse_bound_count(spec)
+        if k > count:
+            raise SpectrumExhaustedError(
+                f"requested {k} states but the well supports only {count} bound states"
+            )
+        x_left, x_right = _morse_box(spec, k)
+        return _refine(spec, k, tol, m_cap, M, lambda size: uniform_mesh(size, x_left, x_right))
+    if not _is_even(spec):
+        raise UnsupportedParameterError(
+            f"the oscillator mesh needs a reflection-even well, got {type(spec).__name__}"
+        )
+    # Eight mesh points per requested state keep the top state resolved
+    # at the starting size, where the scale is chosen.
     while M < 8 * k and M < m_cap:
         M *= 2
-    h, prev = _scan_h(spec, M, k, np.geomspace(0.05, 2.0, 13))
+    h = _oscillator_scale(spec, M, k)
+    return _refine(spec, k, tol, m_cap, M, lambda size: oscillator_mesh(size, h))
+
+
+def _refine(spec, k, tol, m_cap, M, mesh_at):
+    """Double the mesh size from M until successive energies agree to ``tol``."""
+    mesh = mesh_at(M)
+    energies, vectors = _solve(spec, mesh, k)
+    step = np.full(k, np.inf)
     deltas = []
-    while M < m_cap:
+    while M < m_cap and not np.all(step < tol):
         M *= 2
-        h, cur = _scan_h(spec, M, k, h * np.geomspace(1 / 1.5, 1.5, 5))
-        step = np.abs(cur - prev)
+        mesh = mesh_at(M)
+        cur, vectors = _solve(spec, mesh, k)
+        step = np.abs(cur - energies)
+        energies = cur
         deltas.append(float(step.max()))
-        if np.all(step < tol):
-            return _finish(spec, oscillator_mesh(M, h), k, cur, step, deltas)
-        prev = cur
-    best = _finish(spec, oscillator_mesh(M, h), k, prev, np.full(k, np.inf if not deltas else deltas[-1]), deltas)
-    raise ConvergenceError(
-        f"refinement stalled at M={M} (last delta {deltas[-1] if deltas else math.inf:.3e} > tol {tol:.1e})",
-        best=best,
-    )
-
-
-def _lowest_eigen_uniform(spec, k, tol, m_cap):
-    count = morse_bound_count(spec)
-    if k > count:
-        raise SpectrumExhaustedError(
-            f"requested {k} states but the well supports only {count} bound states"
-        )
-    x_left, x_right = _morse_box(spec, k)
-    M = 256
-    prev = _solve(spec, uniform_mesh(M, x_left, x_right), k)
-    deltas = []
-    while M < m_cap:
-        M *= 2
-        cur = _solve(spec, uniform_mesh(M, x_left, x_right), k)
-        step = np.abs(cur - prev)
-        deltas.append(float(step.max()))
-        if np.all(step < tol):
-            return _finish(spec, uniform_mesh(M, x_left, x_right), k, cur, step, deltas)
-        prev = cur
-    best = _finish(
-        spec,
-        uniform_mesh(M, x_left, x_right),
-        k,
-        prev,
-        np.full(k, np.inf if not deltas else deltas[-1]),
-        deltas,
-    )
-    raise ConvergenceError(
-        f"refinement stalled at M={M} (last delta {deltas[-1] if deltas else math.inf:.3e} > tol {tol:.1e})",
-        best=best,
-    )
-
-
-def _finish(spec, mesh, k, energies, step, deltas):
-    energies2, coeffs = _solve(spec, mesh, k, want_vectors=True)
-    if mesh.kind == OSCILLATOR:
-        _, _, logw = _hermite_data(mesh.size)
-        scale = np.sqrt(mesh.h * np.exp(logw))
-    else:
-        scale = np.full(mesh.size, math.sqrt(mesh.h))
-    vectors = _fix_signs(coeffs / scale[:, None])
-    return Spectrum(
-        energies=energies2,
+    spectrum = Spectrum(
+        energies=energies,
         eigenvectors=vectors,
         mesh=mesh,
-        converged_digits=_digits(np.asarray(step, dtype=float), energies2),
+        converged_digits=_digits(step, energies),
         refinement_deltas=tuple(deltas),
+    )
+    if np.all(step < tol):
+        return spectrum
+    raise ConvergenceError(
+        f"refinement stalled at M={M} (last delta {float(step.max()):.3e} > tol {tol:.1e})",
+        best=spectrum,
     )
 
 
@@ -373,39 +446,49 @@ def count_sign_changes(values, rel_threshold=1e-8):
     return int(np.sum(np.sign(keep[1:]) != np.sign(keep[:-1])))
 
 
-def _quick_ground(N):
-    """Fast two-stage ground-state energy of the reduced sextic at parameter N."""
-    spec = SexticReduced(N)
-    h, e1 = _scan_h(spec, 256, 1, np.geomspace(0.2, 1.2, 7))
-    _, e2 = _scan_h(spec, 512, 1, h * np.geomspace(1 / 1.5, 1.5, 5))
-    return float(e2[0])
+def _ground_and_slope(N):
+    """E_0 of the reduced sextic at parameter N and dE_0/dN = -2 <x^2>_0.
+
+    The slope is the Hellmann-Feynman derivative, dV/dN = -2 x^2, taken from
+    the quadrature-normalized ground vector of the same solve.
+    """
+    spectrum = lowest_eigen(SexticReduced(N), 1)
+    mesh = spectrum.mesh
+    weights = mesh.h * np.exp(_hermite_data(mesh.size)[2])
+    psi = spectrum.eigenvectors[:, 0]
+    return float(spectrum.energies[0]), -2.0 * float(np.sum(weights * psi * psi * mesh.nodes**2))
 
 
 def critical_N(tol=1e-3, lo=0.5, hi=1.0):
     """Parameter at which the sextic ground level crosses the barrier top.
 
-    Bisects the ground-state energy of the reduced sextic over [lo, hi]
-    until the bracket is narrower than ``tol``; the barrier top sits at
-    zero energy, so the root of E_0(N) is returned.
+    The barrier top sits at zero energy, so the root of E_0(N) on [lo, hi]
+    is returned.  Newton steps with the Hellmann-Feynman slope are taken
+    inside a bracket that every evaluation narrows; a step that leaves the
+    bracket is replaced by its midpoint.  The search ends when the Newton
+    correction is below half of ``tol`` (or the bracket narrower than
+    ``tol``), and the corrected point, kept inside the bracket, is returned.
     """
     if not tol > 0:
         raise SearchError("tol must be positive")
-    f_lo = _quick_ground(lo)
-    f_hi = _quick_ground(hi)
+    f_lo, slope_lo = _ground_and_slope(lo)
+    f_hi, slope_hi = _ground_and_slope(hi)
     if not (f_lo > 0 > f_hi):
         raise SearchError(
             f"no sign change of the ground energy on [{lo}, {hi}]: E0({lo})={f_lo:.3e}, E0({hi})={f_hi:.3e}"
         )
-    slope = abs(f_hi - f_lo) / (hi - lo)
     width = max(tol, 1e-8)
-    mid = 0.5 * (lo + hi)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if _quick_ground(mid) > 0:
-            lo = mid
+    x, f, slope = (lo, f_lo, slope_lo) if f_lo < -f_hi else (hi, f_hi, slope_hi)
+    for _ in range(_SEARCH_STEPS):
+        correction = -f / slope
+        if abs(correction) < 0.5 * width or hi - lo < width:
+            return min(max(x + correction, lo), hi)
+        x = x + correction
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        f, slope = _ground_and_slope(x)
+        if f > 0:
+            lo = x
         else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    if abs(_quick_ground(mid)) > 4.0 * slope * width:
-        raise SearchError("bisection landed on a point with unexpectedly large |E0|")
-    return mid
+            hi = x
+    raise SearchError(f"no root of the ground energy within {_SEARCH_STEPS} steps on [{lo}, {hi}]")

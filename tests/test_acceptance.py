@@ -263,7 +263,7 @@ def test_criterion_09_critical_depth_index(capsys):
     _report(
         capsys,
         9,
-        "vanishing-ground-level depth index by bisection",
+        "vanishing-ground-level depth index by safeguarded Newton search",
         deviation,
         2e-3,
         deviation <= 2e-3,

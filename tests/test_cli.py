@@ -51,6 +51,29 @@ def test_wkb_command_sextic_corrections(tmp_path):
         assert got == pytest.approx(expected, abs=5e-6)
 
 
+def test_wkb_command_reports_skipped_levels(tmp_path, capsys):
+    # at N = 3 the two lowest levels lie below the central barrier top
+    out = tmp_path / "double"
+    code = main([
+        "wkb", "--family", "sextic_reduced", "--N", "3", "--n-max", "5",
+        "--out", str(out),
+    ])
+    assert code == 0
+    rows = read_lines(out / "wkb.csv")[1:]
+    assert [int(line.split(",")[0]) for line in rows] == [2, 3, 4, 5]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split("\t")[:3] for line in err] == [
+        ["skipped", "n=0", "MultiWellError"],
+        ["skipped", "n=1", "MultiWellError"],
+    ]
+    code = main([
+        "wkb", "--family", "sextic_reduced", "--N", "0", "--n-max", "3",
+        "--out", str(tmp_path / "single"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_spectrum_command_harmonic(tmp_path):
     out = tmp_path / "spectrum"
     code = main([

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from qeswkb import eigensolver
+from qeswkb import eigensolver, qes_algebra
 from qeswkb.eigensolver import (
     Mesh,
     count_sign_changes,
@@ -19,8 +20,9 @@ from qeswkb.errors import (
     NodePlacementError,
     SearchError,
     SpectrumExhaustedError,
+    UnsupportedParameterError,
 )
-from qeswkb.potentials import EvenPolynomial, Morse, SexticReduced
+from qeswkb.potentials import EvenPolynomial, Morse, MorseGround, SexticReduced, SusyPartner
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -71,6 +73,56 @@ def test_hermite_kinetic_matrix_signs(M):
     assert not np.any(np.all(kin == 0.0, axis=1))
     scale = np.max(np.abs(kin))
     assert np.max(np.abs(kin[::-1, ::-1] - kin)) <= 1e-12 * scale
+
+
+def test_parity_blocks_match_full_matrix():
+    spec = SexticReduced(0.5)
+    mesh = oscillator_mesh(512, eigensolver._oscillator_scale(spec, 512, 51))
+    energies, vectors = eigensolver._solve(spec, mesh, 51)
+    full = eigh(eigensolver.build_hamiltonian(spec, mesh), eigvals_only=True, subset_by_index=(0, 50))
+    # relative to max(1, |E|), as in converged_digits: both solves round at
+    # eps * ||H||, a few 1e-12 here, which is 2e-11 of E_0 = 0.18
+    assert np.max(np.abs(energies - full) / np.maximum(1.0, np.abs(full))) < 1e-11
+    assert np.array_equal(mesh.nodes[::-1], -mesh.nodes)
+    for n in range(51):
+        psi = vectors[:, n]
+        assert np.max(np.abs(psi[::-1] - (-1.0) ** n * psi)) <= 1e-12 * np.max(np.abs(psi))
+
+
+def test_deep_spectra_converge_at_tight_tol():
+    for depth in (0.0, 0.25, 0.5, 0.7):
+        spectrum = lowest_eigen(SexticReduced(depth), 51, tol=1e-11)
+        assert spectrum.refinement_deltas[-1] < 1e-11
+
+
+def test_solve_counts(monkeypatch):
+    sizes = []
+
+    def counted(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "eigh", counted)
+    spectrum = lowest_eigen(SexticReduced(0.25), 51, tol=1e-10)
+    # at most three mesh solves, each one even and one odd block
+    assert len(sizes) <= 6
+    assert all(2 * m <= spectrum.mesh.size for m in sizes)
+    sizes.clear()
+    spectrum = lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9)
+    assert spectrum.mesh.size == 1024
+    assert sizes == [256, 512, 1024]
+
+
+def test_oscillator_path_needs_even_well():
+    base = SexticReduced(1.0)
+    partner, _ = qes_algebra.darboux(base, qes_algebra.qes_states(base)[0])
+    # the partner of an even well built from its even ground state is even,
+    # and its levels are the base levels above the seed level
+    levels = lowest_eigen(partner, 3, tol=1e-11).energies
+    assert np.max(np.abs(levels - lowest_eigen(base, 4, tol=1e-11).energies[1:])) < 1e-9
+    uneven = SusyPartner(Morse(1.0, 8.0, SQRT2, 1.0), MorseGround(1, 1.0, 8.0, SQRT2))
+    with pytest.raises(UnsupportedParameterError):
+        lowest_eigen(uneven, 3)
 
 
 def test_node_counts_match_level_index():
@@ -166,6 +218,9 @@ def test_convergence_error_carries_best_spectrum():
 def test_critical_index_bracket():
     value = critical_N(tol=1e-3)
     assert abs(value - 0.73295) < 2e-3
+    value = critical_N(tol=1e-6)
+    ground = [lowest_eigen(SexticReduced(value + step), 1).energies[0] for step in (-1e-6, 1e-6)]
+    assert ground[0] > 0.0 > ground[1]
 
 
 def test_critical_index_bad_bracket():
