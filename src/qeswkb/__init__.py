@@ -4,93 +4,9 @@ Provides high-accuracy bound-state spectra on spectral meshes,
 semiclassical phase integrals and quantization corrections, finite
 algebraic blocks with exact levels, first-order factorization
 (partner-potential) machinery, and rational interpolation models for
-spectra and corrections.
+spectra and corrections.  Import the submodules directly: ``potentials``,
+``eigensolver``, ``wkb``, ``qes_algebra``, ``fitmodels``, ``cli`` and
+``errors``.
 """
-
-from .errors import (
-    AboveAsymptoteError,
-    AccuracyError,
-    ConvergenceError,
-    DomainError,
-    MeshError,
-    ModelDomainError,
-    MultiWellError,
-    NoClassicalRegionError,
-    NodePlacementError,
-    QeswkbError,
-    RangeOverflowError,
-    SearchError,
-    SeedError,
-    ShapeError,
-    SpectrumExhaustedError,
-    UnsupportedParameterError,
-)
-from .potentials import (
-    EvenPolynomial,
-    Morse,
-    MorseGround,
-    SexticGeneral,
-    SexticGround,
-    SexticReduced,
-    SusyPartner,
-    barrier_top,
-    evaluate,
-    format_spec,
-    morse_asymptote,
-    parse_spec,
-    seed_log_derivatives,
-    sextic_coefficients,
-    susy_partner_closed_form,
-)
-from .eigensolver import (
-    Mesh,
-    Spectrum,
-    build_hamiltonian,
-    count_sign_changes,
-    critical_N,
-    lowest_eigen,
-    morse_bound_count,
-    oscillator_mesh,
-    uniform_mesh,
-)
-from .wkb import (
-    WkbRecord,
-    action,
-    bohr_sommerfeld_invert,
-    gamma,
-    morse_action_closed,
-    turning_points,
-)
-from .qes_algebra import (
-    A1Plus,
-    QesMatrix,
-    QesState,
-    apply_A1_plus_poly,
-    apply_A1_plus_wronskian,
-    darboux,
-    intertwining_residual,
-    morse_exact_spectrum,
-    morse_h0_matrix,
-    morse_lie_form_check,
-    qes_states,
-    residual_check,
-    sextic_h0_matrix,
-    sl2_generators,
-)
-from .fitmodels import (
-    EnergyFitParams,
-    FitReport,
-    GammaFitParams,
-    PUBLISHED_GAMMA,
-    asymptotic_coefficient,
-    energy_fit_eval,
-    fit_energy,
-    fit_gamma,
-    format_fit_params,
-    gamma_fit_eval,
-    parse_fit_params,
-    published_depth_indices,
-    published_energy_params,
-)
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ from .errors import DomainError, QeswkbError
 from .potentials import (
     EvenPolynomial,
     Morse,
-    SexticGeneral,
     SexticReduced,
+    build_spec,
     evaluate,
     susy_partner_closed_form,
 )
@@ -76,32 +76,6 @@ def _ext(fmt):
     return "csv" if fmt == "csv" else "tsv"
 
 
-def _build_potential(family, opts):
-    if family is None:
-        raise DomainError("a potential family is required for this command")
-    if family == "sextic_reduced":
-        if opts.get("N") is None:
-            raise DomainError("family sextic_reduced requires N")
-        return SexticReduced(N=opts["N"])
-    if family == "sextic_general":
-        missing = [k for k in ("nu", "mu", "N") if opts.get(k) is None]
-        if missing:
-            raise DomainError(
-                "family sextic_general requires %s" % ", ".join(missing)
-            )
-        return SexticGeneral(nu=opts["nu"], mu=opts["mu"], N=opts["N"])
-    if family == "morse":
-        missing = [k for k in ("a", "b", "alpha", "N") if opts.get(k) is None]
-        if missing:
-            raise DomainError("family morse requires %s" % ", ".join(missing))
-        return Morse(a=opts["a"], b=opts["b"], alpha=opts["alpha"], N=opts["N"])
-    if family == "even_polynomial":
-        if not opts.get("coeffs"):
-            raise DomainError("family even_polynomial requires coeffs")
-        return EvenPolynomial(tuple(opts["coeffs"]))
-    raise DomainError("unknown potential family %r" % family)
-
-
 def _parse_config_file(path):
     values = {}
     try:
@@ -132,13 +106,6 @@ def _merge(cli_value, file_values, key, cast, default):
         except ValueError:
             raise DomainError("config key %s: cannot parse %r" % (key, raw))
     return default
-
-
-def _parse_coeffs(text):
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise DomainError(f"coeffs must be comma-separated numbers, got {text!r}")
 
 
 def build_config(argv):
@@ -177,8 +144,6 @@ def build_config(argv):
         "alpha": _merge(args.alpha, file_values, "alpha", float, None),
         "coeffs": _merge(args.coeffs, file_values, "coeffs", str, None),
     }
-    if isinstance(opts["coeffs"], str):
-        opts["coeffs"] = _parse_coeffs(opts["coeffs"])
     n_max = _merge(args.n_max, file_values, "n_max", int, 50)
     tol = _merge(args.tol, file_values, "tol", float, 1e-10)
     out = _merge(args.out, file_values, "out", str, "./qeswkb_out")
@@ -194,7 +159,7 @@ def build_config(argv):
         family = "morse"
     potential = None
     if args.command not in ("reproduce",):
-        potential = _build_potential(family, opts)
+        potential = build_spec(family, opts)
         if args.command == "morse" and not isinstance(potential, Morse):
             raise DomainError("the morse command requires the morse family")
     return RunConfig(
@@ -357,9 +322,8 @@ def _cmd_morse(config):
     potential = config.potential
     bound = morse_bound_count(potential)
     count = min(config.n_max + 1, bound)
-    beta = potential.N * potential.alpha + potential.b
     exact = qes_algebra.morse_exact_spectrum(
-        potential.a, beta, potential.alpha, count - 1
+        potential.a, potential.beta, potential.alpha, count - 1
     )
     numeric = lowest_eigen(potential, count, tol=min(config.tol, 1e-9)).energies
     rows = [

@@ -46,6 +46,7 @@ from .potentials import (
     SusyPartner,
     evaluate,
 )
+from .qes_algebra import morse_exact_spectrum
 
 __all__ = [
     "Mesh",
@@ -337,17 +338,10 @@ def _digits(delta, energies):
 
 def morse_bound_count(spec):
     """Number of bound states of a Morse spec (levels below the asymptote)."""
-    b_eff = spec.N * spec.alpha + spec.b
-    ratio = b_eff / spec.alpha
+    ratio = spec.beta / spec.alpha
     if ratio <= 0:
         return 0
     return int(math.floor(ratio - 1e-12)) + 1
-
-
-def _morse_exact_levels(spec, count):
-    b_eff = spec.N * spec.alpha + spec.b
-    n = np.arange(count, dtype=float)
-    return 0.5 * spec.alpha * n * (2.0 * b_eff - spec.alpha * n)
 
 
 def _morse_box(spec, k):
@@ -358,14 +352,12 @@ def _morse_box(spec, k):
     turning point of the highest requested level by many decay lengths
     1/kappa, kappa = sqrt(2 (V_inf - E_{k-1})).
     """
-    b_eff = spec.N * spec.alpha + spec.b
-    v_inf = 0.5 * b_eff * b_eff
-    c1 = 2.0 * spec.b + spec.alpha * (2.0 * spec.N + 1.0)
+    beta, c1, v_inf = spec.beta, spec.c1, spec.v_inf
     z_left = max(math.sqrt(800.0 * max(v_inf, 1.0)), 3.0 * c1, 20.0) / spec.a
     x_left = -math.log(z_left) / spec.alpha
-    e_top = _morse_exact_levels(spec, k)[-1]
+    e_top = morse_exact_spectrum(spec.a, beta, spec.alpha, k - 1)[-1]
     kappa = math.sqrt(max(2.0 * (v_inf - e_top), 1e-12))
-    disc = math.sqrt(max(c1 * c1 - 4.0 * (b_eff * b_eff - 2.0 * e_top), 0.0))
+    disc = math.sqrt(max(c1 * c1 - 4.0 * (beta * beta - 2.0 * e_top), 0.0))
     z_min = max((c1 - disc) / (2.0 * spec.a), 1e-300)
     x_turn = -math.log(z_min) / spec.alpha
     x_right = x_turn + min(max(20.7 / kappa, 5.0), 80.0)

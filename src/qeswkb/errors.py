@@ -19,10 +19,6 @@ class SeedError(QeswkbError, ValueError):
     """A factorization seed is non-positive or has a node in the domain."""
 
 
-class ShapeError(QeswkbError, ValueError):
-    """The potential does not have the shape required by the operation."""
-
-
 class UnsupportedParameterError(QeswkbError, ValueError):
     """Parameter combination with no implemented closed form."""
 

@@ -3,8 +3,10 @@
 Provides immutable specifications of the supported potentials (reduced and
 general sextic oscillators, the exponential Morse well, even polynomial
 oracles, and first-order factorization partners built from analytic seed
-functions), together with pointwise evaluation and the closed-form
-log-derivative chains of the seeds.
+functions), together with pointwise evaluation, the one derivative-chain
+recurrence per family that both the seeds' log-derivatives and the exact
+algebraic states use, and the flat key-value spec format that the CLI and
+its config files share.
 
 Units are atomic throughout (hbar = m = 1).
 """
@@ -18,7 +20,7 @@ from typing import Union
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DomainError, SeedError, ShapeError, UnsupportedParameterError
+from .errors import DomainError, SeedError, UnsupportedParameterError
 
 __all__ = [
     "SexticReduced",
@@ -34,8 +36,8 @@ __all__ = [
     "sextic_coefficients",
     "seed_log_derivatives",
     "susy_partner_closed_form",
-    "barrier_top",
     "morse_asymptote",
+    "build_spec",
     "format_spec",
     "parse_spec",
 ]
@@ -102,6 +104,28 @@ class Morse:
             raise DomainError("a and alpha must be positive")
         if not (math.isfinite(self.b) and math.isfinite(self.N)):
             raise DomainError("b and N must be finite")
+
+    @property
+    def beta(self):
+        """Plateau parameter beta = N alpha + b, so that V -> beta^2 / 2."""
+        return self.N * self.alpha + self.b
+
+    @property
+    def c1(self):
+        """Linear coefficient over a: V = (a^2 z^2 - a c1 z + beta^2) / 2."""
+        return 2.0 * self.b + self.alpha * (2.0 * self.N + 1.0)
+
+    @property
+    def v_inf(self):
+        """Dissociation plateau beta^2 / 2, the x -> +inf limit."""
+        beta = self.beta
+        return 0.5 * beta * beta
+
+    @property
+    def v_min(self):
+        """Well bottom (beta^2 - c1^2 / 4) / 2, reached at z = c1 / (2a)."""
+        beta, c1 = self.beta, self.c1
+        return 0.5 * (beta * beta - 0.25 * c1 * c1)
 
 
 @dataclass(frozen=True)
@@ -214,9 +238,8 @@ def _eval_sextic(spec, x):
 
 def _eval_morse(spec, x):
     z = np.exp(-spec.alpha * x)
-    beta = spec.N * spec.alpha + spec.b
-    c1 = spec.a * (2.0 * spec.b + spec.alpha * (2.0 * spec.N + 1.0))
-    return 0.5 * (spec.a * spec.a * z * z - c1 * z + beta * beta)
+    beta = spec.beta
+    return 0.5 * (spec.a * spec.a * z * z - spec.a * spec.c1 * z + beta * beta)
 
 
 def _eval_even_poly(spec, x):
@@ -255,48 +278,47 @@ def morse_asymptote(spec):
     """The x -> +inf limit (N alpha + b)^2 / 2 of a Morse spec."""
     if not isinstance(spec, Morse):
         raise UnsupportedParameterError("morse_asymptote requires a Morse spec")
-    beta = spec.N * spec.alpha + spec.b
-    return 0.5 * beta * beta
+    return spec.v_inf
 
 
 # ---------------------------------------------------------------------------
-# seed log-derivative chains
+# derivative chains and seed log-derivatives
 # ---------------------------------------------------------------------------
 
-def _sextic_seed_polys(seed):
-    """Ascending x-coefficients of u, u', u'', u''' divided by the gauge factor.
+def sextic_chain(poly_z, nu, mu, orders=3):
+    """Ascending x-coefficients of S_0..S_orders, with d^k/dx^k [Gamma P(x^2)] = Gamma S_k.
 
-    With u = exp(g) Q, successive derivatives are exp(g) S_k where
-    S_0 = Q and S_{k+1} = g' S_k + S_k'.
+    ``poly_z`` holds the ascending coefficients of P in z = x^2, and the
+    gauge factor is Gamma = exp(g), g = -nu x^4/4 - mu x^2/2, so that
+    S_0 = P(x^2) and S_{k+1} = g' S_k + S_k'.
     """
-    q = np.zeros(2 * len(seed.poly) - 1)
-    q[::2] = seed.poly
-    gprime = np.array([0.0, -seed.mu, 0.0, -seed.nu])
-    polys = [q]
-    for _ in range(3):
-        polys.append(npoly.polyadd(npoly.polymul(gprime, polys[-1]), npoly.polyder(polys[-1])))
-    return polys
+    cur = np.zeros(2 * len(poly_z) - 1)
+    cur[::2] = poly_z
+    gprime = np.array([0.0, -mu, 0.0, -nu])
+    chain = [cur]
+    for _ in range(orders):
+        nxt = np.convolve(gprime, cur)
+        nxt[: len(cur) - 1] += cur[1:] * np.arange(1, len(cur))
+        cur = nxt
+        chain.append(cur)
+    return chain
 
 
-def _morse_seed_polys(seed):
-    """Ascending z-coefficients of the Morse derivative chain.
+def morse_chain(poly_z, a, b, alpha, orders=3):
+    """Ascending z-coefficients of S_0..S_orders, with d^k/dx^k [Gamma P(z)] = Gamma S_k.
 
-    With u = exp(G) S(z), G = -(a/alpha) z - b x and z = exp(-alpha x),
-    d/dx (exp(G) S) = exp(G) ((a z - b) S - alpha z S'), so each derivative
-    stays a polynomial in z.
+    Here z = exp(-alpha x) and Gamma = exp(-(a/alpha) z - b x), so
+    d/dx (Gamma S) = Gamma ((a z - b) S - alpha z S'): each derivative
+    stays a polynomial in z, one degree higher.
     """
-    s = np.zeros(seed.N + 1)
-    s[seed.N] = 1.0
-    gp = np.array([-seed.b, seed.a])
-    polys = [s]
-    for _ in range(3):
-        cur = polys[-1]
-        nxt = npoly.polyadd(
-            npoly.polymul(gp, cur),
-            npoly.polymul(np.array([0.0, -seed.alpha]), npoly.polyder(cur)),
-        )
-        polys.append(nxt)
-    return polys
+    cur = np.asarray(poly_z, dtype=float)
+    chain = [cur]
+    for _ in range(orders):
+        nxt = np.convolve([-b, a], cur)
+        nxt[:-1] += -alpha * (np.arange(len(cur)) * cur)
+        cur = nxt
+        chain.append(cur)
+    return chain
 
 
 def seed_log_derivatives(seed, x, check_positive=False):
@@ -308,10 +330,10 @@ def seed_log_derivatives(seed, x, check_positive=False):
     """
     xa = _check_x(x)
     if isinstance(seed, SexticGround):
-        polys = _sextic_seed_polys(seed)
+        polys = sextic_chain(seed.poly, seed.nu, seed.mu)
         arg = xa
     elif isinstance(seed, MorseGround):
-        polys = _morse_seed_polys(seed)
+        polys = morse_chain(np.append(np.zeros(seed.N), 1.0), seed.a, seed.b, seed.alpha)
         arg = np.exp(-seed.alpha * xa)
     else:
         raise UnsupportedParameterError(f"unknown seed spec {type(seed).__name__}")
@@ -332,7 +354,7 @@ def seed_log_derivatives(seed, x, check_positive=False):
 
 
 # ---------------------------------------------------------------------------
-# closed-form partner and barrier top
+# closed-form partner
 # ---------------------------------------------------------------------------
 
 def susy_partner_closed_form(spec, N=None):
@@ -353,49 +375,64 @@ def susy_partner_closed_form(spec, N=None):
     n_int = _as_int(spec.N if N is None else N, "Morse N")
     if N is not None and abs(float(N) - spec.N) > 1e-12:
         raise UnsupportedParameterError("explicit N disagrees with the potential's N")
-    shift = spec.alpha * (n_int * spec.alpha + spec.b) - 0.5 * spec.alpha**2
+    beta = Morse(spec.a, spec.b, spec.alpha, float(n_int)).beta
+    shift = spec.alpha * beta - 0.5 * spec.alpha**2
     return Morse(spec.a, spec.b, spec.alpha, float(n_int - 1)), shift
 
 
-def barrier_top(spec):
-    """Location and height of the local maximum between the two sextic wells.
-
-    For the sextic family the origin is always a stationary point with
-    V(0) = 0; it is a local maximum only while the quadratic coefficient is
-    negative (N > -1/2 in the reduced case).
-    """
-    try:
-        _, _, c2 = sextic_coefficients(spec)
-    except UnsupportedParameterError:
-        raise ShapeError("barrier_top requires a sextic spec") from None
-    if c2 >= 0:
-        raise ShapeError("potential is a single well: no interior barrier")
-    return 0.0, 0.0
-
-
 # ---------------------------------------------------------------------------
-# flat key-value serialization (used by the CLI config format)
+# flat key-value specs (format_spec, and the CLI's flags and config files)
 # ---------------------------------------------------------------------------
 
-_FAMILY_NAMES = {
-    SexticReduced: "sextic_reduced",
-    SexticGeneral: "sextic_general",
-    Morse: "morse",
-    EvenPolynomial: "even_polynomial",
+# Family name -> (spec type, field names in format order).  Each type's
+# constructor takes exactly these fields as keywords.
+_FAMILY_FIELDS = {
+    "sextic_reduced": (SexticReduced, ("N",)),
+    "sextic_general": (SexticGeneral, ("nu", "mu", "N")),
+    "morse": (Morse, ("a", "b", "alpha", "N")),
+    "even_polynomial": (EvenPolynomial, ("coeffs",)),
 }
 
 
 def format_spec(spec):
     """Render a spec as a single flat key-value line, e.g. ``family=sextic_reduced N=0.25``."""
-    if isinstance(spec, SexticReduced):
-        return f"family=sextic_reduced N={spec.N:.17g}"
-    if isinstance(spec, SexticGeneral):
-        return f"family=sextic_general nu={spec.nu:.17g} mu={spec.mu:.17g} N={spec.N:.17g}"
-    if isinstance(spec, Morse):
-        return f"family=morse a={spec.a:.17g} b={spec.b:.17g} alpha={spec.alpha:.17g} N={spec.N:.17g}"
-    if isinstance(spec, EvenPolynomial):
-        return "family=even_polynomial coeffs=" + ",".join(f"{c:.17g}" for c in spec.coeffs)
+    for family, (kind, keys) in _FAMILY_FIELDS.items():
+        if isinstance(spec, kind):
+            tokens = ["family=" + family]
+            for key in keys:
+                value = getattr(spec, key)
+                text = ",".join(f"{c:.17g}" for c in value) if key == "coeffs" else f"{value:.17g}"
+                tokens.append(f"{key}={text}")
+            return " ".join(tokens)
     raise UnsupportedParameterError(f"cannot serialize {type(spec).__name__}")
+
+
+def _field_value(key, value):
+    if key == "coeffs":
+        return tuple(float(part) for part in str(value).split(",") if part.strip())
+    return float(value)
+
+
+def build_spec(family, values):
+    """Build a potential spec from its family name and a mapping of field values.
+
+    Values may be numbers or strings; ``coeffs`` is a comma-separated list,
+    constant term first.  Fields of other families are ignored, and a field
+    that is absent or None counts as missing.
+    """
+    if family is None:
+        raise DomainError("a potential family is required")
+    if family not in _FAMILY_FIELDS:
+        raise DomainError(f"unknown potential family {family!r}")
+    kind, keys = _FAMILY_FIELDS[family]
+    missing = [key for key in keys if values.get(key) is None]
+    if missing:
+        raise DomainError(f"family {family} requires {', '.join(missing)}")
+    try:
+        fields = {key: _field_value(key, values[key]) for key in keys}
+    except ValueError as exc:
+        raise DomainError(f"bad numeric value for family {family}: {exc}") from None
+    return kind(**fields)
 
 
 def _parse_tokens(text):
@@ -408,41 +445,12 @@ def _parse_tokens(text):
     return fields
 
 
-_FAMILY_FIELDS = {
-    "sextic_reduced": ("N",),
-    "sextic_general": ("nu", "mu", "N"),
-    "morse": ("a", "b", "alpha", "N"),
-    "even_polynomial": ("coeffs",),
-}
-
-
 def parse_spec(text):
     """Parse the flat key-value format produced by :func:`format_spec`."""
     fields = _parse_tokens(text)
     family = fields.pop("family", None)
-    if family is None:
-        raise DomainError("missing family=... field")
-    if family not in _FAMILY_FIELDS:
-        raise DomainError(f"unknown potential family {family!r}")
-    values = {}
-    for key in _FAMILY_FIELDS[family]:
-        if key not in fields:
-            raise DomainError(f"missing required field {key!r} for family {family!r}")
-        values[key] = fields.pop(key)
-    if fields:
-        raise DomainError(f"unexpected extra fields {sorted(fields)} for family {family!r}")
-    try:
-        if family == "sextic_reduced":
-            return SexticReduced(N=float(values["N"]))
-        if family == "sextic_general":
-            return SexticGeneral(nu=float(values["nu"]), mu=float(values["mu"]), N=float(values["N"]))
-        if family == "morse":
-            return Morse(
-                a=float(values["a"]),
-                b=float(values["b"]),
-                alpha=float(values["alpha"]),
-                N=float(values["N"]),
-            )
-        return EvenPolynomial(tuple(float(c) for c in values["coeffs"].split(",")))
-    except ValueError as exc:
-        raise DomainError(f"bad numeric value in spec: {exc}") from None
+    spec = build_spec(family, fields)
+    extra = sorted(set(fields) - set(_FAMILY_FIELDS[family][1]))
+    if extra:
+        raise DomainError(f"unexpected extra fields {extra} for family {family!r}")
+    return spec

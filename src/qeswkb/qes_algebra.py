@@ -10,9 +10,11 @@ from (gauge factor) x (eigen-polynomial).
 The same ground-state data drives first-order Darboux factorization:
 A1+ = (1/sqrt 2)(-d/dx + W) with W the seed's logarithmic derivative
 maps eigenstates of the original well onto eigenstates of the partner
-well V - W', and annihilates the seed itself.  All derivative
-compositions here are closed-form polynomial recurrences; no finite
-differences appear anywhere.
+well V - W', and annihilates the seed itself.  Every x-derivative is
+exact: a state's derivatives are its gauge factor times the polynomials
+of the family's derivative chain (``potentials.sextic_chain`` or
+``potentials.morse_chain``), the same recurrence that gives the seed's
+log-derivatives W, W' and W''.  No finite differences appear anywhere.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +38,9 @@ from .potentials import (
     SusyPartner,
     _as_int,
     evaluate,
+    morse_chain,
     seed_log_derivatives,
+    sextic_chain,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -102,44 +106,6 @@ class QesState:
         return self.derivatives(x, 0)[0]
 
 
-def _sextic_chain(poly_z, nu, mu, orders=3):
-    """Polynomial factors of successive x-derivatives of P(x^2) Gamma(x).
-
-    With log Gamma = -nu x^4/4 - mu x^2/2, each derivative multiplies by
-    g' = -(nu x^3 + mu x) and differentiates:  S_{k+1} = S_k' + g' S_k,
-    so the k-th derivative is Gamma(x) S_k(x).
-    """
-    base = np.zeros(2 * len(poly_z) - 1)
-    base[::2] = poly_z
-    gprime = np.array([0.0, -mu, 0.0, -nu])
-    chain = [base]
-    for _ in range(orders):
-        cur = chain[-1]
-        nxt = np.zeros(len(cur) + 3)
-        nxt[: len(cur) - 1] += cur[1:] * np.arange(1, len(cur))
-        nxt += np.convolve(gprime, cur)
-        chain.append(nxt)
-    return tuple(tuple(c) for c in chain)
-
-
-def _morse_chain(poly_z, a, b, alpha, orders=3):
-    """Polynomial factors (in z = e^{-alpha x}) of derivatives of P(z) Gamma.
-
-    With log Gamma = -(a/alpha) z - b x one finds
-    d/dx [Gamma T(z)] = Gamma [(a z - b) T - alpha z T'],
-    a degree-raising recurrence on coefficient arrays.
-    """
-    chain = [np.asarray(poly_z, dtype=float)]
-    for _ in range(orders):
-        cur = chain[-1]
-        n = len(cur)
-        nxt = np.zeros(n + 1)
-        nxt[1:] += a * cur
-        nxt[:n] -= (b + alpha * np.arange(n)) * cur
-        chain.append(nxt)
-    return tuple(tuple(c) for c in chain)
-
-
 def _apply_sextic_h0_poly(n_index, nu, mu, coeffs):
     """Apply the gauge-rotated sextic operator to a z-polynomial.
 
@@ -164,7 +130,7 @@ def _apply_morse_h0_poly(n_index, a, b, alpha, coeffs):
     on z^k the diagonal part collapses to (beta^2 - (alpha k + b)^2)/2.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    beta = n_index * alpha + b
+    beta = Morse(a, b, alpha, n_index).beta
     k = np.arange(len(coeffs))
     out = np.zeros(len(coeffs) + 1)
     out[: len(coeffs)] += 0.5 * (beta * beta - (alpha * k + b) ** 2) * coeffs
@@ -259,8 +225,7 @@ def morse_lie_form_check(n_index, a, b, alpha):
     dim = n_index + 1
     raising, weight, lowering = sl2_generators(n_index, dim)
     degree = weight + 0.5 * n_index * np.eye(dim)
-    beta = n_index * alpha + b
-    c = 0.5 * beta * beta
+    c = Morse(a, b, alpha, n_index).v_inf
     bilinear = (
         -0.5 * alpha * alpha * (raising @ lowering)
         + a * alpha * raising
@@ -302,16 +267,16 @@ def qes_states(spec):
     for idx in order:
         poly = _monic(vectors[:, idx].real)
         if block.family == "sextic":
-            chain = _sextic_chain(poly, block.gauge[0], block.gauge[1])
+            chain = sextic_chain(poly, block.gauge[0], block.gauge[1])
         else:
-            chain = _morse_chain(poly, block.gauge[0], block.gauge[1], block.gauge[2])
+            chain = morse_chain(poly, block.gauge[0], block.gauge[1], block.gauge[2])
         states.append(
             QesState(
                 energy=float(values.real[idx]),
                 poly=poly,
                 family=block.family,
                 gauge=block.gauge,
-                chain=chain,
+                chain=tuple(tuple(c) for c in chain),
             )
         )
     return states
@@ -434,35 +399,6 @@ def intertwining_residual(spec, seed, state, grid):
     v1 = evaluate(partner, grid)
     residual = -0.5 * d2phi + (v1 - state.energy) * phi
     return float(np.max(np.abs(residual))) / phi_scale
-
-
-def apply_A1_plus_poly(n_index, seed_poly, state_poly):
-    """Gauge-level image polynomial of the factorization operator.
-
-    In the algebraic variable the first-order operator acts on the state
-    polynomial P through the seed polynomial p as q = -(p P' + 2 p' P);
-    the image in the partner gauge is sqrt(2 z) q(z), an odd function of
-    x = sqrt z.  Note this is a different gauge convention from the
-    pointwise map of apply_state; see apply_A1_plus_wronskian for the
-    combination that assembles pointwise.
-    """
-    n_index = _as_int(n_index, "N")
-    if n_index < 1:
-        raise DomainError("the odd-sector image requires N >= 1")
-    p = np.asarray(seed_poly, dtype=float)
-    big_p = np.asarray(state_poly, dtype=float)
-    _nodeless_or_raise(p)
-    dp = p[1:] * np.arange(1, len(p)) if len(p) > 1 else np.zeros(1)
-    d_big = big_p[1:] * np.arange(1, len(big_p)) if len(big_p) > 1 else np.zeros(1)
-    q = -(np.convolve(p, d_big) if d_big.any() else np.zeros(len(p)))
-    term = 2.0 * (np.convolve(dp, big_p) if dp.any() else np.zeros(len(big_p)))
-    n = max(len(q), len(term))
-    out = np.zeros(n)
-    out[: len(q)] += q
-    out[: len(term)] -= term
-    while len(out) > 1 and out[-1] == 0.0:
-        out = out[:-1]
-    return tuple(out)
 
 
 def apply_A1_plus_wronskian(seed_poly, state_poly):

@@ -38,7 +38,6 @@ from .potentials import (
     SexticReduced,
     _as_int,
     evaluate,
-    morse_asymptote,
     sextic_coefficients,
 )
 
@@ -139,15 +138,12 @@ def _even_poly_turning(spec, energy):
 
 
 def _morse_turning(spec, energy):
-    beta = spec.N * spec.alpha + spec.b
-    c1 = 2.0 * spec.b + spec.alpha * (2.0 * spec.N + 1.0)
-    v_inf = morse_asymptote(spec)
+    beta, c1, v_inf, v_min = spec.beta, spec.c1, spec.v_inf, spec.v_min
     if energy >= v_inf:
         raise AboveAsymptoteError(
             "energy %.6g is not below the dissociation plateau %.6g"
             % (energy, v_inf)
         )
-    v_min = 0.5 * (beta * beta - 0.25 * c1 * c1)
     if energy <= v_min:
         raise NoClassicalRegionError(
             "energy %.6g does not exceed the potential minimum %.6g" % (energy, v_min)
@@ -227,12 +223,15 @@ def action(spec, energy, tol=1e-10):
 
 
 def morse_action_closed(a, b, alpha, energy):
-    """Closed-form action for the exponential well ``(a e^{-alpha x} - b)^2 / 2``.
+    """Closed-form action of the well ``Morse(a, b, alpha, 0)``.
 
-    Valid for energies from the bottom of the bound band up to (not
-    including) the dissociation plateau b^2/2.  The well position
-    parameter ``a`` shifts the allowed interval rigidly and drops out of
-    the loop integral; it is validated but does not enter the value.
+    That well is (a^2 z^2 - a (2b + alpha) z + b^2) / 2 with z = e^{-alpha x},
+    and its action is S(E) = pi (2b + alpha - 2 sqrt(b^2 - 2E)) / (2 alpha),
+    so S(E) / pi - 1/2 is the level index of the exact levels
+    E_n = alpha n (2b - alpha n) / 2.  Valid for energies from the ground
+    level E_0 = 0 up to (not including) the dissociation plateau b^2/2.  The
+    parameter ``a`` shifts the allowed interval rigidly and drops out of the
+    loop integral; it is validated but does not enter the value.
     """
     a = float(a)
     b = float(b)
@@ -306,16 +305,13 @@ def _invert_single_well(spec, target, tol):
 
 
 def _invert_morse(spec, target, tol):
-    beta = spec.N * spec.alpha + spec.b
-    s_max = math.pi * (spec.alpha + 2.0 * beta) / (2.0 * spec.alpha)
+    s_max = math.pi * (spec.alpha + 2.0 * spec.beta) / (2.0 * spec.alpha)
     if target >= s_max:
         raise SpectrumExhaustedError(
             "action target %.6g reaches the dissociation limit %.6g; no "
             "bound level carries that much phase" % (target, s_max)
         )
-    v_inf = morse_asymptote(spec)
-    c1 = 2.0 * spec.b + spec.alpha * (2.0 * spec.N + 1.0)
-    v_min = 0.5 * (beta * beta - 0.25 * c1 * c1)
+    v_inf, v_min = spec.v_inf, spec.v_min
     span = v_inf - v_min
     lo = v_min + 1e-12 * span
     hi = v_inf - 1e-12 * span

@@ -167,6 +167,14 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert err.count("error\t") == 3
 
 
+def test_missing_family_fields_exit_2(tmp_path, capsys):
+    assert main(["spectrum", "--family", "sextic_general", "--N", "0",
+                 "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error\tDomainError\t")
+    assert "requires nu, mu" in err
+
+
 def test_runtime_error_recorded_in_summary(tmp_path):
     out = tmp_path / "overflow"
     code = main([

@@ -7,7 +7,6 @@ from qeswkb import potentials
 from qeswkb.errors import (
     DomainError,
     SeedError,
-    ShapeError,
     UnsupportedParameterError,
 )
 from qeswkb.potentials import (
@@ -18,7 +17,6 @@ from qeswkb.potentials import (
     SexticGround,
     SexticReduced,
     SusyPartner,
-    barrier_top,
     evaluate,
     format_spec,
     morse_asymptote,
@@ -89,13 +87,21 @@ def test_morse_eval_and_asymptote():
     assert 32.0 - v[-1] < 1e-3
 
 
-def test_barrier_top():
-    assert barrier_top(SexticReduced(0.0)) == (0.0, 0.0)
-    # a sextic with positive quadratic term has no interior barrier
-    with pytest.raises(ShapeError):
-        barrier_top(SexticGeneral(nu=1.0, mu=4.0, N=0.0))
-    with pytest.raises(ShapeError):
-        barrier_top(Morse(1.0, 8.0, SQRT2, 0.0))
+def test_morse_constants():
+    params = ((1.0, 8.0, SQRT2, 0.0), (1.0, 8.0, SQRT2, 3.0), (1.3, 5.0, 0.9, 2.0), (0.7, 3.3, 1.7, 0.5))
+    for a, b, alpha, n_index in params:
+        spec = Morse(a, b, alpha, n_index)
+        c1 = 2.0 * b + alpha * (2.0 * n_index + 1.0)
+        assert morse_asymptote(spec) == spec.v_inf
+        assert spec.v_inf == pytest.approx(0.5 * (n_index * alpha + b) ** 2, rel=1e-15)
+        # V approaches the plateau from below, the gap falling like a c1 z / 2
+        for z in (1e-6, 1e-8):
+            gap = spec.v_inf - evaluate(spec, -math.log(z) / alpha)
+            assert gap == pytest.approx(0.5 * a * c1 * z, rel=1e-5)
+        # the well bottom sits at z* = c1 / (2a), where dV/dz vanishes
+        x_star = -math.log(c1 / (2.0 * a)) / alpha
+        assert abs(evaluate(spec, x_star) - spec.v_min) <= 1e-12 * max(1.0, abs(spec.v_min))
+        assert np.all(evaluate(spec, x_star + np.array([-1e-3, 1e-3])) > spec.v_min)
 
 
 def test_morse_partner_closed_form_shift():
@@ -181,13 +187,16 @@ def test_spec_io_round_trip():
 
 
 def test_parse_spec_errors():
-    with pytest.raises(DomainError):
-        parse_spec("family unknown_family\n")
-    with pytest.raises(DomainError):
-        parse_spec("family morse\na 1\nb 8\n")  # missing fields
-    text = format_spec(SexticReduced(0.5)) + "stray 1\n"
-    with pytest.raises(DomainError):
-        parse_spec(text)
+    with pytest.raises(DomainError, match="unknown potential family"):
+        parse_spec("family=unknown")
+    with pytest.raises(DomainError, match="requires alpha, N"):
+        parse_spec("family=morse a=1 b=8")
+    with pytest.raises(DomainError, match="unexpected extra fields"):
+        parse_spec(format_spec(SexticReduced(0.5)) + " stray=1")
+    with pytest.raises(DomainError, match="bad numeric value"):
+        parse_spec("family=sextic_reduced N=abc")
+    with pytest.raises(DomainError, match="malformed token"):
+        parse_spec("family unknown_family")
 
 
 def test_constructor_validation():

@@ -15,7 +15,6 @@ from qeswkb.errors import (
 from qeswkb.potentials import Morse, SexticGeneral, SexticReduced
 from qeswkb.qes_algebra import (
     A1Plus,
-    apply_A1_plus_poly,
     apply_A1_plus_wronskian,
     darboux,
     intertwining_residual,
@@ -173,25 +172,6 @@ def test_darboux_seed_validation():
     morse = Morse(*MORSE_REF, 1.0)
     with pytest.raises(DomainError):
         darboux(morse, states[0])  # family mismatch
-
-
-def test_gauge_level_image_polynomial():
-    states = qes_states(SexticReduced(1.0))
-    ground, excited = states[0].poly, states[1].poly
-    q = apply_A1_plus_poly(1, ground, excited)
-    assert q[1] == pytest.approx(-3.0, rel=1e-12)
-    assert q[0] == pytest.approx(-(3.0 - SQRT3) / 2.0, rel=1e-10)
-    # mapping the seed onto itself: q = -(p p' + 2 p' p) = -3 p p'
-    q_self = apply_A1_plus_poly(1, ground, ground)
-    expected = -3.0 * np.convolve(ground, (1.0,))
-    assert np.max(np.abs(np.array(q_self) - expected[: len(q_self)])) < 1e-12
-    # degree bound: deg q <= deg p + deg P
-    assert len(q) <= len(ground) + len(excited) - 1
-
-
-def test_gauge_level_image_requires_positive_index():
-    with pytest.raises(DomainError):
-        apply_A1_plus_poly(0, (1.0,), (1.0,))
 
 
 def test_wronskian_route_matches_pointwise_operator():
