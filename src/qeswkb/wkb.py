@@ -228,10 +228,12 @@ def morse_action_closed(a, b, alpha, energy):
     That well is (a^2 z^2 - a (2b + alpha) z + b^2) / 2 with z = e^{-alpha x},
     and its action is S(E) = pi (2b + alpha - 2 sqrt(b^2 - 2E)) / (2 alpha),
     so S(E) / pi - 1/2 is the level index of the exact levels
-    E_n = alpha n (2b - alpha n) / 2.  Valid for energies from the ground
-    level E_0 = 0 up to (not including) the dissociation plateau b^2/2.  The
-    parameter ``a`` shifts the allowed interval rigidly and drops out of the
-    loop integral; it is validated but does not enter the value.
+    E_n = alpha n (2b - alpha n) / 2.  Valid for energies from the well
+    bottom v_min = -(b alpha + alpha^2 / 4) / 2, where S = 0, up to (not
+    including) the dissociation plateau b^2/2; below v_min it raises
+    NoClassicalRegionError, as ``action`` does.  The parameter ``a`` shifts
+    the allowed interval rigidly and drops out of the loop integral; it is
+    validated but does not enter the value.
     """
     a = float(a)
     b = float(b)
@@ -239,10 +241,12 @@ def morse_action_closed(a, b, alpha, energy):
     energy = float(energy)
     if a <= 0.0 or alpha <= 0.0 or b <= 0.0:
         raise DomainError("well parameters a, b, alpha must all be positive")
-    if not math.isfinite(energy) or energy < 0.0:
-        raise DomainError(
-            "closed-form action is defined for energies in [0, b^2/2); got %.6g"
-            % energy
+    if not math.isfinite(energy):
+        raise DomainError("energy must be finite")
+    v_min = Morse(a, b, alpha, 0.0).v_min
+    if energy < v_min:
+        raise NoClassicalRegionError(
+            "energy %.6g is below the potential minimum %.6g" % (energy, v_min)
         )
     if energy >= 0.5 * b * b:
         raise AboveAsymptoteError(

@@ -1,42 +1,14 @@
-import time
-
 import pytest
 
-from qeswkb.eigensolver import lowest_eigen
-from qeswkb.potentials import SexticReduced
-from qeswkb import wkb
-
-DEPTHS = (0.0, 0.25, 0.5, 0.7)
+from qeswkb.acceptance import Study
 
 
 @pytest.fixture(scope="session")
-def four_spectra():
-    """51-state spectra of the reduced sextic well at the four depth indices.
+def study():
+    """The acceptance study, shared so that a session solves each spectrum once.
 
-    Shared across the published-fit, refit, and acceptance tests; the build
-    time is recorded so runtime budgets that include data generation can be
-    asserted honestly.
+    Used by the acceptance and refit tests; each part's build time is
+    charged to one acceptance criterion, so runtime budgets that include
+    data generation count it exactly once.
     """
-    started = time.perf_counter()
-    data = {}
-    for depth in DEPTHS:
-        potential = SexticReduced(depth)
-        data[depth] = (potential, lowest_eigen(potential, 51, tol=1e-10))
-    return {"data": data, "seconds": time.perf_counter() - started}
-
-
-@pytest.fixture(scope="session")
-def gamma_tables(four_spectra):
-    """Quantization corrections for every level of the shared spectra."""
-    started = time.perf_counter()
-    tables = {}
-    for depth, (potential, spectrum) in four_spectra["data"].items():
-        rows = []
-        for n, energy in enumerate(spectrum.energies):
-            record = wkb.gamma(potential, n, float(energy))
-            rows.append((n, record.gamma))
-        tables[depth] = rows
-    return {
-        "data": tables,
-        "seconds": four_spectra["seconds"] + time.perf_counter() - started,
-    }
+    return Study()

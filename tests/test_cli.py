@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from qeswkb import fitmodels
+from qeswkb.acceptance import CHECKS
 from qeswkb.cli import build_config, main
 
 SQRT2 = math.sqrt(2.0)
@@ -200,9 +202,20 @@ def test_reproduce_all_checks_pass(tmp_path):
     assert code == 0
     lines = read_lines(out / "summary.txt")
     assert lines[0] == "check\tmeasured\tthreshold\tstatus"
-    checks = lines[1:]
-    assert len(checks) >= 20
-    assert all(line.endswith("PASS") for line in checks)
-    names = {line.split("\t")[0] for line in checks}
-    assert "critical_depth_index" in names
-    assert "runtime_seconds" in names
+    rows = [line.split("\t") for line in lines[1:]]
+    assert [row[0] for row in rows] == [c.name for c in CHECKS] + ["runtime_seconds"]
+    assert [float(row[2]) for row in rows] == [c.threshold for c in CHECKS] + [600.0]
+    assert all(row[3] == "PASS" for row in rows)
+
+
+def test_reproduce_fails_on_nan_measurement(tmp_path, monkeypatch):
+    original = fitmodels.gamma_fit_eval
+    monkeypatch.setattr(
+        fitmodels,
+        "gamma_fit_eval",
+        lambda params, n: math.nan if n == 20 else original(params, n),
+    )
+    out = tmp_path / "nan"
+    assert main(["reproduce", "--out", str(out)]) == 1
+    rows = [line.split("\t") for line in read_lines(out / "summary.txt")]
+    assert ["published_gamma_envelope", "nan", "0.005", "FAIL"] in rows

@@ -175,7 +175,7 @@ def _refit(kind, data, depth):
 
 
 @pytest.fixture(scope="module")
-def refits(four_spectra, gamma_tables):
+def refits(study):
     """Both refits at the four depths: data, report and every start's result."""
     original = fitmodels.least_squares
     starts = []
@@ -187,9 +187,10 @@ def refits(four_spectra, gamma_tables):
     found = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fitmodels, "least_squares", recording)
-        for depth, (_, spectrum) in four_spectra["data"].items():
+        for depth, spectrum in study.spectra.items():
+            records = study.gamma_tables[depth]
             for kind, data in (
-                ("gamma", [(n, g) for n, g in gamma_tables["data"][depth] if n >= 3]),
+                ("gamma", [(n, r.gamma) for n, r in enumerate(records) if n >= 3]),
                 ("energy", [(n, float(e)) for n, e in enumerate(spectrum.energies)]),
             ):
                 starts.clear()

@@ -55,7 +55,7 @@ def test_morse_closed_action_quantization():
 
 
 def test_morse_quadrature_matches_closed_form():
-    for energy in (3.0, 14.5, 27.0, 31.0):
+    for energy in (-1.0, 3.0, 14.5, 27.0, 31.0):
         s_quad = action(MORSE_REF, energy, tol=1e-12)
         s_closed = morse_action_closed(1.0, 8.0, SQRT2, energy)
         assert s_quad == pytest.approx(s_closed, rel=1e-11)
@@ -134,8 +134,8 @@ def test_negative_qes_ground_level_is_double_well():
 
 
 def test_closed_action_domain_errors():
-    with pytest.raises(DomainError):
-        morse_action_closed(1.0, 8.0, SQRT2, -1.0)
+    with pytest.raises(NoClassicalRegionError):
+        morse_action_closed(1.0, 8.0, SQRT2, -10.0)
     with pytest.raises(AboveAsymptoteError):
         morse_action_closed(1.0, 8.0, SQRT2, 32.0)
     with pytest.raises(DomainError):
