@@ -14,10 +14,12 @@ wells, so its Hamiltonian splits into an even and an odd block of half the
 size, solved apart (Baye, Phys. Rep. 565 (2015) 1).  Its scale is fixed once
 per spectrum: the mesh at the starting size reaches the outer turning point
 of the top requested level plus the margin over which the WKB decay
-exponent of that level grows to 40.  One refinement loop serves both
-meshes: it doubles the basis size at that fixed scale (or box) until
-successive eigenvalues agree to the requested tolerance, and keeps the
-eigenvectors of its last solve.
+exponent of that level grows to 40.  Each mesh starts at the size its
+states need: eight oscillator points per requested state, or six uniform
+points per shortest classical wavelength.  One refinement loop serves both
+meshes: it doubles the basis size at that fixed scale (or box), never past
+the size cap, until successive eigenvalues agree to the requested
+tolerance, and keeps the eigenvectors of its last solve.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, hankel, toeplitz
 
 from .errors import (
     ConvergenceError,
@@ -64,6 +66,7 @@ OSCILLATOR = "oscillator-mesh"
 UNIFORM = "uniform-grid"
 
 _M_CAP_DEFAULT = 2048
+_MIN_SIZE = 8
 
 # WKB decay exponent of the top requested level at the edge of the starting
 # oscillator mesh: exp(-40) ~ 4e-18 puts the truncated tail below rounding.
@@ -88,8 +91,8 @@ class Mesh:
     def __post_init__(self):
         if self.kind not in (OSCILLATOR, UNIFORM):
             raise MeshError(f"unknown mesh kind {self.kind!r}")
-        if self.size < 8:
-            raise MeshError(f"mesh size must be at least 8, got {self.size}")
+        if self.size < _MIN_SIZE:
+            raise MeshError(f"mesh size must be at least {_MIN_SIZE}, got {self.size}")
         if not (self.h > 0):
             raise MeshError(f"mesh scale must be positive, got {self.h}")
         nodes = np.asarray(self.nodes, dtype=float)
@@ -193,19 +196,25 @@ def uniform_mesh(M, x_left, x_right):
 
 
 def _sine_kinetic(M, spacing):
-    """Kinetic matrix -1/2 d^2/dx^2 of the sine (hard-wall box) basis on M interior points."""
+    """Kinetic matrix -1/2 d^2/dx^2 of the sine (hard-wall box) basis on M interior points.
+
+    Entry (i, j) depends on i - j and i + j only, so 1/sin^2(pi d / 2n) is
+    tabulated once, for d = 1 - M .. 2M, and gathered as a Toeplitz and a
+    Hankel matrix: O(M) sine calls instead of 2 M^2.
+    """
     L = spacing * (M + 1)
     n = M + 1
     i = np.arange(1, M + 1)
     pre = 0.25 * np.pi**2 / L**2
-    ii = i[:, None]
-    jj = i[None, :]
-    sign = np.where((ii - jj) % 2 == 0, 1.0, -1.0)
+    d = np.arange(1 - M, 2 * M + 1)
     with np.errstate(divide="ignore"):
-        kin = pre * sign * (
-            1.0 / np.sin(np.pi * (ii - jj) / (2 * n)) ** 2
-            - 1.0 / np.sin(np.pi * (ii + jj) / (2 * n)) ** 2
-        )
+        inv = 1.0 / np.sin(np.pi * d / (2 * n)) ** 2
+    signed = np.where(d % 2 == 0, pre, -pre)
+    # table index M - 1 holds d = 0; column 0 of the Toeplitz part is d = i - 1,
+    # row 0 is d = 1 - j, and the Hankel part runs over d = i + j = 2 .. 2M
+    kin = toeplitz(signed[M - 1 : 2 * M - 1], signed[M - 1 :: -1]) * (
+        toeplitz(inv[M - 1 : 2 * M - 1], inv[M - 1 :: -1]) - hankel(inv[M + 1 : 2 * M + 1], inv[2 * M :])
+    )
     kin[np.arange(M), np.arange(M)] = pre * ((2.0 * n**2 + 1.0) / 3.0 - 1.0 / np.sin(np.pi * i / n) ** 2)
     return kin
 
@@ -345,12 +354,19 @@ def morse_bound_count(spec):
 
 
 def _morse_box(spec, k):
-    """Box large enough that wall-truncation error is far below 1e-10.
+    """Box and starting grid size for the k lowest levels of a Morse well.
 
+    The box is large enough that wall-truncation error is far below 1e-10.
     The left wall sits where the exponential barrier is several hundred
     times the dissociation energy; the right wall extends past the outer
     turning point of the highest requested level by many decay lengths
     1/kappa, kappa = sqrt(2 (V_inf - E_{k-1})).
+
+    The grid starts where its Nyquist momentum pi / dx is three times the
+    largest classical momentum of that level, p_top = sqrt(2 (E_{k-1} - V_min)):
+    six points per shortest classical wavelength (Colbert & Miller,
+    J. Chem. Phys. 96 (1992) 1982).  This sizes the first solve, not the
+    last; the refinement loop still doubles it until the levels agree.
     """
     beta, c1, v_inf = spec.beta, spec.c1, spec.v_inf
     z_left = max(math.sqrt(800.0 * max(v_inf, 1.0)), 3.0 * c1, 20.0) / spec.a
@@ -361,55 +377,65 @@ def _morse_box(spec, k):
     z_min = max((c1 - disc) / (2.0 * spec.a), 1e-300)
     x_turn = -math.log(z_min) / spec.alpha
     x_right = x_turn + min(max(20.7 / kappa, 5.0), 80.0)
-    return x_left, x_right
+    p_top = math.sqrt(2.0 * (e_top - spec.v_min))
+    size = max(math.ceil(3.0 * (x_right - x_left) * p_top / math.pi), _MIN_SIZE)
+    return x_left, x_right, size
 
 
 def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     """Converged k lowest eigenpairs of the potential.
 
-    Morse wells are solved on a uniform grid in a fixed box; reflection-even
-    wells (reduced and general sextic, even polynomials, and partners of
-    those built from a sextic seed) on an oscillator mesh in parity blocks,
+    Morse wells are solved on a uniform grid in a fixed box, starting at six
+    grid points per shortest classical wavelength of the top requested
+    level; reflection-even wells (reduced and general sextic, even
+    polynomials, and partners of those built from a sextic seed) on an
+    oscillator mesh in parity blocks, starting at eight mesh points per
+    requested state and at least 256 (408 and 816 for a 51-level spectrum),
     at a scale chosen once, at the starting size, from the turning point of
     the top requested level; any other spec raises
-    :class:`UnsupportedParameterError`.  The
-    mesh size is doubled at that fixed scale or box until every requested
-    energy changes by less than ``tol`` between refinements.  On
-    stagnation at the size cap a :class:`ConvergenceError` carrying the best
-    spectrum so far is raised.
+    :class:`UnsupportedParameterError`.  Both starting sizes are clamped to
+    ``m_cap`` (the oscillator mesh to an even size, for its parity blocks).
+    The mesh size is doubled at that fixed scale or box, never past
+    ``m_cap``, until every requested energy changes by less than ``tol``
+    between refinements.  On stagnation at the size cap a
+    :class:`ConvergenceError` carrying the best spectrum so far is raised.
     """
     if k < 1:
         raise MeshError("k must be at least 1")
     if not tol > 0:
         raise MeshError("tol must be positive")
-    M = 256
     if isinstance(spec, Morse):
         count = morse_bound_count(spec)
         if k > count:
             raise SpectrumExhaustedError(
                 f"requested {k} states but the well supports only {count} bound states"
             )
-        x_left, x_right = _morse_box(spec, k)
-        return _refine(spec, k, tol, m_cap, M, lambda size: uniform_mesh(size, x_left, x_right))
+        x_left, x_right, M = _morse_box(spec, k)
+        return _refine(spec, k, tol, m_cap, min(M, m_cap), lambda size: uniform_mesh(size, x_left, x_right))
     if not _is_even(spec):
         raise UnsupportedParameterError(
             f"the oscillator mesh needs a reflection-even well, got {type(spec).__name__}"
         )
     # Eight mesh points per requested state keep the top state resolved
     # at the starting size, where the scale is chosen.
-    while M < 8 * k and M < m_cap:
-        M *= 2
+    M = min(max(256, 8 * k), m_cap - m_cap % 2)
     h = _oscillator_scale(spec, M, k)
     return _refine(spec, k, tol, m_cap, M, lambda size: oscillator_mesh(size, h))
 
 
 def _refine(spec, k, tol, m_cap, M, mesh_at):
-    """Double the mesh size from M until successive energies agree to ``tol``."""
+    """Double the mesh size from M while it stays within ``m_cap``, until
+    successive energies agree to ``tol``.
+
+    The start M need not be a power of two, so the rule is 2 M <= m_cap:
+    the loop never solves a mesh larger than the cap, and a start above
+    m_cap / 2 gets no confirming solve (and so a ConvergenceError).
+    """
     mesh = mesh_at(M)
     energies, vectors = _solve(spec, mesh, k)
     step = np.full(k, np.inf)
     deltas = []
-    while M < m_cap and not np.all(step < tol):
+    while 2 * M <= m_cap and not np.all(step < tol):
         M *= 2
         mesh = mesh_at(M)
         cur, vectors = _solve(spec, mesh, k)

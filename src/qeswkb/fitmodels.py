@@ -208,8 +208,7 @@ def _fit_rational(y, m, basis, offset, degree, exponent, x0, seed, spread):
     out.  The starts are x0 = (c, b) and seven perturbations x0 (1 + spread z),
     z drawn from ``seed``; only their b part is used.  The lowest final cost
     wins, ties broken by the lexicographically smallest |(c, b)|.  Returns
-    (c, |b|) as one array, its relative residuals, and the winning
-    ``least_squares`` result.
+    (c, |b|) as one array and the winning ``least_squares`` result.
     """
     powers = m[:, None] ** np.arange(1.0, degree + 1.0)
     weighted = basis / y[:, None]
@@ -253,12 +252,15 @@ def _fit_rational(y, m, basis, offset, degree, exponent, x0, seed, spread):
         p = project(result.x)
         c = solve_triangular(p["r"], p["qt"])
         x = np.concatenate([c, np.abs(result.x)])
-        candidates.append((result.cost, tuple(np.abs(x)), x, p["design"] @ c - target, result))
+        candidates.append((result.cost, tuple(np.abs(x)), x, result))
     return min(candidates, key=lambda item: item[:2])[2:]
 
 
-def _report(params, rel, n_arr, best):
-    rel = np.abs(rel)
+def _report(params, model, n_fit, y, n_arr, best):
+    """FitReport whose errors are those of ``params`` themselves: the model
+    evaluated at them over the fitted levels ``n_fit``, against ``y``."""
+    fitted = np.array([model(params, n) for n in n_fit])
+    rel = np.abs(fitted - y) / np.abs(y)
     return FitReport(
         params=params,
         max_rel_error=float(np.max(rel)),
@@ -290,11 +292,12 @@ def fit_gamma(data, init=None, n_label=None):
         init = PUBLISHED_GAMMA[_nearest_published(n_label, PUBLISHED_GAMMA)]
     x0 = [getattr(init, name) for name in _GAMMA_FIELDS[:-1]]
     basis = np.stack([np.ones_like(m), m], axis=1)
-    x, rel, best = _fit_rational(
+    x, best = _fit_rational(
         g_arr, m, basis, 0.0, 4, 0.5, x0, _GAMMA_SEED, _GAMMA_SPREAD
     )
     label = float(n_label) if n_label is not None else init.N_label
-    return _report(GammaFitParams(*x, N_label=label), rel, n_arr, best)
+    params = GammaFitParams(*x, N_label=label)
+    return _report(params, gamma_fit_eval, n_arr, g_arr, n_arr, best)
 
 
 def fit_energy(data, ground_energy, init=None, n_label=None):
@@ -318,11 +321,12 @@ def fit_energy(data, ground_energy, init=None, n_label=None):
         init = published_energy_params(_nearest_published(n_label, _PUBLISHED_ENERGY_AB), e0)
     x0 = [getattr(init, name) for name in _ENERGY_FIELDS[1:-1]]
     basis = np.sqrt(m - 1.0)[:, None] * m[:, None] ** np.arange(7.0)
-    x, rel, best = _fit_rational(
+    x, best = _fit_rational(
         e_arr[keep], m, basis, e0 * m, 5, 1.0, x0, _ENERGY_SEED, _ENERGY_SPREAD
     )
     label = float(n_label) if n_label is not None else init.N_label
-    return _report(EnergyFitParams(e0, *x, N_label=label), rel, n_arr, best)
+    params = EnergyFitParams(e0, *x, N_label=label)
+    return _report(params, energy_fit_eval, n_arr[keep], e_arr[keep], n_arr, best)
 
 
 _GAMMA_FIELDS = ("a0", "a1", "b1", "b2", "b3", "b4", "N_label")

@@ -104,13 +104,16 @@ def test_solve_counts(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "eigh", counted)
     spectrum = lowest_eigen(SexticReduced(0.25), 51, tol=1e-10)
-    # at most three mesh solves, each one even and one odd block
+    # at most three mesh solves, each one even and one odd block; eight
+    # points per state start the mesh at 408, and one doubling confirms it
     assert len(sizes) <= 6
     assert all(2 * m <= spectrum.mesh.size for m in sizes)
+    assert spectrum.mesh.size == 816
     sizes.clear()
+    # six grid points per shortest classical wavelength of the top level
     spectrum = lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9)
-    assert spectrum.mesh.size == 1024
-    assert sizes == [256, 512, 1024]
+    assert sizes == [353, 706]
+    assert spectrum.mesh.size < 1024
 
 
 def test_oscillator_path_needs_even_well():
@@ -166,6 +169,36 @@ def test_morse_spectrum_matches_closed_form():
     assert spectrum.mesh.kind == eigensolver.UNIFORM
     for idx in range(6):
         assert count_sign_changes(spectrum.eigenvectors[:, idx]) == idx
+    # wells the benchmark does not run: the grid's starting size comes from
+    # the well, and where that start is not yet within tol the loop doubles
+    for a, b, alpha in ((1.0, 4.0, 1.0), (1.0, 12.0, 2.0), (0.5, 6.0, 0.7)):
+        for depth in (0.0, 3.0):
+            spec = Morse(a, b, alpha, depth)
+            count = morse_bound_count(spec)
+            spectrum = lowest_eigen(spec, count, tol=1e-10)
+            exact = qes_algebra.morse_exact_spectrum(a, spec.beta, alpha, count - 1)
+            assert np.max(np.abs(spectrum.energies - exact)) < 1e-9, (a, b, alpha, depth)
+            if (a, b, alpha, depth) == (1.0, 4.0, 1.0, 0.0):
+                assert len(spectrum.refinement_deltas) >= 2
+
+
+def test_sine_kinetic_matches_direct_formula():
+    for M in (16, 255, 256):
+        spacing = 7.3 / (M + 1)
+        L = spacing * (M + 1)
+        n = M + 1
+        i = np.arange(1, M + 1)
+        pre = 0.25 * np.pi**2 / L**2
+        ii = i[:, None]
+        jj = i[None, :]
+        sign = np.where((ii - jj) % 2 == 0, 1.0, -1.0)
+        with np.errstate(divide="ignore"):
+            direct = pre * sign * (
+                1.0 / np.sin(np.pi * (ii - jj) / (2 * n)) ** 2
+                - 1.0 / np.sin(np.pi * (ii + jj) / (2 * n)) ** 2
+            )
+        direct[np.arange(M), np.arange(M)] = pre * ((2.0 * n**2 + 1.0) / 3.0 - 1.0 / np.sin(np.pi * i / n) ** 2)
+        assert np.array_equal(eigensolver._sine_kinetic(M, spacing), direct)
 
 
 def test_morse_request_beyond_bound_count():
@@ -212,7 +245,12 @@ def test_convergence_error_carries_best_spectrum():
     best = excinfo.value.best
     assert best is not None
     assert best.energies.shape == (40,)
+    assert best.mesh.size <= 512
     assert "refinement stalled" in str(excinfo.value)
+    # the Morse grid starts at 353 here; doubling it would pass the cap
+    with pytest.raises(ConvergenceError) as excinfo:
+        lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9, m_cap=512)
+    assert excinfo.value.best.mesh.size <= 512
 
 
 def test_critical_index_bracket():

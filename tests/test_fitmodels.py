@@ -226,6 +226,18 @@ def test_refit_linear_coefficients_are_least_squares_optimum(refits):
             assert cosine < 1e-8, (kind, depth, cosine)
 
 
+def test_reported_errors_are_those_of_the_reported_params(refits):
+    # the error written beside a parameter file is the error of those
+    # parameters, evaluated with the public model functions
+    for kind, model, first in (("gamma", gamma_fit_eval, 3), ("energy", energy_fit_eval, 1)):
+        data, report, _ = refits[kind, 0.7]
+        n = [k for k, _ in data if k >= first]
+        y = np.array([v for k, v in data if k >= first])
+        rel = np.abs(np.array([model(report.params, k) for k in n]) - y) / y
+        assert report.max_rel_error == np.max(rel)
+        assert report.rms_rel_error == pytest.approx(np.sqrt(np.mean(rel**2)), rel=1e-14)
+
+
 def test_refits_converge_from_every_start(refits):
     for (kind, depth), (_, report, starts) in refits.items():
         assert len(starts) == 8, (kind, depth)
