@@ -17,9 +17,9 @@ of the top requested level plus the margin over which the WKB decay
 exponent of that level grows to 40.  Each mesh starts at the size its
 states need: eight oscillator points per requested state, or six uniform
 points per shortest classical wavelength.  One refinement loop serves both
-meshes: it doubles the basis size at that fixed scale (or box), never past
-the size cap, until successive eigenvalues agree to the requested
-tolerance, and keeps the eigenvectors of its last solve.
+meshes: it grows the basis size by steps of about 5/4 at that fixed scale
+(or box), never past the size cap, until successive eigenvalues agree to
+the requested tolerance, and keeps the eigenvectors of its last solve.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class Spectrum:
     first non-negligible node value is positive.  ``converged_digits[n]``
     estimates the number of stable significant digits from the final mesh
     refinement, and ``refinement_deltas`` records the largest per-state
-    energy change at each doubling.
+    energy change at each refinement step.
     """
 
     energies: np.ndarray
@@ -366,7 +366,7 @@ def _morse_box(spec, k):
     largest classical momentum of that level, p_top = sqrt(2 (E_{k-1} - V_min)):
     six points per shortest classical wavelength (Colbert & Miller,
     J. Chem. Phys. 96 (1992) 1982).  This sizes the first solve, not the
-    last; the refinement loop still doubles it until the levels agree.
+    last; the refinement loop still grows it until the levels agree.
     """
     beta, c1, v_inf = spec.beta, spec.c1, spec.v_inf
     z_left = max(math.sqrt(800.0 * max(v_inf, 1.0)), 3.0 * c1, 20.0) / spec.a
@@ -390,15 +390,17 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     level; reflection-even wells (reduced and general sextic, even
     polynomials, and partners of those built from a sextic seed) on an
     oscillator mesh in parity blocks, starting at eight mesh points per
-    requested state and at least 256 (408 and 816 for a 51-level spectrum),
+    requested state and at least 256 (408 and 510 for a 51-level spectrum),
     at a scale chosen once, at the starting size, from the turning point of
     the top requested level; any other spec raises
     :class:`UnsupportedParameterError`.  Both starting sizes are clamped to
     ``m_cap`` (the oscillator mesh to an even size, for its parity blocks).
-    The mesh size is doubled at that fixed scale or box, never past
-    ``m_cap``, until every requested energy changes by less than ``tol``
-    between refinements.  On stagnation at the size cap a
-    :class:`ConvergenceError` carrying the best spectrum so far is raised.
+    The mesh size grows to the next even size at or above 5/4 of the last
+    one, at that fixed scale or box and never past ``m_cap``, until every
+    requested energy changes by less than ``tol`` between refinements.  If
+    the cap stops the loop first, or leaves no room for a first confirming
+    solve, a :class:`ConvergenceError` carrying the best spectrum so far is
+    raised.
     """
     if k < 1:
         raise MeshError("k must be at least 1")
@@ -424,19 +426,25 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
 
 
 def _refine(spec, k, tol, m_cap, M, mesh_at):
-    """Double the mesh size from M while it stays within ``m_cap``, until
-    successive energies agree to ``tol``.
+    """Grow the mesh size from M by steps of about 5/4 while it stays within
+    ``m_cap``, until successive energies agree to ``tol``.
 
-    The start M need not be a power of two, so the rule is 2 M <= m_cap:
-    the loop never solves a mesh larger than the cap, and a start above
-    m_cap / 2 gets no confirming solve (and so a ConvergenceError).
+    Each step goes to the next even size at or above 5 M / 4.  At a fixed
+    scale or box the mesh energies converge exponentially in M (Baye, Phys.
+    Rep. 565 (2015) 1), so once the first solve is converged a quarter more
+    points confirm it as well as twice as many would.  No solve exceeds the
+    cap; a start whose first step would pass it gets no confirming solve,
+    and raises a ConvergenceError that says so.
     """
     mesh = mesh_at(M)
     energies, vectors = _solve(spec, mesh, k)
     step = np.full(k, np.inf)
     deltas = []
-    while 2 * M <= m_cap and not np.all(step < tol):
-        M *= 2
+    while not np.all(step < tol):
+        grown = 2 * math.ceil(5 * M / 8)
+        if grown > m_cap:
+            break
+        M = grown
         mesh = mesh_at(M)
         cur, vectors = _solve(spec, mesh, k)
         step = np.abs(cur - energies)
@@ -451,6 +459,12 @@ def _refine(spec, k, tol, m_cap, M, mesh_at):
     )
     if np.all(step < tol):
         return spectrum
+    if not deltas:
+        raise ConvergenceError(
+            f"m_cap={m_cap} leaves no room to confirm the first solve at M={M} "
+            f"(the next size would be {grown})",
+            best=spectrum,
+        )
     raise ConvergenceError(
         f"refinement stalled at M={M} (last delta {float(step.max()):.3e} > tol {tol:.1e})",
         best=spectrum,

@@ -95,6 +95,25 @@ def test_deep_spectra_converge_at_tight_tol():
         assert spectrum.refinement_deltas[-1] < 1e-11
 
 
+def test_step_keeps_an_honest_certificate():
+    # a 5/4 step certifies as much as a doubling: each returned spectrum
+    # agrees with one solve at twice its size, at the same scale
+    for depth in (0.0, 0.25, 0.5, 0.7):
+        spec = SexticReduced(depth)
+        spectrum = lowest_eigen(spec, 51, tol=1e-10)
+        mesh = oscillator_mesh(2 * spectrum.mesh.size, spectrum.mesh.h)
+        reference, _ = eigensolver._solve(spec, mesh, 51)
+        error = np.abs(spectrum.energies - reference) / np.maximum(1.0, np.abs(reference))
+        assert np.max(error) < 1e-10, depth
+
+
+def test_large_request_fits_under_default_cap():
+    # 130 levels start at 1040 points; a doubling would pass the cap of
+    # 2048, the 5/4 step confirms at 1300
+    spectrum = lowest_eigen(SexticReduced(0.5), 130)
+    assert spectrum.mesh.size == 1300
+
+
 def test_solve_counts(monkeypatch):
     sizes = []
 
@@ -105,14 +124,14 @@ def test_solve_counts(monkeypatch):
     monkeypatch.setattr(eigensolver, "eigh", counted)
     spectrum = lowest_eigen(SexticReduced(0.25), 51, tol=1e-10)
     # at most three mesh solves, each one even and one odd block; eight
-    # points per state start the mesh at 408, and one doubling confirms it
+    # points per state start the mesh at 408, and one 5/4 step confirms it
     assert len(sizes) <= 6
     assert all(2 * m <= spectrum.mesh.size for m in sizes)
-    assert spectrum.mesh.size == 816
+    assert spectrum.mesh.size == 510
     sizes.clear()
     # six grid points per shortest classical wavelength of the top level
     spectrum = lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9)
-    assert sizes == [353, 706]
+    assert sizes == [353, 442]
     assert spectrum.mesh.size < 1024
 
 
@@ -170,7 +189,7 @@ def test_morse_spectrum_matches_closed_form():
     for idx in range(6):
         assert count_sign_changes(spectrum.eigenvectors[:, idx]) == idx
     # wells the benchmark does not run: the grid's starting size comes from
-    # the well, and where that start is not yet within tol the loop doubles
+    # the well, and where that start is not yet within tol the loop grows it
     for a, b, alpha in ((1.0, 4.0, 1.0), (1.0, 12.0, 2.0), (0.5, 6.0, 0.7)):
         for depth in (0.0, 3.0):
             spec = Morse(a, b, alpha, depth)
@@ -247,10 +266,16 @@ def test_convergence_error_carries_best_spectrum():
     assert best.energies.shape == (40,)
     assert best.mesh.size <= 512
     assert "refinement stalled" in str(excinfo.value)
-    # the Morse grid starts at 353 here; doubling it would pass the cap
+    assert "no room" not in str(excinfo.value)
+    # the Morse grid starts at 353 here; its first step, to 442, would pass
+    # the cap, so nothing confirms the first solve and nothing stalled
     with pytest.raises(ConvergenceError) as excinfo:
-        lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9, m_cap=512)
-    assert excinfo.value.best.mesh.size <= 512
+        lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9, m_cap=400)
+    best = excinfo.value.best
+    assert best.mesh.size == 353
+    assert best.refinement_deltas == ()
+    assert "no room to confirm the first solve" in str(excinfo.value)
+    assert "refinement stalled" not in str(excinfo.value)
 
 
 def test_critical_index_bracket():
