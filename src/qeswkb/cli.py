@@ -204,12 +204,15 @@ def _cmd_wkb(config):
 
 
 def _write_fit_report(path, report):
-    """Fitted parameters followed by the error summary and convergence flag."""
+    """Fitted parameters followed by the error summary, convergence flag and
+    Jacobian conditioning as ``# name value`` comment lines, so that
+    ``fitmodels.parse_fit_params`` reads the file back."""
     with open(path, "w") as handle:
         handle.write(fitmodels.format_fit_params(report.params))
-        handle.write("max_rel_error %s\n" % _fmt(report.max_rel_error))
-        handle.write("rms_rel_error %s\n" % _fmt(report.rms_rel_error))
-        handle.write("converged %s\n" % report.converged)
+        handle.write("# max_rel_error %s\n" % _fmt(report.max_rel_error))
+        handle.write("# rms_rel_error %s\n" % _fmt(report.rms_rel_error))
+        handle.write("# converged %s\n" % report.converged)
+        handle.write("# jacobian_cond %.3g\n" % report.jacobian_cond)
 
 
 def _gamma_series(potential, spectrum):

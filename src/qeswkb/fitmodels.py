@@ -26,8 +26,8 @@ separable fitter serves both (variable projection; Golub & Pereyra,
 SIAM J. Numer. Anal. 10 (1973) 413): at each trial denominator a QR
 factorisation of the weighted basis removes a0, a1 or A0..A6, and
 Levenberg-Marquardt with the analytic projected Jacobian searches only
-the four or five denominator coefficients, from eight deterministic
-starts.
+the four or five denominator coefficients, in one start from the
+published parameters.
 """
 
 from dataclasses import dataclass
@@ -48,12 +48,7 @@ def _level_index(n):
         raise UnsupportedParameterError(f"level index must be an integer, got {n!r}")
     return int(r)
 
-_STARTS = 8
 _MAX_NFEV = 20000
-_GAMMA_SEED = 12345
-_GAMMA_SPREAD = 0.05
-_ENERGY_SEED = 999
-_ENERGY_SPREAD = 0.03
 
 
 @dataclass(frozen=True)
@@ -93,6 +88,7 @@ class FitReport:
     n_range: tuple
     iterations: int
     converged: bool
+    jacobian_cond: float
 
 
 PUBLISHED_GAMMA = {
@@ -199,16 +195,14 @@ def asymptotic_coefficient():
     return 0.5 * math.pi**0.75 * (math.gamma(5.0 / 3.0) / math.gamma(7.0 / 6.0)) ** 1.5
 
 
-def _fit_rational(y, m, basis, offset, degree, exponent, x0, seed, spread):
-    """Separable multi-start least squares for the rational shape
+def _fit_rational(y, m, basis, offset, degree, exponent, x0):
+    """Separable least squares for the rational shape
 
         y ~ offset + (basis @ c) / (1 + b1^2 m + ... + bk^2 m^k)^exponent,
 
     k = degree, on the relative residuals (model - y) / y, with c projected
-    out.  The starts are x0 = (c, b) and seven perturbations x0 (1 + spread z),
-    z drawn from ``seed``; only their b part is used.  The lowest final cost
-    wins, ties broken by the lexicographically smallest |(c, b)|.  Returns
-    (c, |b|) as one array and the winning ``least_squares`` result.
+    out.  One Levenberg-Marquardt start from the b part of x0 = (c, b).
+    Returns (c, |b|) as one array and the ``least_squares`` result.
     """
     powers = m[:, None] ** np.arange(1.0, degree + 1.0)
     weighted = basis / y[:, None]
@@ -240,23 +234,22 @@ def _fit_rational(y, m, basis, offset, degree, exponent, x0, seed, spread):
         return moved - p["q"] @ (p["q"].T @ (g * (2.0 * p["fit"] - target)[:, None]))
 
     x0 = np.asarray(x0, dtype=float)
-    linear = basis.shape[1]
-    rng = np.random.default_rng(seed)
-    candidates = []
-    for start in range(_STARTS):
-        xs = x0 if start == 0 else x0 * (1.0 + spread * rng.standard_normal(len(x0)))
-        result = least_squares(
-            residual, xs[linear:], jac=jacobian, method="lm",
-            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=_MAX_NFEV,
-        )
-        p = project(result.x)
-        c = solve_triangular(p["r"], p["qt"])
-        x = np.concatenate([c, np.abs(result.x)])
-        candidates.append((result.cost, tuple(np.abs(x)), x, result))
-    return min(candidates, key=lambda item: item[:2])[2:]
+    result = least_squares(
+        residual, x0[basis.shape[1]:], jac=jacobian, method="lm",
+        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=_MAX_NFEV,
+    )
+    p = project(result.x)
+    c = solve_triangular(p["r"], p["qt"])
+    return np.concatenate([c, np.abs(result.x)]), result
 
 
-def _report(params, model, n_fit, y, n_arr, best):
+def _scaled_cond(jac):
+    """2-norm condition number of ``jac`` with its columns scaled to unit norm."""
+    norms = np.linalg.norm(jac, axis=0)
+    return float(np.linalg.cond(jac / np.where(norms > 0.0, norms, 1.0)))
+
+
+def _report(params, model, n_fit, y, n_arr, result):
     """FitReport whose errors are those of ``params`` themselves: the model
     evaluated at them over the fitted levels ``n_fit``, against ``y``."""
     fitted = np.array([model(params, n) for n in n_fit])
@@ -266,8 +259,9 @@ def _report(params, model, n_fit, y, n_arr, best):
         max_rel_error=float(np.max(rel)),
         rms_rel_error=float(np.sqrt(np.mean(rel**2))),
         n_range=(int(n_arr[0]), int(n_arr[-1])),
-        iterations=int(best.nfev),
-        converged=bool(best.status > 0),
+        iterations=int(result.nfev),
+        converged=bool(result.status > 0),
+        jacobian_cond=_scaled_cond(result.jac),
     )
 
 
@@ -275,8 +269,8 @@ def fit_gamma(data, init=None, n_label=None):
     """Refit the correction model to (n, gamma) samples.
 
     Searches the four denominator coefficients with a0 and a1 projected
-    out, from the reference parameters and seven fixed perturbations of
-    them; see _fit_rational.
+    out, in one start from the published parameters (or ``init``); see
+    _fit_rational.
     """
     pairs = sorted((_as_int(n, "level index"), float(g)) for n, g in data)
     if len(pairs) < 6:
@@ -292,12 +286,10 @@ def fit_gamma(data, init=None, n_label=None):
         init = PUBLISHED_GAMMA[_nearest_published(n_label, PUBLISHED_GAMMA)]
     x0 = [getattr(init, name) for name in _GAMMA_FIELDS[:-1]]
     basis = np.stack([np.ones_like(m), m], axis=1)
-    x, best = _fit_rational(
-        g_arr, m, basis, 0.0, 4, 0.5, x0, _GAMMA_SEED, _GAMMA_SPREAD
-    )
+    x, result = _fit_rational(g_arr, m, basis, 0.0, 4, 0.5, x0)
     label = float(n_label) if n_label is not None else init.N_label
     params = GammaFitParams(*x, N_label=label)
-    return _report(params, gamma_fit_eval, n_arr, g_arr, n_arr, best)
+    return _report(params, gamma_fit_eval, n_arr, g_arr, n_arr, result)
 
 
 def fit_energy(data, ground_energy, init=None, n_label=None):
@@ -305,7 +297,10 @@ def fit_energy(data, ground_energy, init=None, n_label=None):
 
     The ground energy is exact by construction (the model pins n = 0), so
     the fit runs over the five denominator coefficients with A0..A6
-    projected out; same deterministic multi-start as fit_gamma.
+    projected out, in one start from the published parameters (or
+    ``init``).  The 51 levels of a study do not determine these
+    parameters, only their errors: the projected Jacobian's condition
+    number is about 1e10.
     """
     pairs = sorted((_as_int(n, "level index"), float(e)) for n, e in data)
     if len(pairs) < 12:
@@ -321,12 +316,10 @@ def fit_energy(data, ground_energy, init=None, n_label=None):
         init = published_energy_params(_nearest_published(n_label, _PUBLISHED_ENERGY_AB), e0)
     x0 = [getattr(init, name) for name in _ENERGY_FIELDS[1:-1]]
     basis = np.sqrt(m - 1.0)[:, None] * m[:, None] ** np.arange(7.0)
-    x, best = _fit_rational(
-        e_arr[keep], m, basis, e0 * m, 5, 1.0, x0, _ENERGY_SEED, _ENERGY_SPREAD
-    )
+    x, result = _fit_rational(e_arr[keep], m, basis, e0 * m, 5, 1.0, x0)
     label = float(n_label) if n_label is not None else init.N_label
     params = EnergyFitParams(e0, *x, N_label=label)
-    return _report(params, energy_fit_eval, n_arr[keep], e_arr[keep], n_arr, best)
+    return _report(params, energy_fit_eval, n_arr[keep], e_arr[keep], n_arr, result)
 
 
 _GAMMA_FIELDS = ("a0", "a1", "b1", "b2", "b3", "b4", "N_label")
@@ -365,7 +358,12 @@ def parse_fit_params(text):
         if name == "model":
             kind = value.strip()
             continue
-        entries[name] = float(value)
+        try:
+            entries[name] = float(value)
+        except ValueError:
+            raise DomainError(
+                "parameter %s has non-numeric value %r" % (name, value.strip())
+            ) from None
     if kind == "gamma":
         fields, cls = _GAMMA_FIELDS, GammaFitParams
     elif kind == "energy":

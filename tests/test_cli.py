@@ -133,7 +133,15 @@ def test_susy_command_report(tmp_path):
     assert float(report["intertwining_residual_state_1"]) < 1e-8
 
 
-def test_fit_gamma_command(tmp_path):
+def test_fit_gamma_command(tmp_path, monkeypatch):
+    reports = []
+    original = fitmodels.fit_gamma
+
+    def recording(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(fitmodels, "fit_gamma", recording)
     out = tmp_path / "fitg"
     code = main([
         "fit-gamma", "--family", "sextic_reduced", "--N", "0",
@@ -141,8 +149,16 @@ def test_fit_gamma_command(tmp_path):
     ])
     assert code == 0
     files = os.listdir(out)
-    assert any(name.startswith("gamma_fit_params") for name in files)
     assert any(name.startswith("gamma_fit_residuals") for name in files)
+    # the written report reads back to the fitted parameters, its summary
+    # riding along as comment lines
+    text = (out / "gamma_fit_params.txt").read_text()
+    assert fitmodels.parse_fit_params(text) == reports[0].params
+    trailer = dict(line[2:].split() for line in text.splitlines() if line.startswith("# "))
+    assert list(trailer) == ["max_rel_error", "rms_rel_error", "converged", "jacobian_cond"]
+    assert float(trailer["max_rel_error"]) == pytest.approx(reports[0].max_rel_error, rel=1e-14)
+    assert trailer["converged"] == "True"
+    assert float(trailer["jacobian_cond"]) > 1.0
 
 
 def test_config_file_merge_and_override(tmp_path):

@@ -166,6 +166,8 @@ def test_params_io_errors():
         parse_fit_params(text + "surprise 3\n")
     with pytest.raises(DomainError):
         parse_fit_params("\n".join(text.splitlines()[:-1]))
+    with pytest.raises(DomainError):
+        parse_fit_params("model gamma\na0 abc\n")
 
 
 def _refit(kind, data, depth):
@@ -176,13 +178,13 @@ def _refit(kind, data, depth):
 
 @pytest.fixture(scope="module")
 def refits(study):
-    """Both refits at the four depths: data, report and every start's result."""
+    """Both refits at the four depths: data, report and every LM run's result."""
     original = fitmodels.least_squares
-    starts = []
+    runs = []
 
     def recording(*args, **kwargs):
-        starts.append(original(*args, **kwargs))
-        return starts[-1]
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
 
     found = {}
     with pytest.MonkeyPatch.context() as patch:
@@ -193,8 +195,8 @@ def refits(study):
                 ("gamma", [(n, r.gamma) for n, r in enumerate(records) if n >= 3]),
                 ("energy", [(n, float(e)) for n, e in enumerate(spectrum.energies)]),
             ):
-                starts.clear()
-                found[kind, depth] = (data, _refit(kind, data, depth), list(starts))
+                runs.clear()
+                found[kind, depth] = (data, _refit(kind, data, depth), list(runs))
     return found
 
 
@@ -238,14 +240,38 @@ def test_reported_errors_are_those_of_the_reported_params(refits):
         assert report.rms_rel_error == pytest.approx(np.sqrt(np.mean(rel**2)), rel=1e-14)
 
 
-def test_refits_converge_from_every_start(refits):
-    for (kind, depth), (_, report, starts) in refits.items():
-        assert len(starts) == 8, (kind, depth)
-        for result in starts:
-            assert result.status > 0, (kind, depth, result.status)
-            assert result.nfev < fitmodels._MAX_NFEV, (kind, depth, result.nfev)
+def test_each_refit_is_one_converged_lm_run(refits):
+    for (kind, depth), (_, report, runs) in refits.items():
+        assert len(runs) == 1, (kind, depth)
+        result = runs[0]
+        assert result.status > 0, (kind, depth, result.status)
+        assert result.nfev < fitmodels._MAX_NFEV, (kind, depth, result.nfev)
         assert report.converged
-        assert report.iterations in [result.nfev for result in starts]
+        assert report.iterations == result.nfev
+        assert 1.0 < report.jacobian_cond < math.inf
+
+
+def test_gamma_params_do_not_depend_on_the_start(refits):
+    # From the published parameters scaled by (1 + 0.05 z) the refit lands
+    # on the same point: parameters spread by at most 7e-7 relative over
+    # such starts.  The energy model has no such test: 51 levels do not
+    # determine its parameters (its projected Jacobian's condition number is
+    # about 1e10), so different starts end at different parameters with the
+    # same errors.
+    starts = (
+        np.array([0.3, -1.2, 0.8, 1.5, -0.4, -0.9]),
+        np.array([-1.1, 0.6, -0.2, -1.4, 1.0, 0.5]),
+    )
+    names = ("a0", "a1", "b1", "b2", "b3", "b4")
+    for depth in published_depth_indices():
+        data, report, _ = refits["gamma", depth]
+        refit = np.array([getattr(report.params, name) for name in names])
+        published = np.array([getattr(PUBLISHED_GAMMA[depth], name) for name in names])
+        for z in starts:
+            init = GammaFitParams(*(published * (1.0 + 0.05 * z)), N_label=depth)
+            again = fit_gamma(data, init=init, n_label=depth)
+            moved = np.array([getattr(again.params, name) for name in names])
+            assert np.all(np.abs(moved - refit) <= 1e-5 * np.abs(refit)), (depth, z)
 
 
 def test_refit_errors_stable_under_data_perturbation(refits):
