@@ -16,10 +16,20 @@ per spectrum: the mesh at the starting size reaches the outer turning point
 of the top requested level plus the margin over which the WKB decay
 exponent of that level grows to 40.  Each mesh starts at the size its
 states need: eight oscillator points per requested state, or six uniform
-points per shortest classical wavelength.  One refinement loop serves both
-meshes: it grows the basis size by steps of about 5/4 at that fixed scale
-(or box), never past the size cap, until successive eigenvalues agree to
-the requested tolerance, and keeps the eigenvectors of its last solve.
+points per shortest classical wavelength.
+
+Every solve certifies itself from the tail of its eigenvectors' spectral
+expansion (Boyd, Chebyshev and Fourier Spectral Methods, 2001, sec. 2.12):
+the Hermite-function coefficients on the oscillator mesh, the sine (DST-I)
+coefficients on the uniform grid.  A resolved state has negligible weight
+in the top eighth of the basis (at least 16 functions).  Its energy error
+is bounded by _TAIL_SAFETY times the square of its largest coefficient
+there, times max(1, |E|), a map tested on under-resolved solves, but the
+bound is never taken below the rounding floor eps ||H||_inf of the
+matrices solved.  One refinement loop serves both meshes: it grows the
+basis size by steps of about 5/4 at that fixed scale (or box), never past
+the size cap, only while some state's certificate is not below the
+requested tolerance, and keeps the eigenvectors of its last solve.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, hankel, toeplitz
@@ -74,6 +85,23 @@ _EDGE_DECAY = 40.0
 
 _SEARCH_STEPS = 60
 
+# The energy bound of a state is _TAIL_SAFETY tail^2 max(1, |E|), with tail
+# the largest |coefficient| among the top _tail_count(M) functions of its
+# basis expansion.  On the 55 under-resolved solves of
+# test_certificate_bounds_the_error whose bound is under 1e-4, tail^2
+# max(1, |E|) alone falls up to 8.5 times below the error; ten times it
+# stays above the error by a factor of 1.18 or more, and three times does not.
+_TAIL_SAFETY = 10.0
+# A small mesh reads its tail from at least this many top functions, not
+# from the two or three of its top eighth.
+_TAIL_MIN_MODES = 16
+_EPS = np.finfo(float).eps
+
+
+def _tail_count(M):
+    """Number of top basis functions that make up the tail of an M-point mesh."""
+    return min(M, max(M // 8, _TAIL_MIN_MODES))
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -109,10 +137,11 @@ class Spectrum:
 
     ``eigenvectors[:, n]`` holds the values of state n at ``mesh.nodes``,
     normalized under the mesh quadrature rule, with the sign fixed so the
-    first non-negligible node value is positive.  ``converged_digits[n]``
-    estimates the number of stable significant digits from the final mesh
-    refinement, and ``refinement_deltas`` records the largest per-state
-    energy change at each refinement step.
+    first non-negligible node value is positive.  ``refinement_deltas``
+    holds one certificate per solve, in order: the largest per-state energy
+    error bound of that solve, from its eigenvector tails and rounding
+    floor.  ``converged_digits[n]`` is the number of significant digits of
+    E_n that the last certificate vouches for, relative to max(1, |E_n|).
     """
 
     energies: np.ndarray
@@ -122,9 +151,19 @@ class Spectrum:
     refinement_deltas: tuple = field(default=())
 
 
+class _HermiteData(NamedTuple):
+    """What the oscillator mesh of size M needs, built once per size."""
+
+    t: np.ndarray  # Gauss-Hermite points, exactly symmetric
+    kin: np.ndarray  # kinetic matrix on the mesh at unit scale
+    logw: np.ndarray  # log mesh weights
+    tail: np.ndarray  # the last _tail_count(M) rows of the basis V
+
+
 @lru_cache(maxsize=6)
 def _hermite_data(M):
-    """Gauss-Hermite points, the projected kinetic matrix, and log mesh weights.
+    """Gauss-Hermite points, the projected kinetic matrix, log mesh weights,
+    and the tail rows of the Hermite-function basis.
 
     The kinetic matrix is the second-derivative operator of the oscillator
     eigenbasis projected onto the mesh: T = -1/2 V^T D2 V, where D2 has
@@ -140,7 +179,10 @@ def _hermite_data(M):
     the nodes, so the true sign of q_{M-1}(t_j) is (-1)^(M-1-j).
 
     The points are made exactly symmetric, t_{M-1-j} = -t_j, so that the
-    mesh reflects onto itself and the parity blocks are exact.
+    mesh reflects onto itself and the parity blocks are exact.  V is
+    orthogonal, so V c holds the Hermite-function coefficients of a unit
+    node vector c; only the rows of the top _tail_count(M) functions are
+    kept, for the eigenvector tails, not the whole M x M matrix.
     """
     off = np.sqrt(np.arange(1, M) / 2.0)
     t, vecs = eigh_tridiagonal(np.zeros(M), off)
@@ -152,7 +194,7 @@ def _hermite_data(M):
     d2v[:-2] += coupling * vecs[2:]
     d2v[2:] += coupling * vecs[:-2]
     kin = -0.5 * (vecs.T @ d2v)
-    return t, kin, _hermite_log_weights(t, M)
+    return _HermiteData(t, kin, _hermite_log_weights(t, M), vecs[M - _tail_count(M) :].copy())
 
 
 def _hermite_log_weights(t, M):
@@ -181,7 +223,7 @@ def _hermite_log_weights(t, M):
 
 def oscillator_mesh(M, h):
     """Scaled Gauss-Hermite mesh x_i = h t_i."""
-    t, _, _ = _hermite_data(int(M))
+    t = _hermite_data(int(M)).t
     return Mesh(kind=OSCILLATOR, size=int(M), h=float(h), nodes=float(h) * t)
 
 
@@ -230,10 +272,10 @@ def build_hamiltonian(spec, mesh):
     """Dense symmetric Hamiltonian T + diag(V(x_i)) for the given mesh."""
     v = _potential_at_nodes(spec, mesh)
     if mesh.kind == OSCILLATOR:
-        t, kin, _ = _hermite_data(mesh.size)
-        if abs(mesh.nodes[0] / mesh.h - t[0]) > 1e-9 * max(1.0, abs(t[0])):
+        data = _hermite_data(mesh.size)
+        if abs(mesh.nodes[0] / mesh.h - data.t[0]) > 1e-9 * max(1.0, abs(data.t[0])):
             raise MeshError("oscillator mesh nodes are not scaled Gauss-Hermite points")
-        ham = kin / mesh.h**2 + np.diag(v)
+        ham = data.kin / mesh.h**2 + np.diag(v)
     else:
         ham = _sine_kinetic(mesh.size, mesh.h) + np.diag(v)
     return 0.5 * (ham + ham.T)
@@ -252,7 +294,7 @@ def _parity_block(spec, mesh, sign):
     With m = M/2, A = H[:m, :m] and B J = H[:m, m:][:, ::-1]; a state of that
     parity is [u; sign u[::-1]] / sqrt(2), with u an eigenvector of the block.
     """
-    _, kin, _ = _hermite_data(mesh.size)
+    kin = _hermite_data(mesh.size).kin
     m = mesh.size // 2
     block = kin[:m, :m] + sign * kin[:m, m:][:, ::-1]
     block /= mesh.h**2
@@ -261,33 +303,57 @@ def _parity_block(spec, mesh, sign):
 
 
 def _solve_parity(spec, mesh, k):
-    """k lowest eigenpairs from the two parity blocks, merged by energy.
+    """k lowest eigenpairs from the two parity blocks, merged by energy,
+    and the larger infinity-norm of the blocks solved.
 
     State n has parity (-1)^n (oscillation theorem), so the even block
     supplies ceil(k/2) levels and the odd block floor(k/2).
     """
-    energies, vectors = [], []
+    energies, vectors, norm = [], [], 0.0
     for sign, count in ((1.0, (k + 1) // 2), (-1.0, k // 2)):
         if count == 0:
             continue
-        e, u = eigh(_parity_block(spec, mesh, sign), subset_by_index=(0, count - 1))
+        block = _parity_block(spec, mesh, sign)
+        norm = max(norm, np.linalg.norm(block, np.inf))
+        e, u = eigh(block, subset_by_index=(0, count - 1))
         energies.append(e)
         vectors.append(np.vstack((u, sign * u[::-1])) / math.sqrt(2.0))
     energies = np.concatenate(energies)
     order = np.argsort(energies, kind="stable")
-    return energies[order], np.hstack(vectors)[:, order]
+    return energies[order], np.hstack(vectors)[:, order], norm
+
+
+def _tail_rows(mesh):
+    """Rows of the top _tail_count(size) basis functions in the orthogonal
+    map from unit node vectors to basis coefficients: Hermite functions on
+    the oscillator mesh, the DST-I sine modes on the uniform grid."""
+    if mesh.kind == OSCILLATOR:
+        return _hermite_data(mesh.size).tail
+    M = mesh.size
+    modes = np.arange(M - _tail_count(M) + 1, M + 1)
+    return math.sqrt(2.0 / (M + 1)) * np.sin(np.outer(modes, np.arange(1, M + 1)) * (np.pi / (M + 1)))
+
+
+def _certified_solve(spec, mesh, k):
+    """k lowest energies on one mesh, quadrature-normalized node values, the
+    per-state tail bounds _TAIL_SAFETY tail^2 max(1, |E|), and the rounding
+    floor eps ||H||_inf of the matrices solved."""
+    if mesh.kind == OSCILLATOR:
+        energies, coeffs, norm = _solve_parity(spec, mesh, k)
+        scale = np.sqrt(mesh.h * np.exp(_hermite_data(mesh.size).logw))
+    else:
+        ham = build_hamiltonian(spec, mesh)
+        energies, coeffs = eigh(ham, subset_by_index=(0, k - 1))
+        norm = np.linalg.norm(ham, np.inf)
+        scale = np.full(mesh.size, math.sqrt(mesh.h))
+    tail = np.max(np.abs(_tail_rows(mesh) @ coeffs), axis=0)
+    bounds = _TAIL_SAFETY * tail**2 * np.maximum(1.0, np.abs(energies))
+    return energies, _fix_signs(coeffs / scale[:, None]), bounds, _EPS * float(norm)
 
 
 def _solve(spec, mesh, k):
     """k lowest energies on one mesh, with quadrature-normalized node values."""
-    if mesh.kind == OSCILLATOR:
-        energies, coeffs = _solve_parity(spec, mesh, k)
-        _, _, logw = _hermite_data(mesh.size)
-        scale = np.sqrt(mesh.h * np.exp(logw))
-    else:
-        energies, coeffs = eigh(build_hamiltonian(spec, mesh), subset_by_index=(0, k - 1))
-        scale = np.full(mesh.size, math.sqrt(mesh.h))
-    return energies, _fix_signs(coeffs / scale[:, None])
+    return _certified_solve(spec, mesh, k)[:2]
 
 
 def _edge_extent(spec, energy):
@@ -317,7 +383,7 @@ def _oscillator_scale(spec, M, k):
     gives the top requested level E_{k-1}; the returned scale stretches the
     mesh to the outer turning point of E_{k-1} plus its decay margin.
     """
-    t_max = _hermite_data(M)[0][-1]
+    t_max = _hermite_data(M).t[-1]
     trial = np.geomspace(1e-3, 1e3, 601)
     with np.errstate(over="ignore", invalid="ignore"):
         balance = evaluate(spec, trial * t_max) - 0.5 * (t_max / trial) ** 2
@@ -340,8 +406,8 @@ def _fix_signs(vectors):
     return vectors
 
 
-def _digits(delta, energies):
-    rel = delta / np.maximum(1.0, np.abs(energies))
+def _digits(bound, energies):
+    rel = bound / np.maximum(1.0, np.abs(energies))
     return np.clip(-np.log10(np.maximum(rel, 1e-16)), 0.0, 16.0)
 
 
@@ -366,7 +432,7 @@ def _morse_box(spec, k):
     largest classical momentum of that level, p_top = sqrt(2 (E_{k-1} - V_min)):
     six points per shortest classical wavelength (Colbert & Miller,
     J. Chem. Phys. 96 (1992) 1982).  This sizes the first solve, not the
-    last; the refinement loop still grows it until the levels agree.
+    last; the refinement loop grows it while its certificate is too large.
     """
     beta, c1, v_inf = spec.beta, spec.c1, spec.v_inf
     z_left = max(math.sqrt(800.0 * max(v_inf, 1.0)), 3.0 * c1, 20.0) / spec.a
@@ -390,17 +456,21 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     level; reflection-even wells (reduced and general sextic, even
     polynomials, and partners of those built from a sextic seed) on an
     oscillator mesh in parity blocks, starting at eight mesh points per
-    requested state and at least 256 (408 and 510 for a 51-level spectrum),
-    at a scale chosen once, at the starting size, from the turning point of
-    the top requested level; any other spec raises
+    requested state and at least 256 (408 for a 51-level spectrum), at a
+    scale chosen once, at the starting size, from the turning point of the
+    top requested level; any other spec raises
     :class:`UnsupportedParameterError`.  Both starting sizes are clamped to
     ``m_cap`` (the oscillator mesh to an even size, for its parity blocks).
-    The mesh size grows to the next even size at or above 5/4 of the last
-    one, at that fixed scale or box and never past ``m_cap``, until every
-    requested energy changes by less than ``tol`` between refinements.  If
-    the cap stops the loop first, or leaves no room for a first confirming
-    solve, a :class:`ConvergenceError` carrying the best spectrum so far is
-    raised.
+    Each solve is certified from its own eigenvectors: a state's
+    certificate is the larger of ten times the square of its largest
+    coefficient in the top eighth of the basis (at least 16 functions),
+    times max(1, |E|), and the rounding floor eps ||H||_inf.  A first solve
+    whose certificates are all below ``tol`` is returned as it is.
+    Otherwise the mesh size grows to the next even size at or above 5/4 of
+    the last one, at that fixed scale or box and never past ``m_cap``, until
+    every requested energy is certified to ``tol``.  If the cap or the
+    rounding floor stops the loop first, a :class:`ConvergenceError`
+    carrying the best spectrum so far is raised.
     """
     if k < 1:
         raise MeshError("k must be at least 1")
@@ -426,47 +496,38 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
 
 
 def _refine(spec, k, tol, m_cap, M, mesh_at):
-    """Grow the mesh size from M by steps of about 5/4 while it stays within
-    ``m_cap``, until successive energies agree to ``tol``.
+    """Solve at size M, and grow the size by steps of about 5/4 while some
+    state's certificate is at or above ``tol``.
 
-    Each step goes to the next even size at or above 5 M / 4.  At a fixed
-    scale or box the mesh energies converge exponentially in M (Baye, Phys.
-    Rep. 565 (2015) 1), so once the first solve is converged a quarter more
-    points confirm it as well as twice as many would.  No solve exceeds the
-    cap; a start whose first step would pass it gets no confirming solve,
-    and raises a ConvergenceError that says so.
+    A state's certificate is the larger of its tail bound, _TAIL_SAFETY
+    tail^2 max(1, |E|), and the rounding floor eps ||H||_inf of the solve.
+    Each step goes to the next even size at or above 5 M / 4, at a fixed
+    scale or box, where the mesh energies converge exponentially in M (Baye,
+    Phys. Rep. 565 (2015) 1).  The loop stops with a ConvergenceError when
+    the next size would pass ``m_cap``, or as soon as the rounding floor
+    reaches ``tol``: the floor only rises with M.
     """
-    mesh = mesh_at(M)
-    energies, vectors = _solve(spec, mesh, k)
-    step = np.full(k, np.inf)
-    deltas = []
-    while not np.all(step < tol):
+    certificates = []
+    while True:
+        mesh = mesh_at(M)
+        energies, vectors, bounds, floor = _certified_solve(spec, mesh, k)
+        certificates.append(max(float(bounds.max()), floor))
         grown = 2 * math.ceil(5 * M / 8)
-        if grown > m_cap:
+        if certificates[-1] < tol or floor >= tol or grown > m_cap:
             break
         M = grown
-        mesh = mesh_at(M)
-        cur, vectors = _solve(spec, mesh, k)
-        step = np.abs(cur - energies)
-        energies = cur
-        deltas.append(float(step.max()))
     spectrum = Spectrum(
         energies=energies,
         eigenvectors=vectors,
         mesh=mesh,
-        converged_digits=_digits(step, energies),
-        refinement_deltas=tuple(deltas),
+        converged_digits=_digits(certificates[-1], energies),
+        refinement_deltas=tuple(certificates),
     )
-    if np.all(step < tol):
+    if certificates[-1] < tol:
         return spectrum
-    if not deltas:
-        raise ConvergenceError(
-            f"m_cap={m_cap} leaves no room to confirm the first solve at M={M} "
-            f"(the next size would be {grown})",
-            best=spectrum,
-        )
     raise ConvergenceError(
-        f"refinement stalled at M={M} (last delta {float(step.max()):.3e} > tol {tol:.1e})",
+        f"refinement stalled at M={M} (certificate {certificates[-1]:.3e} >= tol {tol:.1e}; "
+        f"rounding floor {floor:.3e}, next size {grown}, m_cap={m_cap})",
         best=spectrum,
     )
 
@@ -486,7 +547,7 @@ def _ground_and_slope(N):
     """
     spectrum = lowest_eigen(SexticReduced(N), 1)
     mesh = spectrum.mesh
-    weights = mesh.h * np.exp(_hermite_data(mesh.size)[2])
+    weights = mesh.h * np.exp(_hermite_data(mesh.size).logw)
     psi = spectrum.eigenvectors[:, 0]
     return float(spectrum.energies[0]), -2.0 * float(np.sum(weights * psi * psi * mesh.nodes**2))
 

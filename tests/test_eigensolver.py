@@ -69,7 +69,7 @@ def test_quadrature_normalization_and_parity():
 def test_hermite_kinetic_matrix_signs(M):
     # The leading basis row underflows to 0.0 at the outer nodes; a sign
     # taken from it zeroes or flips whole kinetic-matrix rows and columns.
-    _, kin, _ = eigensolver._hermite_data(M)
+    kin = eigensolver._hermite_data(M).kin
     assert not np.any(np.all(kin == 0.0, axis=1))
     scale = np.max(np.abs(kin))
     assert np.max(np.abs(kin[::-1, ::-1] - kin)) <= 1e-12 * scale
@@ -107,11 +107,85 @@ def test_step_keeps_an_honest_certificate():
         assert np.max(error) < 1e-10, depth
 
 
+def test_certified_spectra_agree_with_a_doubled_mesh():
+    # each certified spectrum agrees with one solve at twice its final size,
+    # at the same scale or in the same box, to the requested tol
+    tol = 1e-10
+    base = SexticReduced(1.0)
+    partner, _ = qes_algebra.darboux(base, qes_algebra.qes_states(base)[0])
+    even = [SexticReduced(depth) for depth in (0.0, 0.25, 0.5, 0.7, 1.0, 2.0, 3.0)]
+    even += [HARMONIC, EvenPolynomial((0.0, -1.0, 0.05, 0.02)), partner]
+    for k in (1, 10, 51, 130):
+        for spec in even:
+            spectrum = lowest_eigen(spec, k, tol=tol)
+            assert spectrum.refinement_deltas[-1] < tol
+            mesh = oscillator_mesh(2 * spectrum.mesh.size, spectrum.mesh.h)
+            reference, _ = eigensolver._solve(spec, mesh, k)
+            assert np.max(np.abs(spectrum.energies - reference)) < tol, (spec, k)
+    # the wells of test_morse_spectrum_matches_closed_form
+    wells = [(1.0, 8.0, SQRT2, 0.0), (1.0, 4.0, 1.0, 0.0), (1.0, 4.0, 1.0, 3.0), (1.0, 12.0, 2.0, 0.0)]
+    wells += [(1.0, 12.0, 2.0, 3.0), (0.5, 6.0, 0.7, 0.0), (0.5, 6.0, 0.7, 3.0)]
+    for a, b, alpha, depth in wells:
+        spec = Morse(a, b, alpha, depth)
+        count = morse_bound_count(spec)
+        for k in sorted({1, min(10, count), count}):
+            x_left, x_right, _ = eigensolver._morse_box(spec, k)
+            spectrum = lowest_eigen(spec, k, tol=tol)
+            reference, _ = eigensolver._solve(spec, uniform_mesh(2 * spectrum.mesh.size, x_left, x_right), k)
+            assert np.max(np.abs(spectrum.energies - reference)) < tol, (spec, k)
+
+
+def test_certificate_rejects_an_under_resolved_start():
+    spec = Morse(1.0, 4.0, 1.0, 0.0)
+    x_left, x_right, start = eigensolver._morse_box(spec, 4)
+    assert start == 115
+    exact = qes_algebra.morse_exact_spectrum(spec.a, spec.beta, spec.alpha, 3)
+    energies, _, bounds, floor = eigensolver._certified_solve(spec, uniform_mesh(start, x_left, x_right), 4)
+    error = np.max(np.abs(energies - exact))
+    assert error > 1e-9
+    assert max(bounds.max(), floor) >= error
+    spectrum = lowest_eigen(spec, 4, tol=1e-10)
+    assert spectrum.mesh.size > start
+    assert spectrum.refinement_deltas[0] >= 1e-10 > spectrum.refinement_deltas[-1]
+    assert np.max(np.abs(spectrum.energies - exact)) < 1e-10
+
+
+def test_certificate_bounds_the_error():
+    # Solves below each mesh's starting size, at its scale or in its box,
+    # are under-resolved.  Wherever the certificate is under 1e-4 it bounds
+    # the error (less the rounding floor of the sextic reference solve), and
+    # the safety factor is needed: tail^2 alone falls short of it.
+    cases = []
+    for spec in (SexticReduced(0.0), SexticReduced(0.7)):
+        h = eigensolver._oscillator_scale(spec, 256, 1)
+        reference, _, _, ref_floor = eigensolver._certified_solve(spec, oscillator_mesh(512, h), 1)
+        for M in range(64, 257, 16):
+            cases.append((spec, oscillator_mesh(M, h), 1, reference, ref_floor))
+    for a, b, alpha, depth in ((1.0, 8.0, SQRT2, 0.0), (1.0, 8.0, SQRT2, 3.0), (1.0, 4.0, 1.0, 0.0)):
+        spec = Morse(a, b, alpha, depth)
+        k = morse_bound_count(spec)
+        x_left, x_right, start = eigensolver._morse_box(spec, k)
+        exact = qes_algebra.morse_exact_spectrum(a, spec.beta, alpha, k - 1)
+        for M in range(start // 2, start + 1, 8):
+            cases.append((spec, uniform_mesh(M, x_left, x_right), k, exact, 0.0))
+    checked = short = 0
+    for spec, mesh, k, reference, ref_floor in cases:
+        energies, _, bounds, floor = eigensolver._certified_solve(spec, mesh, k)
+        certificate = max(bounds.max(), floor)
+        if certificate >= 1e-4:
+            continue
+        error = np.max(np.abs(energies - reference)) - ref_floor
+        assert certificate >= error, (spec, mesh.size, certificate, error)
+        checked += 1
+        short += bounds.max() / eigensolver._TAIL_SAFETY < error
+    assert checked >= 20
+    assert short >= 1
+
+
 def test_large_request_fits_under_default_cap():
-    # 130 levels start at 1040 points; a doubling would pass the cap of
-    # 2048, the 5/4 step confirms at 1300
+    # 130 levels start at 1040 points, where the first solve certifies itself
     spectrum = lowest_eigen(SexticReduced(0.5), 130)
-    assert spectrum.mesh.size == 1300
+    assert spectrum.mesh.size == 1040
 
 
 def test_solve_counts(monkeypatch):
@@ -123,15 +197,15 @@ def test_solve_counts(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "eigh", counted)
     spectrum = lowest_eigen(SexticReduced(0.25), 51, tol=1e-10)
-    # at most three mesh solves, each one even and one odd block; eight
-    # points per state start the mesh at 408, and one 5/4 step confirms it
+    # eight points per state start the mesh at 408, where the first solve,
+    # one even and one odd block, certifies itself
     assert len(sizes) <= 6
     assert all(2 * m <= spectrum.mesh.size for m in sizes)
-    assert spectrum.mesh.size == 510
+    assert spectrum.mesh.size == 408
     sizes.clear()
     # six grid points per shortest classical wavelength of the top level
     spectrum = lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9)
-    assert sizes == [353, 442]
+    assert sizes == [353]
     assert spectrum.mesh.size < 1024
 
 
@@ -268,14 +342,21 @@ def test_convergence_error_carries_best_spectrum():
     assert "refinement stalled" in str(excinfo.value)
     assert "no room" not in str(excinfo.value)
     # the Morse grid starts at 353 here; its first step, to 442, would pass
-    # the cap, so nothing confirms the first solve and nothing stalled
+    # the cap, but the first solve certifies itself
+    spec = Morse(1.0, 8.0, SQRT2, 3.0)
+    spectrum = lowest_eigen(spec, 9, tol=1e-9, m_cap=400)
+    assert spectrum.mesh.size == 353
+    exact = qes_algebra.morse_exact_spectrum(spec.a, spec.beta, spec.alpha, 8)
+    assert np.max(np.abs(spectrum.energies - exact)) < 1e-9
+    # a tol below the rounding floor eps ||H||, about 5e-12 here, stops the
+    # loop at once: a larger mesh only raises the floor
     with pytest.raises(ConvergenceError) as excinfo:
-        lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9, m_cap=400)
+        lowest_eigen(spec, 9, tol=1e-13)
     best = excinfo.value.best
     assert best.mesh.size == 353
-    assert best.refinement_deltas == ()
-    assert "no room to confirm the first solve" in str(excinfo.value)
-    assert "refinement stalled" not in str(excinfo.value)
+    assert len(best.refinement_deltas) == 1 and best.refinement_deltas[0] >= 1e-13
+    assert "refinement stalled" in str(excinfo.value)
+    assert np.max(np.abs(best.energies - exact)) < 1e-9
 
 
 def test_critical_index_bracket():
