@@ -1,8 +1,10 @@
 """Command-line front end wiring the toolkit into reproducible pipelines.
 
-Every command writes deterministic text tables (CSV or TSV, one header
-line, 15-significant-digit numbers) into an output directory, so repeated
-runs with the same configuration produce byte-identical files.  The
+Every command writes text tables (CSV or TSV, one header line,
+15-significant-digit numbers) into an output directory, and repeated runs
+with the same configuration produce byte-identical files, except the
+energy-model refit's parameters, which that ill-determined fit can place
+differently from process to process.  The
 ``reproduce`` command executes the full study pipeline: high-accuracy
 spectra and quantization corrections for the reduced sextic well at four
 depth indices, published-model residuals, refits, the exponential-well
@@ -10,7 +12,7 @@ suite, and a pass/fail summary with one row per check of
 ``qeswkb.acceptance.CHECKS``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import argparse
 import math
 import os
@@ -374,17 +376,13 @@ def _write_sextic_files(config, study):
             )
             tables.setdefault(kind, []).append(report.params)
 
-    for kind, fields in (
-        ("gamma", ("a0", "a1", "b1", "b2", "b3", "b4")),
-        ("energy", ("E0", "A0", "A1", "A2", "A3", "A4", "A5", "A6",
-                    "B1", "B2", "B3", "B4", "B5")),
-    ):
+    for kind, params in tables.items():
         lines = ["parameter\t" + "\t".join("N=%s" % _fmt(d) for d in DEPTHS)]
-        for field_name in fields:
-            values = [_fmt(getattr(p, field_name)) for p in tables[kind]]
-            lines.append("\t".join([field_name] + values))
+        for name in (f.name for f in fields(params[0]) if f.name != "N_label"):
+            values = [_fmt(getattr(p, name)) for p in params]
+            lines.append("\t".join([name] + values))
         if kind == "energy":
-            values = [_fmt(p.A6 / p.B5**2) for p in tables[kind]]
+            values = [_fmt(p.A6 / p.B5**2) for p in params]
             lines.append("\t".join(["A6_over_B5_sq"] + values))
         with open(
             os.path.join(config.output_dir, "%s_refit_table.txt" % kind), "w"

@@ -51,9 +51,8 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .potentials import (
-    EvenPolynomial,
+    EVEN_WELLS,
     Morse,
-    SexticGeneral,
     SexticGround,
     SexticReduced,
     SusyPartner,
@@ -78,6 +77,8 @@ UNIFORM = "uniform-grid"
 
 _M_CAP_DEFAULT = 2048
 _MIN_SIZE = 8
+# A Morse grid is never started smaller than for this many levels.
+_MORSE_MIN_LEVELS = 4
 
 # WKB decay exponent of the top requested level at the edge of the starting
 # oscillator mesh: exp(-40) ~ 4e-18 puts the truncated tail below rounding.
@@ -283,7 +284,7 @@ def build_hamiltonian(spec, mesh):
 
 def _is_even(spec):
     """Whether the spec's type guarantees V(-x) = V(x)."""
-    if isinstance(spec, (SexticReduced, SexticGeneral, EvenPolynomial)):
+    if isinstance(spec, EVEN_WELLS):
         return True
     return isinstance(spec, SusyPartner) and _is_even(spec.base) and isinstance(spec.seed, SexticGround)
 
@@ -433,7 +434,13 @@ def _morse_box(spec, k):
     six points per shortest classical wavelength (Colbert & Miller,
     J. Chem. Phys. 96 (1992) 1982).  This sizes the first solve, not the
     last; the refinement loop grows it while its certificate is too large.
+
+    Box and grid are sized for at least the four lowest levels (all of them
+    in a shallower well): the lowest levels carry momentum well beyond
+    their classical maximum, and a ground level certifies to 1e-9 only at
+    about 2.5 times its own six-points-per-wavelength size.
     """
+    k = max(k, min(_MORSE_MIN_LEVELS, morse_bound_count(spec)))
     beta, c1, v_inf = spec.beta, spec.c1, spec.v_inf
     z_left = max(math.sqrt(800.0 * max(v_inf, 1.0)), 3.0 * c1, 20.0) / spec.a
     x_left = -math.log(z_left) / spec.alpha
@@ -532,10 +539,10 @@ def _refine(spec, k, tol, m_cap, M, mesh_at):
     )
 
 
-def count_sign_changes(values, rel_threshold=1e-8):
-    """Sign changes in a node-value vector, ignoring near-zero entries."""
+def count_sign_changes(values):
+    """Sign changes in a node-value vector, ignoring entries below 1e-8 of its largest."""
     v = np.asarray(values, dtype=float)
-    keep = v[np.abs(v) > rel_threshold * np.max(np.abs(v))]
+    keep = v[np.abs(v) > 1e-8 * np.max(np.abs(v))]
     return int(np.sum(np.sign(keep[1:]) != np.sign(keep[:-1])))
 
 

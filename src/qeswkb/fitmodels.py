@@ -30,7 +30,7 @@ the four or five denominator coefficients, in one start from the
 published parameters.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 import numpy as np
@@ -322,25 +322,22 @@ def fit_energy(data, ground_energy, init=None, n_label=None):
     return _report(params, energy_fit_eval, n_arr[keep], e_arr[keep], n_arr, result)
 
 
-_GAMMA_FIELDS = ("a0", "a1", "b1", "b2", "b3", "b4", "N_label")
-_ENERGY_FIELDS = (
-    "E0", "A0", "A1", "A2", "A3", "A4", "A5", "A6",
-    "B1", "B2", "B3", "B4", "B5", "N_label",
-)
+_GAMMA_FIELDS = tuple(f.name for f in fields(GammaFitParams))
+_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyFitParams))
 
 
 def format_fit_params(params):
     """Flat text rendering of a parameter set, one `name value` pair per line."""
     if isinstance(params, GammaFitParams):
-        fields = _GAMMA_FIELDS
+        names = _GAMMA_FIELDS
         kind = "gamma"
     elif isinstance(params, EnergyFitParams):
-        fields = _ENERGY_FIELDS
+        names = _ENERGY_FIELDS
         kind = "energy"
     else:
         raise DomainError("unknown parameter set type %r" % type(params).__name__)
     lines = ["model %s" % kind]
-    lines.extend("%s %.17g" % (name, getattr(params, name)) for name in fields)
+    lines.extend("%s %.17g" % (name, getattr(params, name)) for name in names)
     return "\n".join(lines) + "\n"
 
 
@@ -365,15 +362,15 @@ def parse_fit_params(text):
                 "parameter %s has non-numeric value %r" % (name, value.strip())
             ) from None
     if kind == "gamma":
-        fields, cls = _GAMMA_FIELDS, GammaFitParams
+        names, cls = _GAMMA_FIELDS, GammaFitParams
     elif kind == "energy":
-        fields, cls = _ENERGY_FIELDS, EnergyFitParams
+        names, cls = _ENERGY_FIELDS, EnergyFitParams
     else:
         raise DomainError("parameter text must declare `model gamma` or `model energy`")
-    missing = [name for name in fields if name not in entries]
+    missing = [name for name in names if name not in entries]
     if missing:
         raise DomainError("missing parameter fields: %s" % ", ".join(missing))
-    extra = [name for name in entries if name not in fields]
+    extra = [name for name in entries if name not in names]
     if extra:
         raise DomainError("unknown parameter fields: %s" % ", ".join(extra))
-    return cls(**{name: entries[name] for name in fields})
+    return cls(**{name: entries[name] for name in names})

@@ -8,6 +8,11 @@ recurrence per family that both the seeds' log-derivatives and the exact
 algebraic states use, and the flat key-value spec format that the CLI and
 its config files share.
 
+Every even well (both sextic families and ``EvenPolynomial``) exposes its
+potential as ``coeffs``, the ascending coefficients of V in x^2, and
+``EVEN_WELLS`` names those types once: one evaluator serves all of them,
+as does ``wkb``'s one turning-point rule.
+
 Units are atomic throughout (hbar = m = 1).
 """
 
@@ -33,7 +38,8 @@ __all__ = [
     "PotentialSpec",
     "SeedSpec",
     "evaluate",
-    "sextic_coefficients",
+    "SEXTICS",
+    "EVEN_WELLS",
     "seed_log_derivatives",
     "susy_partner_closed_form",
     "morse_asymptote",
@@ -55,6 +61,12 @@ def _as_int(value, what):
 # potential specifications
 # ---------------------------------------------------------------------------
 
+def _sextic_coeffs(spec):
+    """Ascending x^2-coefficients (0, c2, c4, c6) of a sextic well."""
+    nu, mu = spec.nu, spec.mu
+    return (0.0, 0.5 * (mu * mu - (4.0 * spec.N + 3.0) * nu), nu * mu, 0.5 * nu * nu)
+
+
 @dataclass(frozen=True)
 class SexticReduced:
     """Sextic oscillator V(x) = (x^6 + 2 x^4 - 2 (2N+1) x^2) / 2.
@@ -66,9 +78,15 @@ class SexticReduced:
 
     N: float
 
+    # Class attributes, not fields: the reduced well is the general one at
+    # nu = mu = 1, and its repr, equality and spec line stay N alone.
+    nu = 1.0
+    mu = 1.0
+
     def __post_init__(self):
         if not math.isfinite(self.N):
             raise DomainError("N must be finite")
+        object.__setattr__(self, "coeffs", _sextic_coeffs(self))
 
 
 @dataclass(frozen=True)
@@ -84,6 +102,7 @@ class SexticGeneral:
             raise DomainError(f"nu must be positive, got {self.nu}")
         if not (math.isfinite(self.mu) and math.isfinite(self.N)):
             raise DomainError("mu and N must be finite")
+        object.__setattr__(self, "coeffs", _sextic_coeffs(self))
 
 
 @dataclass(frozen=True)
@@ -203,37 +222,19 @@ class SusyPartner:
 PotentialSpec = Union[SexticReduced, SexticGeneral, Morse, EvenPolynomial, SusyPartner]
 SeedSpec = Union[SexticGround, MorseGround]
 
+SEXTICS = (SexticReduced, SexticGeneral)
+EVEN_WELLS = SEXTICS + (EvenPolynomial,)
+
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def sextic_coefficients(spec):
-    """Coefficients (c6, c4, c2) with V(x) = c6 x^6 + c4 x^4 + c2 x^2.
-
-    The reduced variant delegates to the general one at nu = mu = 1, so the
-    two families agree bit-for-bit there.
-    """
-    if isinstance(spec, SexticReduced):
-        nu, mu, N = 1.0, 1.0, spec.N
-    elif isinstance(spec, SexticGeneral):
-        nu, mu, N = spec.nu, spec.mu, spec.N
-    else:
-        raise UnsupportedParameterError(f"not a sextic spec: {spec!r}")
-    return 0.5 * nu * nu, nu * mu, 0.5 * (mu * mu - (4.0 * N + 3.0) * nu)
-
 
 def _check_x(x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
     return x
-
-
-def _eval_sextic(spec, x):
-    c6, c4, c2 = sextic_coefficients(spec)
-    u = x * x
-    return ((c6 * u + c4) * u + c2) * u
 
 
 def _eval_morse(spec, x):
@@ -243,7 +244,15 @@ def _eval_morse(spec, x):
 
 
 def _eval_even_poly(spec, x):
-    return npoly.polyval(x * x, spec.coeffs)
+    # Horner in u = x^2 that skips zero coefficients: the sextic costs three
+    # multiplies, and its zero constant term keeps the sign of V(0) = -0.
+    u = x * x
+    *lower, v = spec.coeffs
+    if not lower:
+        return np.full_like(u, v)
+    for c in reversed(lower):
+        v = v * u + c if c else v * u
+    return v
 
 
 def _eval_partner(spec, x):
@@ -252,13 +261,8 @@ def _eval_partner(spec, x):
     return base_v - w1
 
 
-_EVALUATORS = {
-    SexticReduced: _eval_sextic,
-    SexticGeneral: _eval_sextic,
-    Morse: _eval_morse,
-    EvenPolynomial: _eval_even_poly,
-    SusyPartner: _eval_partner,
-}
+_EVALUATORS = {kind: _eval_even_poly for kind in EVEN_WELLS}
+_EVALUATORS.update({Morse: _eval_morse, SusyPartner: _eval_partner})
 
 
 def evaluate(spec, x):
@@ -357,7 +361,7 @@ def seed_log_derivatives(seed, x, check_positive=False):
 # closed-form partner
 # ---------------------------------------------------------------------------
 
-def susy_partner_closed_form(spec, N=None):
+def susy_partner_closed_form(spec):
     """Closed form of the Morse partner potential built from the ground-state seed.
 
     Factorizing out the ground state of the Morse spec with integer
@@ -372,9 +376,7 @@ def susy_partner_closed_form(spec, N=None):
     """
     if not isinstance(spec, Morse):
         raise UnsupportedParameterError("susy_partner_closed_form requires a Morse spec")
-    n_int = _as_int(spec.N if N is None else N, "Morse N")
-    if N is not None and abs(float(N) - spec.N) > 1e-12:
-        raise UnsupportedParameterError("explicit N disagrees with the potential's N")
+    n_int = _as_int(spec.N, "Morse N")
     beta = Morse(spec.a, spec.b, spec.alpha, float(n_int)).beta
     shift = spec.alpha * beta - 0.5 * spec.alpha**2
     return Morse(spec.a, spec.b, spec.alpha, float(n_int - 1)), shift

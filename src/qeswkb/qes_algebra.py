@@ -30,10 +30,9 @@ from .errors import (
     SpectrumExhaustedError,
 )
 from .potentials import (
+    SEXTICS,
     Morse,
     MorseGround,
-    SexticGeneral,
-    SexticReduced,
     SexticGround,
     SusyPartner,
     _as_int,
@@ -52,7 +51,6 @@ class QesMatrix:
 
     dim: int
     entries: np.ndarray
-    basis: tuple
     family: str
     gauge: tuple
 
@@ -102,9 +100,6 @@ class QesState:
             gauge * np.polyval(self.chain[k][::-1], z) for k in range(order + 1)
         )
 
-    def psi(self, x):
-        return self.derivatives(x, 0)[0]
-
 
 def _apply_sextic_h0_poly(n_index, nu, mu, coeffs):
     """Apply the gauge-rotated sextic operator to a z-polynomial.
@@ -138,54 +133,44 @@ def _apply_morse_h0_poly(n_index, a, b, alpha, coeffs):
     return out
 
 
-def sextic_h0_matrix(n_index, nu=1.0, mu=1.0):
-    """Algebraic block of the sextic well on monomials of degree <= N."""
-    n_index = _as_int(n_index, "N")
-    if n_index < 0:
-        raise DomainError("N must be non-negative")
-    nu = float(nu)
-    mu = float(mu)
-    if nu <= 0.0:
-        raise DomainError("leading strength nu must be positive")
-    dim = n_index + 1
+def _h0_matrix(dim, apply_poly, family, gauge):
+    """Block whose column k is ``apply_poly`` of z^k, truncated to the dim monomials."""
     entries = np.zeros((dim, dim))
     for k in range(dim):
         column = np.zeros(dim)
         column[k] = 1.0
-        image = _apply_sextic_h0_poly(n_index, nu, mu, column)
-        entries[:, k] = image[:dim]
-    return QesMatrix(
-        dim=dim,
-        entries=entries,
-        basis=tuple("1" if k == 0 else "z^%d" % k for k in range(dim)),
-        family="sextic",
-        gauge=(nu, mu, float(n_index)),
+        entries[:, k] = apply_poly(column)[:dim]
+    return QesMatrix(dim=dim, entries=entries, family=family, gauge=gauge)
+
+
+def sextic_h0_matrix(n_index, nu=1.0, mu=1.0):
+    """Algebraic block of the sextic well on monomials of degree <= N."""
+    n_index = _as_int(n_index, "N")
+    nu = float(nu)
+    mu = float(mu)
+    if nu <= 0.0:
+        raise DomainError("leading strength nu must be positive")
+    return _h0_matrix(
+        n_index + 1,
+        lambda c: _apply_sextic_h0_poly(n_index, nu, mu, c),
+        "sextic",
+        (nu, mu, float(n_index)),
     )
 
 
 def morse_h0_matrix(n_index, a, b, alpha):
     """Algebraic block of the exponential well on monomials of degree <= N."""
     n_index = _as_int(n_index, "N")
-    if n_index < 0:
-        raise DomainError("N must be non-negative")
     a = float(a)
     b = float(b)
     alpha = float(alpha)
     if a <= 0.0 or alpha <= 0.0:
         raise DomainError("scale parameters a and alpha must be positive")
-    dim = n_index + 1
-    entries = np.zeros((dim, dim))
-    for k in range(dim):
-        column = np.zeros(dim)
-        column[k] = 1.0
-        image = _apply_morse_h0_poly(n_index, a, b, alpha, column)
-        entries[:, k] = image[:dim]
-    return QesMatrix(
-        dim=dim,
-        entries=entries,
-        basis=tuple("1" if k == 0 else "z^%d" % k for k in range(dim)),
-        family="morse",
-        gauge=(a, b, alpha, float(n_index)),
+    return _h0_matrix(
+        n_index + 1,
+        lambda c: _apply_morse_h0_poly(n_index, a, b, alpha, c),
+        "morse",
+        (a, b, alpha, float(n_index)),
     )
 
 
@@ -246,10 +231,8 @@ def _monic(vector):
 
 def qes_states(spec):
     """All exactly known levels of a quasi-solvable well, sorted by energy."""
-    if isinstance(spec, (SexticReduced, SexticGeneral)):
-        nu = getattr(spec, "nu", 1.0)
-        mu = getattr(spec, "mu", 1.0)
-        block = sextic_h0_matrix(spec.N, nu, mu)
+    if isinstance(spec, SEXTICS):
+        block = sextic_h0_matrix(spec.N, spec.nu, spec.mu)
     elif isinstance(spec, Morse):
         block = morse_h0_matrix(spec.N, spec.a, spec.b, spec.alpha)
     else:
@@ -325,18 +308,11 @@ class A1Plus:
 
     seed: object
 
-    def w_chain(self, x):
-        return seed_log_derivatives(self.seed, x)
-
-    def __call__(self, f, fprime, x):
-        w, _, _ = self.w_chain(np.asarray(x, dtype=float))
-        return (-np.asarray(fprime, float) + w * np.asarray(f, float)) / _SQRT2
-
     def apply_values(self, x, values):
         """Map (f, f', f'', [f''']) to (phi, [phi', [phi'']])."""
         if len(values) < 2:
             raise DomainError("need at least the value and first derivative")
-        w, w1, w2 = self.w_chain(np.asarray(x, dtype=float))
+        w, w1, w2 = seed_log_derivatives(self.seed, np.asarray(x, dtype=float))
         out = [(-values[1] + w * values[0]) / _SQRT2]
         if len(values) >= 3:
             out.append((-values[2] + w1 * values[0] + w * values[1]) / _SQRT2)
@@ -361,10 +337,8 @@ def darboux(spec, seed):
     level spacing (see susy_partner_closed_form).
     """
     _nodeless_or_raise(seed.poly)
-    if isinstance(spec, (SexticReduced, SexticGeneral)) and seed.family == "sextic":
-        nu = getattr(spec, "nu", 1.0)
-        mu = getattr(spec, "mu", 1.0)
-        seed_spec = SexticGround(N=int(spec.N), poly=seed.poly, nu=nu, mu=mu)
+    if isinstance(spec, SEXTICS) and seed.family == "sextic":
+        seed_spec = SexticGround(N=int(spec.N), poly=seed.poly, nu=spec.nu, mu=spec.mu)
     elif isinstance(spec, Morse) and seed.family == "morse":
         coeffs = np.asarray(seed.poly, dtype=float)
         if len(coeffs) != int(spec.N) + 1 or (

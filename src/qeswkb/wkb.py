@@ -13,6 +13,10 @@ pi (n + 1/2) yields the correction exponent
 which measures how far the level deviates from the lowest-order
 quantization rule.  The inverse problem (find E such that the action
 matches a prescribed phase) is solved by bracketing and root finding.
+
+Turning points come from one rule for every even well, read from the
+well's ascending x^2-coefficients ``coeffs`` (both sextic families and
+``EvenPolynomial``), and from a closed form for the Morse well.
 """
 
 from dataclasses import dataclass
@@ -31,15 +35,7 @@ from .errors import (
     SearchError,
     SpectrumExhaustedError,
 )
-from .potentials import (
-    EvenPolynomial,
-    Morse,
-    SexticGeneral,
-    SexticReduced,
-    _as_int,
-    evaluate,
-    sextic_coefficients,
-)
+from .potentials import EVEN_WELLS, SEXTICS, Morse, _as_int, evaluate
 
 _NODE_CAP = 8000
 _GROWTH = 1.45
@@ -68,72 +64,44 @@ def _leggauss(m):
     return nodes, weights
 
 
-def _sextic_turning(spec, energy):
-    c6, c4, c2 = sextic_coefficients(spec)
-    if c2 >= 0.0:
-        v_min = 0.0
-    else:
-        # Stationary point of the even profile in u = x^2.
-        u_min = (-c4 + math.sqrt(c4 * c4 - 3.0 * c6 * c2)) / (3.0 * c6)
-        v_min = ((c6 * u_min + c4) * u_min + c2) * u_min
-    if energy <= v_min:
+def _even_turning(spec, energy):
+    coeffs = spec.coeffs
+    roots = np.roots(coeffs[:0:-1] + (coeffs[0] - energy,)).tolist()
+    positive = sorted(
+        r.real for r in roots if r.real > 0.0 and abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))
+    )
+    if not positive:
         raise NoClassicalRegionError(
-            "energy %.6g does not exceed the potential minimum %.6g" % (energy, v_min)
+            "no positive turning point found at energy %.6g" % energy
         )
-    if c2 < 0.0 and energy <= 0.0:
+    # By evenness, an allowed set that avoids the origin comes in mirror
+    # pairs, and so does one with more than one turning radius.
+    if energy <= coeffs[0]:
         raise MultiWellError(
             "energy %.6g lies below the central barrier top; the allowed "
             "region splits into two symmetric wells" % energy
         )
-    roots = np.roots([c6, c4, c2, -energy])
-    real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))]
-    positive = real[real > 0.0]
-    if positive.size == 0:
-        raise NoClassicalRegionError(
-            "no positive turning point found at energy %.6g" % energy
-        )
-    x = math.sqrt(float(np.max(positive)))
-    # Two Newton steps in x remove the squaring round-off.
-    for _ in range(2):
-        f = ((c6 * x * x + c4) * x * x + c2) * x * x - energy
-        df = (6.0 * c6 * x * x * x * x + 4.0 * c4 * x * x + 2.0 * c2) * x
-        if df != 0.0:
-            x -= f / df
-    return -x, x
-
-
-def _even_poly_turning(spec, energy):
-    coeffs = np.asarray(spec.coeffs, dtype=float)
-    if energy <= coeffs[0]:
-        raise NoClassicalRegionError(
-            "energy %.6g does not exceed the potential value at the origin" % energy
-        )
-    poly = coeffs[::-1].copy()
-    poly[-1] -= energy
-    roots = np.roots(poly) if poly.size > 1 else np.array([])
-    real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))]
-    positive = np.sort(real[real > 0.0])
-    if positive.size == 0:
-        raise NoClassicalRegionError(
-            "no positive turning point found at energy %.6g" % energy
-        )
-    distinct = [positive[0]]
-    for u in positive[1:]:
-        if u > distinct[-1] * (1.0 + 1e-9):
-            distinct.append(u)
-    if len(distinct) > 1:
+    if positive[-1] > positive[0] * (1.0 + 1e-9):
         raise MultiWellError(
-            "found %d distinct turning radii at energy %.6g; the allowed "
-            "region is not a single interval" % (len(distinct), energy)
+            "found more than one turning radius at energy %.6g; the allowed "
+            "region is not a single interval" % energy
         )
-    x = math.sqrt(float(distinct[0]))
-    dcoeffs = coeffs[1:] * np.arange(1, coeffs.size)
+    x = math.sqrt(positive[-1])
+    # Two Newton steps in x remove the squaring round-off.  V and V' are
+    # multiplied out in x, left to right, highest power first.
+    top = len(coeffs) - 1
     for _ in range(2):
-        u = x * x
-        f = float(np.polyval(coeffs[::-1], u)) - energy
-        df = 2.0 * x * float(np.polyval(dcoeffs[::-1], u))
+        f = coeffs[top]
+        df = 0.0
+        for k in range(top, 0, -1):
+            f = f * x * x + coeffs[k - 1]
+            term = 2.0 * k * coeffs[k]
+            for _power in range(2 * k - 2):
+                term *= x
+            df += term
+        df *= x
         if df != 0.0:
-            x -= f / df
+            x -= (f - energy) / df
     return -x, x
 
 
@@ -155,30 +123,29 @@ def _morse_turning(spec, energy):
     return -math.log(z_hi) / spec.alpha, -math.log(z_lo) / spec.alpha
 
 
-_TURNING = {
-    SexticReduced: _sextic_turning,
-    SexticGeneral: _sextic_turning,
-    EvenPolynomial: _even_poly_turning,
-    Morse: _morse_turning,
-}
-
-
 def turning_points(spec, energy):
     """Classical turning points (x_left, x_right) at the given energy.
 
     Raises NoClassicalRegionError when the energy does not open an allowed
     region, MultiWellError when it opens more than one, and
     AboveAsymptoteError when the energy reaches an asymptotic plateau.
+
+    Every even well takes one rule, from the positive roots u of
+    sum_k coeffs[k] u^k = E.  No root raises NoClassicalRegionError.  An
+    energy at or below V(0), or more than one distinct root, raises
+    MultiWellError: by evenness the allowed set then comes in mirror
+    pairs.  Otherwise the turning points are -sqrt(u) and sqrt(u).
     """
     energy = float(energy)
     if not math.isfinite(energy):
         raise DomainError("energy must be finite")
-    handler = _TURNING.get(type(spec))
-    if handler is None:
-        raise DomainError(
-            "no turning-point rule for potential family %r" % type(spec).__name__
-        )
-    return handler(spec, energy)
+    if isinstance(spec, EVEN_WELLS):
+        return _even_turning(spec, energy)
+    if isinstance(spec, Morse):
+        return _morse_turning(spec, energy)
+    raise DomainError(
+        "no turning-point rule for potential family %r" % type(spec).__name__
+    )
 
 
 def action(spec, energy, tol=1e-10):
@@ -285,7 +252,7 @@ def gamma(spec, n, energy, tol=1e-11):
 def _invert_single_well(spec, target, tol):
     base = float(evaluate(spec, 0.0))
     guess = (target / math.pi) ** 1.5
-    if isinstance(spec, (SexticReduced, SexticGeneral)):
+    if isinstance(spec, SEXTICS):
         guess *= 1.2
     d_hi = max(2.0, 2.0 * guess)
     for _ in range(200):

@@ -209,6 +209,14 @@ def test_solve_counts(monkeypatch):
     assert spectrum.mesh.size < 1024
 
 
+def test_low_morse_requests_take_at_most_two_solves():
+    for depth in (0.0, 1.0, 2.0, 3.0):
+        spec = Morse(1.0, 8.0, SQRT2, depth)
+        for k in (1, 2, 3):
+            spectrum = lowest_eigen(spec, k, tol=1e-9)
+            assert len(spectrum.refinement_deltas) <= 2, (depth, k, spectrum.refinement_deltas)
+
+
 def test_oscillator_path_needs_even_well():
     base = SexticReduced(1.0)
     partner, _ = qes_algebra.darboux(base, qes_algebra.qes_states(base)[0])

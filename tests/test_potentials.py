@@ -22,7 +22,6 @@ from qeswkb.potentials import (
     morse_asymptote,
     parse_spec,
     seed_log_derivatives,
-    sextic_coefficients,
     susy_partner_closed_form,
 )
 
@@ -38,7 +37,8 @@ def test_sextic_reduced_values():
 
 
 def test_sextic_coefficients_mapping():
-    c6, c4, c2 = sextic_coefficients(SexticGeneral(nu=2.0, mu=3.0, N=1.0))
+    c0, c2, c4, c6 = SexticGeneral(nu=2.0, mu=3.0, N=1.0).coeffs
+    assert c0 == 0.0
     assert c6 == pytest.approx(0.5 * 4.0)
     assert c4 == pytest.approx(6.0)
     assert c2 == pytest.approx(0.5 * (9.0 - 7.0 * 2.0))
@@ -50,6 +50,17 @@ def test_reduction_identity_exact():
         general = evaluate(SexticGeneral(1.0, 1.0, depth), x)
         reduced = evaluate(SexticReduced(depth), x)
         assert np.array_equal(general, reduced)
+
+
+def test_even_wells_share_one_evaluator():
+    # the grid holds x = 0, where the sextic's zero constant term keeps -0
+    x = np.concatenate([np.linspace(-3.0, 3.0, 121), [0.0, -0.0]])
+    for depth in (0.0, 0.25, 0.7, 2.0):
+        reduced = evaluate(SexticReduced(depth), x)
+        for other in (SexticGeneral(1.0, 1.0, depth), EvenPolynomial(SexticReduced(depth).coeffs)):
+            values = evaluate(other, x)
+            assert np.array_equal(values, reduced)
+            assert np.array_equal(np.signbit(values), np.signbit(reduced))
 
 
 def test_evenness():

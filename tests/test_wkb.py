@@ -126,6 +126,20 @@ def test_turning_point_errors():
         turning_points(bumpy, 0.05)
 
 
+def test_even_polynomial_double_well_is_multi_well():
+    # V = x^4 - x^2 has its bottom at -1/4 away from the origin: an energy
+    # between the bottom and the barrier top V(0) = 0 opens two mirror wells
+    double = EvenPolynomial((0.0, -1.0, 1.0))
+    for energy in (-0.2499, -0.2, -0.1, -1e-9, 0.0):
+        with pytest.raises(MultiWellError):
+            turning_points(double, energy)
+    for energy in (-0.2501, -1.0):
+        with pytest.raises(NoClassicalRegionError):
+            turning_points(double, energy)
+    _, x_right = turning_points(double, 2.0)
+    assert x_right == pytest.approx(math.sqrt(2.0), rel=1e-14)
+
+
 def test_negative_qes_ground_level_is_double_well():
     # the lowest exactly known level of the N=1 well sits below the barrier
     energy = 1.5 - math.sqrt(3.0)
