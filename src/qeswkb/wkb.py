@@ -12,7 +12,12 @@ pi (n + 1/2) yields the correction exponent
 
 which measures how far the level deviates from the lowest-order
 quantization rule.  The inverse problem (find E such that the action
-matches a prescribed phase) is solved by bracketing and root finding.
+matches a prescribed phase) is solved by safeguarded Newton steps on
+S(E), whose slope dS/dE is the classical period
+
+    T(E) = integral of dx / sqrt(2 (E - V(x))),
+
+summed on the same quadrature nodes as S.
 
 Turning points come from one rule for every even well, read from the
 well's ascending x^2-coefficients ``coeffs`` (both sextic families and
@@ -24,7 +29,6 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     AboveAsymptoteError,
@@ -64,13 +68,75 @@ def _leggauss(m):
     return nodes, weights
 
 
+@lru_cache(maxsize=64)
+def _pieces(coeffs):
+    """Edges and values of the monotone pieces of q(u) = sum_k coeffs[k] u^k on u >= 0.
+
+    The inner edges are the positive real parts of the roots of q'.  That
+    set holds every positive critical radius, even one that rounding has
+    split into a complex pair; an extra edge only splits a monotone piece
+    in two.  The last edge is u = inf, where q tends to +inf (the leading
+    coefficient of an even well is positive) unless q is constant.
+    """
+    top = len(coeffs) - 1
+    slope = [k * coeffs[k] for k in range(top, 0, -1)]
+    inner = sorted({r.real for r in np.roots(slope).tolist() if r.real > 0.0})
+    edges = (0.0, *inner, math.inf)
+    values = (coeffs[0], *(_poly_and_slope(coeffs, u)[0] for u in inner),
+              math.inf if top else coeffs[0])
+    return edges, values
+
+
+def _poly_and_slope(coeffs, u):
+    """q(u) and q'(u) by one Horner pass, highest power first."""
+    f = coeffs[-1]
+    df = 0.0
+    for c in coeffs[-2::-1]:
+        df = df * u + f
+        f = f * u + c
+    return f, df
+
+
+def _piece_root(coeffs, energy, lo, hi, rising):
+    """The one root of q(u) = E on a monotone piece (lo, hi), hi possibly inf.
+
+    Newton steps from the leading-term estimate ((E - c_0) / c_top)^(1/top),
+    bisecting (or doubling, while hi is inf) whenever a step leaves the
+    bracket; stops at 1e-10 relative, since the caller refines in x.
+    """
+    top = len(coeffs) - 1
+    u = ((energy - coeffs[0]) / coeffs[top]) ** (1.0 / top)
+    if not lo < u < hi:
+        u = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0
+    for _ in range(200):
+        f, df = _poly_and_slope(coeffs, u)
+        f -= energy
+        if f == 0.0:
+            break
+        if (f < 0.0) == rising:
+            lo = u
+        else:
+            hi = u
+        new = u - f / df if df != 0.0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * u
+        if abs(new - u) <= 1e-10 * new:
+            return new
+        u = new
+    return u
+
+
 def _even_turning(spec, energy):
     coeffs = spec.coeffs
-    roots = np.roots(coeffs[:0:-1] + (coeffs[0] - energy,)).tolist()
-    positive = sorted(
-        r.real for r in roots if r.real > 0.0 and abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))
-    )
-    if not positive:
+    edges, values = _pieces(coeffs)
+    # A piece (a, b] holds a turning radius where q - E changes sign
+    # across it, or where q(b) = E at a finite edge.
+    crossings = [
+        i for i in range(len(edges) - 1)
+        if (values[i] - energy) * (values[i + 1] - energy) < 0.0
+        or (values[i + 1] == energy and edges[i + 1] < math.inf)
+    ]
+    if not crossings:
         raise NoClassicalRegionError(
             "no positive turning point found at energy %.6g" % energy
         )
@@ -81,12 +147,17 @@ def _even_turning(spec, energy):
             "energy %.6g lies below the central barrier top; the allowed "
             "region splits into two symmetric wells" % energy
         )
-    if positive[-1] > positive[0] * (1.0 + 1e-9):
+    if len(crossings) > 1:
         raise MultiWellError(
             "found more than one turning radius at energy %.6g; the allowed "
             "region is not a single interval" % energy
         )
-    x = math.sqrt(positive[-1])
+    i = crossings[0]
+    if values[i + 1] == energy:
+        u = edges[i + 1]
+    else:
+        u = _piece_root(coeffs, energy, edges[i], edges[i + 1], values[i] < energy)
+    x = math.sqrt(u)
     # Two Newton steps in x remove the squaring round-off.  V and V' are
     # multiplied out in x, left to right, highest power first.
     top = len(coeffs) - 1
@@ -130,11 +201,15 @@ def turning_points(spec, energy):
     region, MultiWellError when it opens more than one, and
     AboveAsymptoteError when the energy reaches an asymptotic plateau.
 
-    Every even well takes one rule, from the positive roots u of
-    sum_k coeffs[k] u^k = E.  No root raises NoClassicalRegionError.  An
-    energy at or below V(0), or more than one distinct root, raises
-    MultiWellError: by evenness the allowed set then comes in mirror
-    pairs.  Otherwise the turning points are -sqrt(u) and sqrt(u).
+    Every even well takes one rule, from the positive roots u = x^2 of
+    q(u) = sum_k coeffs[k] u^k = E.  The critical radii of q, found once
+    per ``coeffs``, cut u > 0 into monotone pieces, each holding at most
+    one root; a piece holds one where q - E changes sign across it or
+    vanishes at its finite upper edge.  No root raises
+    NoClassicalRegionError.  An energy at or below V(0), or more than one
+    root, raises MultiWellError: by evenness the allowed set then comes in
+    mirror pairs.  Otherwise Newton steps in u, safeguarded by the piece,
+    and two in x give the turning points -x and x.
     """
     energy = float(energy)
     if not math.isfinite(energy):
@@ -148,36 +223,48 @@ def turning_points(spec, energy):
     )
 
 
-def action(spec, energy, tol=1e-10):
-    """Classical action across the allowed region at the given energy.
+def _quadrature(spec, energy, tol):
+    """Turning points, action S and period T = dS/dE at one energy.
 
-    The integral picks up inverse-square-root behaviour at both turning
-    points, so the interval is mapped through x = mid + half*sin(theta),
-    which flattens both edges.  The Gauss-Legendre node count then grows
-    geometrically until two consecutive refinements agree to ``tol``
-    (relative for actions above one).  Failure to stabilise within the
-    node budget raises AccuracyError carrying the best achieved delta.
+    The integrand of S has inverse-square-root behaviour at both turning
+    points, so the interval is mapped through x = mid + half sin(phi),
+    which flattens both edges.  An even well is folded onto [0, x_right]
+    first, x = x_right sin(theta) with theta in (0, pi/2), and doubled: a
+    barrier top at the origin then sits at an endpoint, where the rule
+    converges, not inside the interval.  The Gauss-Legendre node count
+    grows geometrically until two consecutive refinements agree to ``tol``
+    (relative for actions above one); failure to stabilise within the node
+    budget raises AccuracyError carrying the best achieved delta.
+
+    T = integral of dx / sqrt(2 (E - V)) is summed on the final nodes.  The
+    map makes its integrand cos(phi) / sqrt(2 (E - V)) finite at the
+    turning points; a node where rounding leaves E - V <= 0 adds nothing.
     """
     x_left, x_right = turning_points(spec, energy)
-    mid = 0.5 * (x_left + x_right)
-    half = 0.5 * (x_right - x_left)
+    if isinstance(spec, EVEN_WELLS):
+        center, scale, width, shift = 0.0, x_right, 0.25 * math.pi, 1.0
+    else:
+        center, scale = 0.5 * (x_left + x_right), 0.5 * (x_right - x_left)
+        width, shift = 0.5 * math.pi, 0.0
+    prefactor = 0.5 * math.pi * scale
     previous = None
     delta = math.inf
     hits = 0
     m = 24
     while m <= _NODE_CAP:
         nodes, weights = _leggauss(m)
-        phase = 0.5 * math.pi * nodes
-        x = mid + half * np.sin(phase)
-        local = 2.0 * (energy - evaluate(spec, x))
-        integrand = np.sqrt(np.maximum(local, 0.0)) * np.cos(phase)
-        value = 0.5 * math.pi * half * float(np.dot(weights, integrand))
+        phase = width * (nodes + shift)
+        cos = np.cos(phase)
+        local = 2.0 * (energy - evaluate(spec, center + scale * np.sin(phase)))
+        root = np.sqrt(np.maximum(local, 0.0))
+        value = prefactor * float(np.dot(weights, root * cos))
         if previous is not None:
             delta = abs(value - previous)
             if delta < tol * max(1.0, abs(value)):
                 hits += 1
                 if hits >= 2:
-                    return value
+                    ratio = np.divide(cos, root, out=np.zeros_like(root), where=root > 0.0)
+                    return x_left, x_right, value, prefactor * float(np.dot(weights, ratio))
             else:
                 hits = 0
         previous = value
@@ -187,6 +274,17 @@ def action(spec, energy, tol=1e-10):
         % (tol, _NODE_CAP),
         achieved=delta,
     )
+
+
+def action(spec, energy, tol=1e-10):
+    """Classical action across the allowed region at the given energy.
+
+    Computed by the endpoint-adapted Gauss-Legendre rule of ``_quadrature``
+    to ``tol`` (relative for actions above one); failure to stabilise
+    within the node budget raises AccuracyError carrying the best achieved
+    delta.
+    """
+    return _quadrature(spec, energy, tol)[2]
 
 
 def morse_action_closed(a, b, alpha, energy):
@@ -235,8 +333,7 @@ def gamma(spec, n, energy, tol=1e-11):
     if n < 0:
         raise DomainError("level index must be non-negative")
     energy = float(energy)
-    x_left, x_right = turning_points(spec, energy)
-    s = action(spec, energy, tol=tol)
+    x_left, x_right, s, _ = _quadrature(spec, energy, tol)
     value = s / math.pi - n - 0.5
     return WkbRecord(
         well_depth_index=float(getattr(spec, "N", math.nan)),
@@ -249,33 +346,8 @@ def gamma(spec, n, energy, tol=1e-11):
     )
 
 
-def _invert_single_well(spec, target, tol):
-    base = float(evaluate(spec, 0.0))
-    guess = (target / math.pi) ** 1.5
-    if isinstance(spec, SEXTICS):
-        guess *= 1.2
-    d_hi = max(2.0, 2.0 * guess)
-    for _ in range(200):
-        if action(spec, base + d_hi, tol=tol) >= target:
-            break
-        d_hi *= 2.0
-    else:
-        raise SearchError("could not bracket the action target from above")
-    d_lo = d_hi
-    floor = 1e-8 * max(1.0, abs(base))
-    while d_lo > floor:
-        d_lo *= 0.5
-        if action(spec, base + d_lo, tol=tol) < target:
-            break
-    else:
-        raise SearchError(
-            "action exceeds the target %.6g arbitrarily close to the well "
-            "bottom; no bracket exists" % target
-        )
-    return base + d_lo, base + d_hi
-
-
-def _invert_morse(spec, target, tol):
+def _morse_start(spec, target, tol):
+    """Bracket (lo, hi) and first energy for a Morse inversion."""
     s_max = math.pi * (spec.alpha + 2.0 * spec.beta) / (2.0 * spec.alpha)
     if target >= s_max:
         raise SpectrumExhaustedError(
@@ -288,7 +360,10 @@ def _invert_morse(spec, target, tol):
     hi = v_inf - 1e-12 * span
     if action(spec, hi, tol=tol) < target:
         raise SearchError("action target %.6g is not bracketed below the plateau" % target)
-    return lo, hi
+    # The harmonic rule at the well bottom, S = pi (E - v_min) / omega with
+    # omega = alpha c1 / 2, starts the convex S(E) from above.
+    guess = v_min + 0.5 * spec.alpha * spec.c1 * target / math.pi
+    return lo, hi, guess if guess < hi else 0.5 * (lo + hi)
 
 
 def bohr_sommerfeld_invert(spec, n, gamma0=0.0, tol=1e-12):
@@ -296,8 +371,23 @@ def bohr_sommerfeld_invert(spec, n, gamma0=0.0, tol=1e-12):
 
     Setting ``gamma0`` to a modelled correction turns the lowest-order
     quantization rule into a corrected one; gamma0 = 0 recovers the plain
-    rule.  The returned energy satisfies the phase condition to roughly
-    the action tolerance.
+    rule.  Each action quadrature (to ``tol``) also gives its slope, the
+    classical period T = dS/dE, for a Newton step E <- E - (S - target) / T.
+    The steps keep a bracket [lo, hi] of energies below and above the
+    target, and bisect it (or double the distance to the well bottom while
+    there is no upper end) whenever a step leaves it.  The iteration stops
+    once a step is at most 1e-13 max(1, |E|).  S is concave in E on the
+    sextic wells and convex on the Morse well, so the iterates close in
+    monotonically after at most one overshoot.
+
+    An even well starts from base + (target / pi)^(3/2), 1.2 times that on
+    the sextics, with base = V(0).  When a step falls to within 1e-15
+    max(1, |base|) of V(0), the action there is computed once: if it
+    already reaches the target, SearchError says that no bracket exists,
+    since a level that carries less phase lies below the barrier top.  A
+    Morse well starts from its harmonic estimate; a target at or beyond
+    the dissociation limit raises SpectrumExhaustedError, and one the
+    action below the plateau cannot reach raises SearchError.
     """
     n = _as_int(n, "level index")
     if n < 0:
@@ -310,15 +400,37 @@ def bohr_sommerfeld_invert(spec, n, gamma0=0.0, tol=1e-12):
             % target
         )
     if isinstance(spec, Morse):
-        lo, hi = _invert_morse(spec, target, tol)
+        lo, hi, energy = _morse_start(spec, target, tol)
+        base = floor = lo
     else:
-        lo, hi = _invert_single_well(spec, target, tol)
-    return float(
-        brentq(
-            lambda e: action(spec, e, tol=tol) - target,
-            lo,
-            hi,
-            rtol=1e-13,
-            maxiter=200,
-        )
-    )
+        base = float(evaluate(spec, 0.0))
+        guess = (target / math.pi) ** 1.5
+        if isinstance(spec, SEXTICS):
+            guess *= 1.2
+        lo, hi, energy = base, math.inf, base + guess
+        # Just above a barrier top the kink of sqrt(2 (E - V)) at x = 0 is
+        # rounded off over x ~ sqrt(E - V(0)).  This close, that changes S
+        # by about 1e-15 ln(1e15), far below the tolerance, so the folded
+        # rule converges on its first nodes; at 1e-9 it needs thousands.
+        floor = base + 1e-15 * max(1.0, abs(base))
+    for _ in range(200):
+        s, period = _quadrature(spec, energy, tol)[2:]
+        if s < target:
+            lo = energy
+        else:
+            hi = energy
+        step = (s - target) / period
+        new = energy - step
+        if abs(step) <= 1e-13 * max(1.0, abs(energy)):
+            return new
+        if lo < floor and new <= floor:
+            if _quadrature(spec, floor, tol)[2] >= target:
+                raise SearchError(
+                    "action at the barrier top already exceeds the target "
+                    "%.6g; no bracket exists" % target
+                )
+            lo = floor
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * energy - base
+        energy = new
+    raise SearchError("Newton iteration on the action target %.6g did not converge" % target)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +14,10 @@ from qeswkb.errors import (
     DomainError,
     MultiWellError,
     NoClassicalRegionError,
+    SearchError,
     SpectrumExhaustedError,
 )
+from qeswkb import fitmodels
 from qeswkb.potentials import EvenPolynomial, Morse, SexticGeneral, SexticReduced
 from qeswkb.wkb import (
     action,
@@ -222,3 +227,115 @@ def test_semiclassical_growth_exponent():
     n1 = 1_000_000
     ratio = math.log(level(n1)) / math.log(n1)
     assert abs(ratio - 1.5) < 0.01
+
+
+BUMPY = EvenPolynomial((0.0, 1.0, -3.0, 1.0))
+DOUBLE = EvenPolynomial((0.0, -1.0, 1.0))
+
+
+def _np_roots_turning(spec, energy):
+    """The companion-matrix rule: positive real roots u of q(u) = E, with q
+    the x^2-polynomial of the well, then two Newton steps in x."""
+    coeffs = spec.coeffs
+    roots = np.roots(coeffs[:0:-1] + (coeffs[0] - energy,)).tolist()
+    positive = sorted(
+        r.real for r in roots if r.real > 0.0 and abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))
+    )
+    if not positive:
+        raise NoClassicalRegionError("no positive root")
+    if energy <= coeffs[0] or positive[-1] > positive[0] * (1.0 + 1e-9):
+        raise MultiWellError("mirror pairs")
+    x = math.sqrt(positive[-1])
+    top = len(coeffs) - 1
+    for _ in range(2):
+        f = coeffs[top]
+        df = 0.0
+        for k in range(top, 0, -1):
+            f = f * x * x + coeffs[k - 1]
+            df += 2.0 * k * coeffs[k] * x ** (2 * k - 1)
+        x -= (f - energy) / df
+    return -x, x
+
+
+def _outcome(rule, spec, energy):
+    try:
+        return rule(spec, energy)
+    except (NoClassicalRegionError, MultiWellError) as exc:
+        return type(exc)
+
+
+def test_turning_points_match_np_roots_reference():
+    wells = (SexticReduced(0.0), SexticReduced(0.25), SexticReduced(0.5),
+             SexticReduced(0.7), HARMONIC, BUMPY, DOUBLE, SexticGeneral(2.0, 0.5, 1.0))
+    for spec in wells:
+        edges, values = wkb._pieces(spec.coeffs)
+        # off-centre well bottoms: the reference splits the double root
+        # there into a complex pair wider than its 1e-9 filter and reports
+        # no region; the allowed set is a mirror pair of points
+        bottoms = [values[i] for i in range(1, len(values) - 1)
+                   if values[i] < min(values[i - 1], values[i + 1])]
+        for energy in bottoms:
+            with pytest.raises(MultiWellError):
+                turning_points(spec, energy)
+        extrema = [v for v in values[1:-1] if v not in bottoms]
+        energies = [float(e) for e in np.linspace(-4.0, 60.0, 641)] + [spec.coeffs[0]] + extrema
+        for energy in energies:
+            expected = _outcome(_np_roots_turning, spec, energy)
+            got = _outcome(turning_points, spec, energy)
+            if isinstance(expected, type):
+                assert got is expected, (spec, energy)
+            else:
+                assert got[0] == -got[1]
+                assert abs(got[1] - expected[1]) <= 4e-16 * expected[1], (spec, energy)
+    # exact local extrema: the double well's bottom -1/4 at x^2 = 1/2 and
+    # the bumpy well's inner crest, which the outer branch passes over
+    assert _outcome(turning_points, DOUBLE, -0.25) is MultiWellError
+    assert _outcome(_np_roots_turning, DOUBLE, -0.25) is MultiWellError
+    crest = wkb._pieces(BUMPY.coeffs)[1][1]
+    assert _outcome(turning_points, BUMPY, crest) is _outcome(_np_roots_turning, BUMPY, crest)
+
+
+def test_period_is_the_action_slope():
+    # T = dS/dE: pi for the harmonic well, pi / (alpha sqrt(b^2 - 2E)) for
+    # the Morse well of morse_action_closed
+    for energy in (0.5, 3.0, 17.25):
+        assert wkb._quadrature(HARMONIC, energy, 1e-12)[3] == pytest.approx(math.pi, rel=1e-12)
+    for energy in (-1.0, 3.0, 27.0):
+        slope = math.pi / (SQRT2 * math.sqrt(64.0 - 2.0 * energy))
+        assert wkb._quadrature(MORSE_REF, energy, 1e-12)[3] == pytest.approx(slope, rel=1e-10)
+
+
+@pytest.mark.parametrize("depth, n", [(0.5, 0), (0.7, 0), (1.0, 0), (2.0, 0), (3.0, 0), (2.0, 1), (3.0, 1)])
+def test_below_barrier_targets_raise_search_error(depth, n):
+    # these levels lie below the barrier top V(0) = 0 (E0 = 1.5 - sqrt 3 at
+    # N = 1): no single-interval orbit carries so little phase
+    with pytest.raises(SearchError):
+        bohr_sommerfeld_invert(SexticReduced(depth), n)
+
+
+def test_quantize_inversions_take_at_most_five_quadratures(monkeypatch):
+    calls = []
+    quadrature = wkb._quadrature
+    monkeypatch.setattr(wkb, "_quadrature", lambda *a: calls.append(a) or quadrature(*a))
+    solves = []
+    turning = wkb.turning_points
+    monkeypatch.setattr(wkb, "turning_points", lambda *a: solves.append(a) or turning(*a))
+    for depth in (0.0, 0.25, 0.5, 0.7):
+        spec = SexticReduced(depth)
+        for n in range(3, 51):
+            del calls[:]
+            gamma0 = fitmodels.gamma_fit_eval(fitmodels.PUBLISHED_GAMMA[depth], n)
+            energy = bohr_sommerfeld_invert(spec, n, gamma0)
+            assert len(calls) <= 5, (depth, n, len(calls))
+            del solves[:]
+            assert gamma(spec, n, energy).gamma == pytest.approx(gamma0, abs=1e-9)
+            assert len(solves) == 1
+
+
+def test_wkb_does_not_import_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(wkb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, qeswkb.wkb; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
