@@ -2,9 +2,7 @@
 
 Every command writes text tables (CSV or TSV, one header line,
 15-significant-digit numbers) into an output directory, and repeated runs
-with the same configuration produce byte-identical files, except the
-energy-model refit's parameters, which that ill-determined fit can place
-differently from process to process.  The
+with the same configuration produce byte-identical files.  The
 ``reproduce`` command executes the full study pipeline: high-accuracy
 spectra and quantization corrections for the reduced sextic well at four
 depth indices, published-model residuals, refits, the exponential-well

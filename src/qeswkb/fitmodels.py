@@ -23,19 +23,21 @@ sextic well at four depth indices are bundled.
 Refits minimise the squared relative residuals.  Both models are linear
 in their numerator coefficients once the denominator is fixed, so one
 separable fitter serves both (variable projection; Golub & Pereyra,
-SIAM J. Numer. Anal. 10 (1973) 413): at each trial denominator a QR
-factorisation of the weighted basis removes a0, a1 or A0..A6, and
-Levenberg-Marquardt with the analytic projected Jacobian searches only
-the four or five denominator coefficients, in one start from the
-published parameters.
+SIAM J. Numer. Anal. 10 (1973) 413): at each trial denominator an SVD
+of the weighted basis removes a0, a1 or A0..A6, and Levenberg-Marquardt
+with the analytic projected Jacobian searches only the four or five
+denominator coefficients, in one start from the published parameters.
+The Levenberg-Marquardt loop is MINPACK's lmder (Moré, Lecture Notes in
+Mathematics 630 (1978) 105) written in NumPy, with its steps taken from an
+SVD of the scaled Jacobian; the module imports nothing from SciPy.
 """
 
 from dataclasses import dataclass, fields
 import math
+import sys
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.optimize import least_squares
 
 from .errors import DomainError, ModelDomainError, UnsupportedParameterError
 from .potentials import _as_int
@@ -49,6 +51,12 @@ def _level_index(n):
     return int(r)
 
 _MAX_NFEV = 20000
+_TOL = 1e-14  # MINPACK's ftol, xtol and gtol
+# Singular values at or below this fraction of the largest count as zero in
+# the Gauss-Newton step, where MINPACK's pivoted QR counts exact zeros on
+# the diagonal of R.
+_RANK_TOL = 64 * sys.float_info.epsilon
+_DWARF = sys.float_info.min  # MINPACK's dpmpar(2)
 
 
 @dataclass(frozen=True)
@@ -195,52 +203,169 @@ def asymptotic_coefficient():
     return 0.5 * math.pi**0.75 * (math.gamma(5.0 / 3.0) / math.gamma(7.0 / 6.0)) ** 1.5
 
 
+class _LMResult(NamedTuple):
+    """One ``least_squares`` run: the last accepted point, ``evaluate``'s
+    state and the Jacobian there, the evaluation count and the status."""
+
+    x: np.ndarray
+    state: object
+    jac: np.ndarray
+    nfev: int
+    status: int
+
+
+def _lm_parameter(s, g, delta, par):
+    """MINPACK's lmpar on the singular values s of the scaled Jacobian.
+
+    With g = U^T f, the step of parameter par in scaled coordinates is
+    V w, w_i = s_i g_i / (s_i^2 + par).  Returns par = 0 with the
+    Gauss-Newton step when its length is at most 1.1 delta; otherwise par
+    from safeguarded Newton steps on 1/||w|| - 1/delta (Hebden), within 10 %
+    of ||w|| = delta or after ten steps.  Returns (par, w, ||w||).
+    """
+    cut = s[0] * _RANK_TOL
+    w = [gi / si if si > cut else 0.0 for si, gi in zip(s, g)]
+    norm = math.hypot(*w)
+    fp = norm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, w, norm
+    sg = [si * gi for si, gi in zip(s, g)]
+    s2 = [si * si for si in s]
+    low = 0.0
+    if s[-1] > cut:
+        low = fp / delta * norm * norm / sum([(wi / si) ** 2 for wi, si in zip(w, s)])
+    gnorm = math.hypot(*sg)
+    high = gnorm / delta or _DWARF / min(delta, 0.1)
+    par = min(max(par, low), high) or gnorm / norm
+    for step in range(1, 11):
+        if par == 0.0:
+            par = max(_DWARF, 0.001 * high)
+        w = [sgi / (si2 + par) for sgi, si2 in zip(sg, s2)]
+        norm = math.hypot(*w)
+        last, fp = fp, norm - delta
+        if abs(fp) <= 0.1 * delta or (low == 0.0 and fp <= last < 0.0) or step == 10:
+            return par, w, norm
+        if fp > 0.0:
+            low = max(low, par)
+        else:
+            high = min(high, par)
+        slope = sum([wi * wi / (si2 + par) for wi, si2 in zip(w, s2)])
+        par = max(low, par + fp / delta * norm * norm / slope)
+
+
+def least_squares(evaluate, jacobian, x0):
+    """Minimise ||f(x)|| by MINPACK's lmder (Moré, LNM 630 (1978) 105).
+
+    ``evaluate(x)`` returns (f, state) and ``jacobian(state)`` the Jacobian
+    of f there; it is formed only at accepted points.  The trust region is
+    Moré's: scales D, the running maximum of the Jacobian's column norms, a
+    first radius of 100 ||D x0||, and radius and damping updated by the
+    0.25/0.75 rules on the ratio of actual to predicted reduction.  Each
+    step comes from one SVD of the column-scaled Jacobian J D^-1 per
+    accepted point (``_lm_parameter``); the loop itself works on Python
+    floats.  ``status`` follows scipy's ``least_squares``: 1 gradient,
+    2 reduction, 3 step, 4 reduction and step below ``_TOL``; 0 when
+    ``_MAX_NFEV`` evaluations ran out.
+    """
+    x = np.array(x0, dtype=float)
+    f, state = evaluate(x)
+    fnorm = math.sqrt(f @ f)
+    nfev, par, scale, first = 1, 0.0, None, True
+    while True:
+        jac = jacobian(state)
+        jac_state = state
+        colnorm = np.sqrt(np.einsum("ij,ij->j", jac, jac)).tolist()
+        if scale is None:
+            scale = [c or 1.0 for c in colnorm]
+            xnorm = math.hypot(*[d * xj for d, xj in zip(scale, x.tolist())])
+            delta = 100.0 * xnorm or 100.0
+        grad = (f @ jac).tolist()
+        gnorm = max([abs(gj) / cj for gj, cj in zip(grad, colnorm) if cj > 0.0],
+                    default=0.0) / fnorm if fnorm > 0.0 else 0.0
+        if gnorm <= _TOL:
+            status = 1
+            break
+        scale = [c if c > d else d for d, c in zip(scale, colnorm)]
+        d = np.array(scale)
+        u, s, vt = np.linalg.svd(jac / d, full_matrices=False)
+        s, g, steps = s.tolist(), (f @ u).tolist(), vt / d
+        while True:
+            par, w, pnorm = _lm_parameter(s, g, delta, par)
+            if first:
+                delta = min(delta, pnorm)
+            trial = x - np.dot(w, steps)
+            f1, state1 = evaluate(trial)
+            fnorm1 = math.sqrt(f1 @ f1)
+            nfev += 1
+            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
+            temp1 = math.hypot(*[si * wi for si, wi in zip(s, w)]) / fnorm
+            temp2 = math.sqrt(par) * pnorm / fnorm
+            prered = temp1 * temp1 + 2.0 * temp2 * temp2
+            ratio = actred / prered if prered != 0.0 else 0.0
+            if ratio > 0.25:
+                if par == 0.0 or ratio >= 0.75:
+                    delta = pnorm / 0.5
+                    par *= 0.5
+            else:
+                if actred >= 0.0:
+                    temp = 0.5
+                else:
+                    dirder = -(temp1 * temp1 + temp2 * temp2)
+                    temp = 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            if ratio >= 1e-4:
+                x, f, state, fnorm, first = trial, f1, state1, fnorm1, False
+                xnorm = math.hypot(*[dj * xj for dj, xj in zip(scale, x.tolist())])
+            small_f = abs(actred) <= _TOL and prered <= _TOL and 0.5 * ratio <= 1.0
+            small_x = delta <= _TOL * xnorm
+            status = 4 if small_f and small_x else 2 if small_f else 3 if small_x else 0
+            if status or nfev >= _MAX_NFEV or ratio >= 1e-4:
+                break
+        if status or nfev >= _MAX_NFEV:
+            break
+    if jac_state is not state:
+        jac = jacobian(state)
+    return _LMResult(x, state, jac, nfev, status)
+
+
 def _fit_rational(y, m, basis, offset, degree, exponent, x0):
     """Separable least squares for the rational shape
 
         y ~ offset + (basis @ c) / (1 + b1^2 m + ... + bk^2 m^k)^exponent,
 
     k = degree, on the relative residuals (model - y) / y, with c projected
-    out.  One Levenberg-Marquardt start from the b part of x0 = (c, b).
-    Returns (c, |b|) as one array and the ``least_squares`` result.
+    out.  One Levenberg-Marquardt run (``least_squares``) from the b part of
+    x0 = (c, b).  Returns (c, |b|) as one array and the run's result.
     """
     powers = m[:, None] ** np.arange(1.0, degree + 1.0)
     weighted = basis / y[:, None]
     target = 1.0 - offset / y
-    last = {}
 
-    def project(b):
-        # least_squares asks for the Jacobian at the b it last evaluated
-        if "b" not in last or not np.array_equal(last["b"], b):
-            denom = 1.0 + powers @ (b * b)
-            design = weighted * (denom**-exponent)[:, None]
-            q, r = np.linalg.qr(design)
-            qt = q.T @ target
-            last.update(b=b.copy(), denom=denom, design=design, q=q, r=r, qt=qt)
-            last["fit"] = q @ qt
-        return last
+    def evaluate(b):
+        # An SVD of the design gives an orthonormal basis u of its columns,
+        # the fit u u^T target, and at the end c = v s^-1 u^T target.
+        denom = 1.0 + powers @ (b * b)
+        u, s, vt = np.linalg.svd(weighted * (denom**-exponent)[:, None], full_matrices=False)
+        ut = u.T @ target
+        fit = u @ ut
+        return fit - target, (b, denom, u, s, vt, ut, fit)
 
-    def residual(b):
-        return project(b)["fit"] - target
-
-    def jacobian(b):
+    def jacobian(state):
         # The design scales by g_j = -2 exponent b_j m^j / D along b_j, so the
-        # derivative of the projected residual (fit - target) is
-        # P_perp (g_j fit) - Q Q^T (g_j (fit - target)).  Kaufman's variant
-        # drops the second term; without it depth-0 energy starts hit max_nfev.
-        p = project(b)
-        g = (-2.0 * exponent * b) * powers / p["denom"][:, None]
-        moved = g * p["fit"][:, None]
-        return moved - p["q"] @ (p["q"].T @ (g * (2.0 * p["fit"] - target)[:, None]))
+        # derivative of the projected residual fit - target is
+        # P_perp (g_j fit) - U U^T (g_j (fit - target)).  Kaufman's variant
+        # drops the second term; without it depth-0 energy starts hit _MAX_NFEV.
+        b, denom, u, _, _, _, fit = state
+        g = (-2.0 * exponent * b) * powers / denom[:, None]
+        return g * fit[:, None] - u @ (u.T @ (g * (fit + fit - target)[:, None]))
 
     x0 = np.asarray(x0, dtype=float)
-    result = least_squares(
-        residual, x0[basis.shape[1]:], jac=jacobian, method="lm",
-        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=_MAX_NFEV,
-    )
-    p = project(result.x)
-    c = solve_triangular(p["r"], p["qt"])
-    return np.concatenate([c, np.abs(result.x)]), result
+    result = least_squares(evaluate, jacobian, x0[basis.shape[1]:])
+    _, _, _, s, vt, ut, _ = result.state
+    return np.concatenate([vt.T @ (ut / s), np.abs(result.x)]), result
 
 
 def _scaled_cond(jac):
@@ -259,8 +384,8 @@ def _report(params, model, n_fit, y, n_arr, result):
         max_rel_error=float(np.max(rel)),
         rms_rel_error=float(np.sqrt(np.mean(rel**2))),
         n_range=(int(n_arr[0]), int(n_arr[-1])),
-        iterations=int(result.nfev),
-        converged=bool(result.status > 0),
+        iterations=result.nfev,
+        converged=result.status > 0,
         jacobian_cond=_scaled_cond(result.jac),
     )
 

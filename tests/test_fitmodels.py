@@ -170,6 +170,51 @@ def test_params_io_errors():
         parse_fit_params("model gamma\na0 abc\n")
 
 
+def test_lm_follows_minpack_on_more_garbow_hillstrom_problems():
+    # Three problems of Moré, Garbow & Hillstrom (ACM TOMS 7 (1981) 17)
+    # from their standard starts: the minimum ||f||^2 they list, reached in
+    # about as many evaluations as MINPACK's lmder needs at the same
+    # tolerances (21, 25 and 33 through scipy.optimize.least_squares).
+    def rosenbrock(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    def rosenbrock_jac(x):
+        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    def freudenstein_roth(x):
+        return np.array([-13.0 + x[0] + ((5.0 - x[1]) * x[1] - 2.0) * x[1],
+                         -29.0 + x[0] + ((x[1] + 1.0) * x[1] - 14.0) * x[1]])
+
+    def freudenstein_roth_jac(x):
+        return np.array([[1.0, 10.0 * x[1] - 3.0 * x[1] ** 2 - 2.0],
+                         [1.0, 3.0 * x[1] ** 2 + 2.0 * x[1] - 14.0]])
+
+    y = np.array([0.1957, 0.1947, 0.1735, 0.1600, 0.0844, 0.0627,
+                  0.0456, 0.0342, 0.0323, 0.0235, 0.0246])
+    u = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 0.167, 0.125, 0.1, 0.0833, 0.0714, 0.0625])
+
+    def kowalik_osborne(x):
+        return y - x[0] * (u * u + u * x[1]) / (u * u + u * x[2] + x[3])
+
+    def kowalik_osborne_jac(x):
+        num, den = u * u + u * x[1], u * u + u * x[2] + x[3]
+        return np.column_stack([-num / den, -x[0] * u / den,
+                                x[0] * num * u / den**2, x[0] * num / den**2])
+
+    problems = (
+        (rosenbrock, rosenbrock_jac, [-1.2, 1.0], 0.0, 21),
+        (freudenstein_roth, freudenstein_roth_jac, [0.5, -2.0], 48.9842536, 25),
+        (kowalik_osborne, kowalik_osborne_jac, [0.25, 0.39, 0.415, 0.39], 3.07505604e-4, 33),
+    )
+    for fun, jac, x0, minimum, minpack_nfev in problems:
+        run = fitmodels.least_squares(lambda x: (fun(x), x), jac, x0)
+        f = fun(run.x)
+        assert run.status > 0, fun.__name__
+        assert f @ f == pytest.approx(minimum, rel=1e-8, abs=1e-20), fun.__name__
+        assert abs(run.nfev - minpack_nfev) <= 2, (fun.__name__, run.nfev)
+        assert np.array_equal(run.jac, jac(run.x))
+
+
 def _refit(kind, data, depth):
     if kind == "gamma":
         return fit_gamma(data, n_label=depth)
@@ -249,6 +294,19 @@ def test_each_refit_is_one_converged_lm_run(refits):
         assert report.converged
         assert report.iterations == result.nfev
         assert 1.0 < report.jacobian_cond < math.inf
+
+
+def test_refit_out_of_evaluations_is_reported_unconverged(refits, monkeypatch):
+    # A run cut off by the evaluation budget says so, and still reports the
+    # errors of the parameters it returns.
+    data, _, _ = refits["gamma", 0.0]
+    monkeypatch.setattr(fitmodels, "_MAX_NFEV", 5)
+    report = fit_gamma(data, n_label=0.0)
+    assert report.converged is False
+    assert report.iterations == 5
+    y = np.array([g for _, g in data])
+    rel = np.abs(np.array([gamma_fit_eval(report.params, n) for n, _ in data]) - y) / y
+    assert report.max_rel_error == np.max(rel)
 
 
 def test_gamma_params_do_not_depend_on_the_start(refits):

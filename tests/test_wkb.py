@@ -332,10 +332,27 @@ def test_quantize_inversions_take_at_most_five_quadratures(monkeypatch):
             assert len(solves) == 1
 
 
-def test_wkb_does_not_import_scipy_optimize():
+def test_no_module_imports_scipy_optimize():
+    # Each module in a fresh process.  The refits run as well, so that an
+    # import deferred into a function body would show too.
     src = os.path.dirname(os.path.dirname(wkb.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, qeswkb.wkb; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    fit_gamma = (
+        "from qeswkb import fitmodels as fm\n"
+        "published = fm.PUBLISHED_GAMMA[0.0]\n"
+        "fm.fit_gamma([(n, fm.gamma_fit_eval(published, n)) for n in range(3, 51)])\n"
+    )
+    fit_energy = (
+        "truth = fm.published_energy_params(0.0, 0.5)\n"
+        "fm.fit_energy([(n, fm.energy_fit_eval(truth, n)) for n in range(51)], 0.5)\n"
+    )
+    probes = {
+        "qeswkb.wkb": "",
+        "qeswkb.fitmodels": fit_gamma,
+        "qeswkb.cli": fit_gamma + fit_energy,
+    }
+    for module, fits in probes.items():
+        probe = f"import sys, {module}\n{fits}print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False", module
