@@ -171,10 +171,11 @@ def test_params_io_errors():
 
 
 def test_lm_follows_minpack_on_more_garbow_hillstrom_problems():
-    # Three problems of Moré, Garbow & Hillstrom (ACM TOMS 7 (1981) 17)
+    # Four problems of Moré, Garbow & Hillstrom (ACM TOMS 7 (1981) 17)
     # from their standard starts: the minimum ||f||^2 they list, reached in
     # about as many evaluations as MINPACK's lmder needs at the same
-    # tolerances (21, 25 and 33 through scipy.optimize.least_squares).
+    # tolerances (21, 25, 19 and 33 through scipy.optimize.least_squares).
+    # Powell's badly scaled function needs the running-maximum scales D.
     def rosenbrock(x):
         return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
@@ -188,6 +189,12 @@ def test_lm_follows_minpack_on_more_garbow_hillstrom_problems():
     def freudenstein_roth_jac(x):
         return np.array([[1.0, 10.0 * x[1] - 3.0 * x[1] ** 2 - 2.0],
                          [1.0, 3.0 * x[1] ** 2 + 2.0 * x[1] - 14.0]])
+
+    def powell_badly_scaled(x):
+        return np.array([1e4 * x[0] * x[1] - 1.0, np.exp(-x[0]) + np.exp(-x[1]) - 1.0001])
+
+    def powell_badly_scaled_jac(x):
+        return np.array([[1e4 * x[1], 1e4 * x[0]], [-np.exp(-x[0]), -np.exp(-x[1])]])
 
     y = np.array([0.1957, 0.1947, 0.1735, 0.1600, 0.0844, 0.0627,
                   0.0456, 0.0342, 0.0323, 0.0235, 0.0246])
@@ -204,6 +211,7 @@ def test_lm_follows_minpack_on_more_garbow_hillstrom_problems():
     problems = (
         (rosenbrock, rosenbrock_jac, [-1.2, 1.0], 0.0, 21),
         (freudenstein_roth, freudenstein_roth_jac, [0.5, -2.0], 48.9842536, 25),
+        (powell_badly_scaled, powell_badly_scaled_jac, [0.0, 1.0], 0.0, 19),
         (kowalik_osborne, kowalik_osborne_jac, [0.25, 0.39, 0.415, 0.39], 3.07505604e-4, 33),
     )
     for fun, jac, x0, minimum, minpack_nfev in problems:
