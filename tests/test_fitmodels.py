@@ -223,6 +223,16 @@ def test_lm_follows_minpack_on_more_garbow_hillstrom_problems():
         assert np.array_equal(run.jac, jac(run.x))
 
 
+def test_lm_steps_within_the_range_of_a_rank_deficient_jacobian():
+    # Parallel columns: the Gauss-Newton step leaves the null direction
+    # alone, as MINPACK's does, and one step reaches the least-squares fit.
+    a = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    b = np.array([1.0, 2.0, 4.0])
+    run = fitmodels.least_squares(lambda x: (a @ x - b, x), lambda x: a, [0.0, 0.0])
+    assert (run.status, run.nfev) == (1, 2)
+    assert run.x[0] + 2.0 * run.x[1] == pytest.approx(17.0 / 14.0, rel=1e-14)
+
+
 def _refit(kind, data, depth):
     if kind == "gamma":
         return fit_gamma(data, n_label=depth)
