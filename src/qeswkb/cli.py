@@ -8,6 +8,21 @@ spectra and quantization corrections for the reduced sextic well at four
 depth indices, published-model residuals, refits, the exponential-well
 suite, and a pass/fail summary with one row per check of
 ``qeswkb.acceptance.CHECKS``.
+
+Each field of each potential family (``potentials._FAMILY_FIELDS``) is both
+a flag (``--N``, ``--alpha``, ...) and a key of a ``--config`` file, as are
+``n_max``, ``tol``, ``out`` and ``format``, beside the config key
+``family``; flags win over the file.  An unknown config key, a value that
+does not parse and an output path that cannot be written each exit with
+status 2 and one ``error<TAB><Type><TAB>...`` line on stderr.
+
+The single commands build their tables with the code ``reproduce`` uses,
+so these runs write files byte-identical to ``reproduce`` files:
+``morse`` on the reference well (a = 1, b = 8, alpha = sqrt 2, N = 0,
+``--n-max 5 --tol 1e-9``) writes ``morse_energies``; ``spectrum`` on
+``sextic_reduced`` at N = 0.5, ``--n-max 50``, writes ``energies_N1h``;
+``susy`` on ``sextic_reduced`` at N = 0 writes ``partner_sextic_N0``, and on
+the reference well at N = 1 ``partner_morse_N1``.
 """
 
 from dataclasses import dataclass, fields
@@ -20,22 +35,28 @@ import time
 import numpy as np
 
 from . import fitmodels, qes_algebra, wkb
-from .acceptance import CHECKS, DEPTHS, Study
+from .acceptance import CHECKS, DEPTHS, Study, annihilation_ratio, residual_rows, susy_pair
 from .eigensolver import lowest_eigen, morse_bound_count
 from .errors import DomainError, QeswkbError
 from .potentials import _FAMILY_FIELDS, Morse, SexticReduced, build_spec, evaluate
 
-_COMMANDS = (
-    "spectrum",
-    "wkb",
-    "fit-gamma",
-    "fit-energy",
-    "qes",
-    "susy",
-    "morse",
-    "reproduce",
-)
 _DEPTH_TAGS = {0.0: "0", 0.25: "1q", 0.5: "1h", 0.7: "7t"}
+# Every key but ``family`` of a config file, with its type: the family
+# fields in flag order, then the run settings.  Each is also a flag.
+_TYPES = {
+    **{key: float for _, keys in _FAMILY_FIELDS.values() for key in keys},
+    "coeffs": str,
+    "n_max": int,
+    "tol": float,
+    "out": str,
+    "format": str,
+}
+_DEFAULTS = {"n_max": 50, "tol": 1e-10, "out": "./qeswkb_out", "format": "csv"}
+_FLAG_OPTIONS = {
+    "coeffs": {"help": "comma-separated even-power coefficients, constant first"},
+    "format": {"choices": ("csv", "tsv")},
+}
+_RESIDUAL_HEADER = ("n", "exact", "fit", "rel_error")
 
 
 @dataclass(frozen=True)
@@ -57,16 +78,15 @@ def _fmt(value):
     return "%.15g" % v
 
 
-def _write_table(path, header, rows, fmt):
-    sep = "," if fmt == "csv" else "\t"
-    with open(path, "w", newline="") as handle:
-        handle.write(sep.join(header) + "\n")
-        for row in rows:
-            handle.write(sep.join(_fmt(v) for v in row) + "\n")
+def _write_lines(config, name, lines):
+    with open(os.path.join(config.output_dir, name), "w", newline="") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
-def _ext(fmt):
-    return "csv" if fmt == "csv" else "tsv"
+def _write_table(config, name, header, rows):
+    sep = "," if config.fmt == "csv" else "\t"
+    lines = [sep.join(header)] + [sep.join(_fmt(v) for v in row) for row in rows]
+    _write_lines(config, "%s.%s" % (name, config.fmt), lines)
 
 
 def _parse_config_file(path):
@@ -85,20 +105,18 @@ def _parse_config_file(path):
             raise DomainError(
                 "config %s line %d: expected key=value, got %r" % (path, lineno, raw)
             )
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key != "family" and key not in _TYPES:
+            raise DomainError("config %s line %d: unknown key %r" % (path, lineno, key))
+        values[key] = value.strip()
     return values
 
 
-def _merge(cli_value, file_values, key, cast, default):
-    if cli_value is not None:
-        return cli_value
-    if key in file_values:
-        raw = file_values[key]
-        try:
-            return cast(raw)
-        except ValueError:
-            raise DomainError("config key %s: cannot parse %r" % (key, raw))
-    return default
+def _cast(key, raw):
+    try:
+        return _TYPES[key](raw)
+    except ValueError:
+        raise DomainError("config key %s: cannot parse %r" % (key, raw)) from None
 
 
 def build_config(argv):
@@ -107,39 +125,18 @@ def build_config(argv):
         description="Spectra, semiclassical corrections, and algebraic levels "
         "of quasi-solvable wells.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=tuple(_RUNNERS))
     parser.add_argument("--family", choices=tuple(_FAMILY_FIELDS))
-    parser.add_argument("--N", type=float, default=None)
-    parser.add_argument("--nu", type=float, default=None)
-    parser.add_argument("--mu", type=float, default=None)
-    parser.add_argument("--a", type=float, default=None)
-    parser.add_argument("--b", type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--coeffs", type=str, default=None,
-                        help="comma-separated even-power coefficients, constant first")
-    parser.add_argument("--n-max", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", dest="fmt", choices=("csv", "tsv"), default=None)
-    parser.add_argument("--config", type=str, default=None,
-                        help="flat key=value file; command-line flags win")
-    args = parser.parse_args(argv)
+    for key, kind in _TYPES.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, **_FLAG_OPTIONS.get(key, {}))
+    parser.add_argument("--config", help="flat key=value file; command-line flags win")
+    args = vars(parser.parse_args(argv))
+    command, path = args.pop("command"), args.pop("config")
 
-    file_values = _parse_config_file(args.config) if args.config else {}
-    family = args.family or file_values.get("family")
-    opts = {
-        "N": _merge(args.N, file_values, "N", float, None),
-        "nu": _merge(args.nu, file_values, "nu", float, None),
-        "mu": _merge(args.mu, file_values, "mu", float, None),
-        "a": _merge(args.a, file_values, "a", float, None),
-        "b": _merge(args.b, file_values, "b", float, None),
-        "alpha": _merge(args.alpha, file_values, "alpha", float, None),
-        "coeffs": _merge(args.coeffs, file_values, "coeffs", str, None),
-    }
-    n_max = _merge(args.n_max, file_values, "n_max", int, 50)
-    tol = _merge(args.tol, file_values, "tol", float, 1e-10)
-    out = _merge(args.out, file_values, "out", str, "./qeswkb_out")
-    fmt = _merge(args.fmt, file_values, "format", str, "csv")
+    raw = _parse_config_file(path) if path else {}
+    raw.update((key, value) for key, value in args.items() if value is not None)
+    values = {key: _cast(key, raw[key]) for key in _TYPES if key in raw}
+    n_max, tol, out, fmt = (values.get(key, default) for key, default in _DEFAULTS.items())
     if fmt not in ("csv", "tsv"):
         raise DomainError("format must be csv or tsv, got %r" % fmt)
     if n_max < 0 or n_max > 200:
@@ -147,21 +144,15 @@ def build_config(argv):
     if not (1e-14 <= tol <= 1e-4):
         raise DomainError("tol must lie in [1e-14, 1e-4], got %g" % tol)
 
-    if args.command == "morse" and family is None:
+    family = raw.get("family")
+    if command == "morse" and family is None:
         family = "morse"
     potential = None
-    if args.command not in ("reproduce",):
-        potential = build_spec(family, opts)
-        if args.command == "morse" and not isinstance(potential, Morse):
+    if command != "reproduce":
+        potential = build_spec(family, values)
+        if command == "morse" and not isinstance(potential, Morse):
             raise DomainError("the morse command requires the morse family")
-    return RunConfig(
-        command=args.command,
-        potential=potential,
-        n_max=n_max,
-        tol=tol,
-        output_dir=out,
-        fmt=fmt,
-    )
+    return RunConfig(command, potential, n_max, tol, out, fmt)
 
 
 def _prepare_output(config):
@@ -170,15 +161,35 @@ def _prepare_output(config):
         raise DomainError("output directory %s is not writable" % config.output_dir)
 
 
+def _write_partner(config, name, pair):
+    """The table x, V0, V1 of a factorization on its grid."""
+    grid = pair.grid
+    rows = zip(grid, evaluate(pair.spec, grid), evaluate(pair.partner, grid))
+    _write_table(config, name, ("x", "V0", "V1"), rows)
+
+
+def _write_levels(config, name, exact, numeric):
+    """The table n, exact, numeric, abs_delta of closed-form against mesh levels."""
+    rows = [(n, e, numeric[n], abs(numeric[n] - e)) for n, e in enumerate(exact)]
+    _write_table(config, name, ("n", "exact", "numeric", "abs_delta"), rows)
+
+
+def _write_fit_report(config, name, report):
+    """Fitted parameters followed by the error summary, convergence flag and
+    Jacobian conditioning as ``# name value`` comment lines, so that
+    ``fitmodels.parse_fit_params`` reads the file back."""
+    _write_lines(config, name, [
+        fitmodels.format_fit_params(report.params).rstrip("\n"),
+        "# max_rel_error %s" % _fmt(report.max_rel_error),
+        "# rms_rel_error %s" % _fmt(report.rms_rel_error),
+        "# converged %s" % report.converged,
+        "# jacobian_cond %.3g" % report.jacobian_cond,
+    ])
+
+
 def _cmd_spectrum(config):
     spectrum = lowest_eigen(config.potential, config.n_max + 1, tol=config.tol)
-    rows = [(n, e) for n, e in enumerate(spectrum.energies)]
-    _write_table(
-        os.path.join(config.output_dir, "spectrum.%s" % _ext(config.fmt)),
-        ("n", "energy"),
-        rows,
-        config.fmt,
-    )
+    _write_table(config, "spectrum", ("n", "energy"), enumerate(spectrum.energies))
     return 0
 
 
@@ -194,187 +205,84 @@ def _cmd_wkb(config):
         rows.append(
             (n, energy, record.x_left, record.x_right, record.action, record.gamma)
         )
-    _write_table(
-        os.path.join(config.output_dir, "wkb.%s" % _ext(config.fmt)),
-        ("n", "energy", "x_left", "x_right", "action", "gamma"),
-        rows,
-        config.fmt,
-    )
+    header = ("n", "energy", "x_left", "x_right", "action", "gamma")
+    _write_table(config, "wkb", header, rows)
     return 0
 
 
-def _write_fit_report(path, report):
-    """Fitted parameters followed by the error summary, convergence flag and
-    Jacobian conditioning as ``# name value`` comment lines, so that
-    ``fitmodels.parse_fit_params`` reads the file back."""
-    with open(path, "w") as handle:
-        handle.write(fitmodels.format_fit_params(report.params))
-        handle.write("# max_rel_error %s\n" % _fmt(report.max_rel_error))
-        handle.write("# rms_rel_error %s\n" % _fmt(report.rms_rel_error))
-        handle.write("# converged %s\n" % report.converged)
-        handle.write("# jacobian_cond %.3g\n" % report.jacobian_cond)
-
-
-def _gamma_series(potential, spectrum):
-    pairs = []
-    for n in range(3, len(spectrum.energies)):
-        record = wkb.gamma(potential, n, float(spectrum.energies[n]))
-        pairs.append((n, record.gamma))
-    return pairs
-
-
-def _cmd_fit_gamma(config):
-    if config.n_max < 10:
-        raise DomainError("fit-gamma needs n_max >= 10 to constrain six parameters")
-    spectrum = lowest_eigen(config.potential, config.n_max + 1, tol=config.tol)
-    data = _gamma_series(config.potential, spectrum)
-    label = getattr(config.potential, "N", None)
-    report = fitmodels.fit_gamma(data, n_label=label)
-    _write_fit_report(os.path.join(config.output_dir, "gamma_fit_params.txt"), report)
-    rows = [
-        (n, g, fitmodels.gamma_fit_eval(report.params, n),
-         abs(fitmodels.gamma_fit_eval(report.params, n) - g) / g)
-        for n, g in data
-    ]
-    _write_table(
-        os.path.join(config.output_dir, "gamma_fit_residuals.%s" % _ext(config.fmt)),
-        ("n", "exact", "fit", "rel_error"),
-        rows,
-        config.fmt,
-    )
-    return 0
-
-
-def _cmd_fit_energy(config):
-    if config.n_max < 15:
-        raise DomainError("fit-energy needs n_max >= 15 to constrain twelve parameters")
-    spectrum = lowest_eigen(config.potential, config.n_max + 1, tol=config.tol)
-    data = [(n, float(e)) for n, e in enumerate(spectrum.energies)]
-    label = getattr(config.potential, "N", None)
-    report = fitmodels.fit_energy(data, data[0][1], n_label=label)
-    _write_fit_report(os.path.join(config.output_dir, "energy_fit_params.txt"), report)
-    rows = [
-        (n, e, fitmodels.energy_fit_eval(report.params, n),
-         abs(fitmodels.energy_fit_eval(report.params, n) - e) / abs(e) if e else 0.0)
-        for n, e in data
-    ]
-    _write_table(
-        os.path.join(config.output_dir, "energy_fit_residuals.%s" % _ext(config.fmt)),
-        ("n", "exact", "fit", "rel_error"),
-        rows,
-        config.fmt,
-    )
+def _cmd_fit(config):
+    """Refit the correction model (levels n >= 3) or the energy model (every
+    level, the ground level held exact) to a fresh spectrum."""
+    kind = config.command[len("fit-"):]
+    least, count = {"gamma": (10, "six"), "energy": (15, "twelve")}[kind]
+    if config.n_max < least:
+        raise DomainError("%s needs n_max >= %d to constrain %s parameters"
+                          % (config.command, least, count))
+    spec, label = config.potential, getattr(config.potential, "N", None)
+    spectrum = lowest_eigen(spec, config.n_max + 1, tol=config.tol)
+    energies = [float(e) for e in spectrum.energies]
+    if kind == "gamma":
+        data = [(n, wkb.gamma(spec, n, e).gamma) for n, e in enumerate(energies) if n >= 3]
+        report = fitmodels.fit_gamma(data, n_label=label)
+        model = fitmodels.gamma_fit_eval
+    else:
+        data = list(enumerate(energies))
+        report = fitmodels.fit_energy(data, energies[0], n_label=label)
+        model = fitmodels.energy_fit_eval
+    _write_fit_report(config, "%s_fit_params.txt" % kind, report)
+    rows = residual_rows(data, lambda n: model(report.params, n))
+    _write_table(config, "%s_fit_residuals" % kind, _RESIDUAL_HEADER, rows)
     return 0
 
 
 def _cmd_qes(config):
-    states = qes_algebra.qes_states(config.potential)
-    label = getattr(config.potential, "N", float("nan"))
+    label = _fmt(getattr(config.potential, "N", float("nan")))
     lines = ["N index energy poly_coefficients"]
-    for idx, state in enumerate(states):
+    for idx, state in enumerate(qes_algebra.qes_states(config.potential)):
         coeffs = ";".join(_fmt(c) for c in state.poly)
-        lines.append("%s %d %s %s" % (_fmt(label), idx, _fmt(state.energy), coeffs))
-    with open(os.path.join(config.output_dir, "qes_report.txt"), "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        lines.append("%s %d %s %s" % (label, idx, _fmt(state.energy), coeffs))
+    _write_lines(config, "qes_report.txt", lines)
     return 0
 
 
-def _susy_grid(potential):
-    if isinstance(potential, Morse):
-        return np.linspace(-3.0, 6.0, 241)
-    return np.linspace(-3.0, 3.0, 241)
-
-
 def _cmd_susy(config):
-    states = qes_algebra.qes_states(config.potential)
-    seed = states[0]
-    partner, operator = qes_algebra.darboux(config.potential, seed)
-    grid = _susy_grid(config.potential)
-    v0 = evaluate(config.potential, grid)
-    v1 = evaluate(partner, grid)
-    rows = list(zip(grid, v0, v1))
-    _write_table(
-        os.path.join(config.output_dir, "susy_partner.%s" % _ext(config.fmt)),
-        ("x", "V0", "V1"),
-        rows,
-        config.fmt,
-    )
-    psi_seed = seed.derivatives(grid, 0)[0]
-    image = operator.apply_state(seed, grid, order=0)[0]
-    annihilation = float(np.max(np.abs(image))) / float(np.max(np.abs(psi_seed)))
-    lines = ["quantity value", "annihilation_ratio %s" % _fmt(annihilation)]
-    for idx, state in enumerate(states[1:], start=1):
+    pair = susy_pair(config.potential)
+    _write_partner(config, "susy_partner", pair)
+    lines = ["quantity value", "annihilation_ratio %s" % _fmt(annihilation_ratio(pair))]
+    for idx, state in enumerate(pair.states[1:], start=1):
         residual = qes_algebra.intertwining_residual(
-            config.potential, seed, state, grid
+            pair.spec, pair.states[0], state, pair.grid
         )
         lines.append("intertwining_residual_state_%d %s" % (idx, _fmt(residual)))
-    with open(os.path.join(config.output_dir, "susy_report.txt"), "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(config, "susy_report.txt", lines)
     return 0
 
 
 def _cmd_morse(config):
-    potential = config.potential
-    bound = morse_bound_count(potential)
-    count = min(config.n_max + 1, bound)
-    exact = qes_algebra.morse_exact_spectrum(
-        potential.a, potential.beta, potential.alpha, count - 1
-    )
-    numeric = lowest_eigen(potential, count, tol=min(config.tol, 1e-9)).energies
-    rows = [
-        (n, exact[n], float(numeric[n]), abs(float(numeric[n]) - exact[n]))
-        for n in range(count)
-    ]
-    _write_table(
-        os.path.join(config.output_dir, "morse.%s" % _ext(config.fmt)),
-        ("n", "exact", "numeric", "abs_delta"),
-        rows,
-        config.fmt,
-    )
+    spec = config.potential
+    count = min(config.n_max + 1, morse_bound_count(spec))
+    exact = qes_algebra.morse_exact_spectrum(spec.a, spec.beta, spec.alpha, count - 1)
+    numeric = lowest_eigen(spec, count, tol=min(config.tol, 1e-9)).energies
+    _write_levels(config, "morse", exact, numeric)
     return 0
 
 
 def _write_sextic_files(config, study):
-    tables = {}
     for depth in DEPTHS:
         tag = _DEPTH_TAGS[depth]
         energies = study.spectra[depth].energies
-        _write_table(
-            os.path.join(config.output_dir, "energies_N%s.%s" % (tag, _ext(config.fmt))),
-            ("n", "energy"),
-            list(enumerate(energies)),
-            config.fmt,
-        )
-        _write_table(
-            os.path.join(config.output_dir, "gamma_N%s.%s" % (tag, _ext(config.fmt))),
-            ("n", "energy", "action", "gamma"),
-            [
-                (n, e, r.action, r.gamma)
-                for (n, e), r in zip(enumerate(energies), study.gamma_tables[depth])
-            ],
-            config.fmt,
-        )
-        for kind, rows in (
-            ("gamma", study.published_gamma[depth]),
-            ("energy", study.published_energy[depth]),
-        ):
-            _write_table(
-                os.path.join(
-                    config.output_dir,
-                    "%s_published_residuals_N%s.%s" % (kind, tag, _ext(config.fmt)),
-                ),
-                ("n", "exact", "fit", "rel_error"),
-                rows,
-                config.fmt,
-            )
+        _write_table(config, "energies_N" + tag, ("n", "energy"), enumerate(energies))
+        rows = [(n, e, r.action, r.gamma)
+                for (n, e), r in zip(enumerate(energies), study.gamma_tables[depth])]
+        _write_table(config, "gamma_N" + tag, ("n", "energy", "action", "gamma"), rows)
+        for kind, table in (("gamma", study.published_gamma), ("energy", study.published_energy)):
+            name = "%s_published_residuals_N%s" % (kind, tag)
+            _write_table(config, name, _RESIDUAL_HEADER, table[depth])
         for kind, report in zip(("gamma", "energy"), study.refits[depth]):
-            _write_fit_report(
-                os.path.join(config.output_dir, "%s_refit_params_N%s.txt" % (kind, tag)),
-                report,
-            )
-            tables.setdefault(kind, []).append(report.params)
+            _write_fit_report(config, "%s_refit_params_N%s.txt" % (kind, tag), report)
 
-    for kind, params in tables.items():
+    for index, kind in enumerate(("gamma", "energy")):
+        params = [study.refits[depth][index].params for depth in DEPTHS]
         lines = ["parameter\t" + "\t".join("N=%s" % _fmt(d) for d in DEPTHS)]
         for name in (f.name for f in fields(params[0]) if f.name != "N_label"):
             values = [_fmt(getattr(p, name)) for p in params]
@@ -382,45 +290,17 @@ def _write_sextic_files(config, study):
         if kind == "energy":
             values = [_fmt(p.A6 / p.B5**2) for p in params]
             lines.append("\t".join(["A6_over_B5_sq"] + values))
-        with open(
-            os.path.join(config.output_dir, "%s_refit_table.txt" % kind), "w"
-        ) as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write_lines(config, "%s_refit_table.txt" % kind, lines)
 
 
 def _write_morse_files(config, study):
-    exact, numeric = study.morse_levels
-    _write_table(
-        os.path.join(config.output_dir, "morse_energies.%s" % _ext(config.fmt)),
-        ("n", "exact", "numeric", "abs_delta"),
-        [(n, e, numeric[n], abs(numeric[n] - e)) for n, e in enumerate(exact)],
-        config.fmt,
-    )
-    _write_table(
-        os.path.join(config.output_dir, "morse_gamma.%s" % _ext(config.fmt)),
-        ("n", "energy", "gamma_closed", "gamma_quadrature"),
-        study.morse_gamma,
-        config.fmt,
-    )
-    _write_table(
-        os.path.join(config.output_dir, "morse_shape_invariance.%s" % _ext(config.fmt)),
-        ("N", "max_deviation", "level_shift"),
-        study.shape_invariance,
-        config.fmt,
-    )
-    morse1, sextic1 = study.susy_pairs
-    sextic0 = SexticReduced(0.0)
-    partner0, _ = qes_algebra.darboux(sextic0, qes_algebra.qes_states(sextic0)[0])
-    for name, spec, partner, grid in (
-        ("partner_morse_N1", morse1.spec, morse1.partner, morse1.grid),
-        ("partner_sextic_N0", sextic0, partner0, sextic1.grid),
-    ):
-        _write_table(
-            os.path.join(config.output_dir, "%s.%s" % (name, _ext(config.fmt))),
-            ("x", "V0", "V1"),
-            list(zip(grid, evaluate(spec, grid), evaluate(partner, grid))),
-            config.fmt,
-        )
+    _write_levels(config, "morse_energies", *study.morse_levels)
+    header = ("n", "energy", "gamma_closed", "gamma_quadrature")
+    _write_table(config, "morse_gamma", header, study.morse_gamma)
+    header = ("N", "max_deviation", "level_shift")
+    _write_table(config, "morse_shape_invariance", header, study.shape_invariance)
+    _write_partner(config, "partner_morse_N1", study.susy_pairs[0])
+    _write_partner(config, "partner_sextic_N0", susy_pair(SexticReduced(0.0)))
 
 
 def _cmd_reproduce(config):
@@ -430,21 +310,19 @@ def _cmd_reproduce(config):
     _write_sextic_files(config, study)
     rows = [(check.name, check.measure(study), check.threshold) for check in CHECKS]
     rows.append(("runtime_seconds", time.perf_counter() - started, 600.0))
-    with open(os.path.join(config.output_dir, "summary.txt"), "w") as handle:
-        handle.write("check\tmeasured\tthreshold\tstatus\n")
-        for name, measured, threshold in rows:
-            status = "PASS" if measured < threshold else "FAIL"
-            handle.write(
-                "%s\t%s\t%s\t%s\n" % (name, _fmt(measured), _fmt(threshold), status)
-            )
+    lines = ["check\tmeasured\tthreshold\tstatus"]
+    for name, measured, threshold in rows:
+        status = "PASS" if measured < threshold else "FAIL"
+        lines.append("%s\t%s\t%s\t%s" % (name, _fmt(measured), _fmt(threshold), status))
+    _write_lines(config, "summary.txt", lines)
     return 0 if all(measured < threshold for _, measured, threshold in rows) else 1
 
 
 _RUNNERS = {
     "spectrum": _cmd_spectrum,
     "wkb": _cmd_wkb,
-    "fit-gamma": _cmd_fit_gamma,
-    "fit-energy": _cmd_fit_energy,
+    "fit-gamma": _cmd_fit,
+    "fit-energy": _cmd_fit,
     "qes": _cmd_qes,
     "susy": _cmd_susy,
     "morse": _cmd_morse,
@@ -453,19 +331,28 @@ _RUNNERS = {
 
 
 def run(config):
-    """Execute one command; returns the process exit status."""
+    """Execute one command; returns the process exit status.
+
+    A typed error, or an output path that cannot be made or written, is
+    reported on stderr, appended to ``summary.txt`` where that can be
+    written, and returns 2.
+    """
     try:
         _prepare_output(config)
         return _RUNNERS[config.command](config)
+    except OSError as exc:
+        path = exc.filename or config.output_dir
+        error = DomainError("cannot write %s: %s" % (path, exc.strerror or exc))
     except QeswkbError as exc:
-        record = "error\t%s\t%s" % (type(exc).__name__, exc)
-        try:
-            with open(os.path.join(config.output_dir, "summary.txt"), "a") as handle:
-                handle.write(record + "\n")
-        except OSError:
-            pass
-        print(record, file=sys.stderr)
-        return 2
+        error = exc
+    record = "error\t%s\t%s" % (type(error).__name__, error)
+    try:
+        with open(os.path.join(config.output_dir, "summary.txt"), "a") as handle:
+            handle.write(record + "\n")
+    except OSError:
+        pass
+    print(record, file=sys.stderr)
+    return 2
 
 
 def main(argv=None):

@@ -42,7 +42,6 @@ __all__ = [
     "EVEN_WELLS",
     "seed_log_derivatives",
     "susy_partner_closed_form",
-    "morse_asymptote",
     "build_spec",
     "format_spec",
     "parse_spec",
@@ -276,13 +275,6 @@ def evaluate(spec, x):
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def morse_asymptote(spec):
-    """The x -> +inf limit (N alpha + b)^2 / 2 of a Morse spec."""
-    if not isinstance(spec, Morse):
-        raise UnsupportedParameterError("morse_asymptote requires a Morse spec")
-    return spec.v_inf
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from qeswkb import fitmodels
 from qeswkb.acceptance import CHECKS
 from qeswkb.cli import build_config, main
+from qeswkb.potentials import _FAMILY_FIELDS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -212,9 +213,15 @@ def test_build_config_defaults():
     assert config.command == "wkb"
 
 
-def test_reproduce_all_checks_pass(tmp_path):
-    out = tmp_path / "repro"
-    code = main(["reproduce", "--out", str(out)])
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """Exit status and output directory of one ``reproduce`` run."""
+    out = tmp_path_factory.mktemp("repro")
+    return main(["reproduce", "--out", str(out)]), out
+
+
+def test_reproduce_all_checks_pass(reproduced):
+    code, out = reproduced
     assert code == 0
     lines = read_lines(out / "summary.txt")
     assert lines[0] == "check\tmeasured\tthreshold\tstatus"
@@ -235,3 +242,69 @@ def test_reproduce_fails_on_nan_measurement(tmp_path, monkeypatch):
     assert main(["reproduce", "--out", str(out)]) == 1
     rows = [line.split("\t") for line in read_lines(out / "summary.txt")]
     assert ["published_gamma_envelope", "nan", "0.005", "FAIL"] in rows
+
+
+@pytest.mark.parametrize("argv, written, expected", [
+    (["morse", "--a", "1", "--b", "8", "--alpha", repr(SQRT2), "--N", "0",
+      "--n-max", "5", "--tol", "1e-9"], "morse.csv", "morse_energies.csv"),
+    (["spectrum", "--family", "sextic_reduced", "--N", "0.5", "--n-max", "50"],
+     "spectrum.csv", "energies_N1h.csv"),
+    (["susy", "--family", "sextic_reduced", "--N", "0"],
+     "susy_partner.csv", "partner_sextic_N0.csv"),
+    (["susy", "--family", "morse", "--a", "1", "--b", "8", "--alpha", repr(SQRT2),
+      "--N", "1"], "susy_partner.csv", "partner_morse_N1.csv"),
+])
+def test_single_commands_match_reproduce(tmp_path, reproduced, argv, written, expected):
+    _, repro = reproduced
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert read_bytes(tmp_path / written) == read_bytes(repro / expected)
+
+
+_FIELD_TEXT = {"N": "2", "nu": "1.5", "mu": "0.5", "a": "1.3", "b": "5",
+               "alpha": "0.9", "coeffs": "0,0.5,0.25"}
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_FIELDS))
+def test_family_fields_are_flags_and_config_keys(tmp_path, family):
+    kind, keys = _FAMILY_FIELDS[family]
+    flags = build_config(
+        ["spectrum", "--family", family]
+        + [arg for key in keys for arg in ("--" + key, _FIELD_TEXT[key])]
+    )
+    config_path = tmp_path / "run.conf"
+    config_path.write_text(
+        "family=%s\n" % family + "".join("%s=%s\n" % (key, _FIELD_TEXT[key]) for key in keys)
+    )
+    from_file = build_config(["spectrum", "--config", str(config_path)])
+    assert type(flags.potential) is kind
+    assert flags.potential == from_file.potential
+    for key in keys:
+        value = getattr(flags.potential, key)
+        text = ",".join("%g" % c for c in value) if key == "coeffs" else "%g" % value
+        assert text == _FIELD_TEXT[key]
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "run.conf"
+    config_path.write_text("family=sextic_reduced\nN=0\nnmax=3\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error\tDomainError\t")
+    assert "line 3: unknown key 'nmax'" in err
+    assert not out.exists()
+    # a field of another family is a known key, and is ignored
+    config_path.write_text("family=sextic_reduced\nN=0\nalpha=2\nn_max=3\n")
+    assert main(["spectrum", "--config", str(config_path), "--out", str(out)]) == 0
+    assert len(read_lines(out / "spectrum.csv")) == 5
+
+
+def test_unusable_out_path_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    for out in (blocker, blocker / "sub"):
+        assert main(["qes", "--family", "sextic_reduced", "--N", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error\tDomainError\tcannot write %s: " % out)
+        assert len(err.splitlines()) == 1
+    assert blocker.read_text() == "not a directory\n"

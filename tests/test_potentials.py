@@ -19,7 +19,6 @@ from qeswkb.potentials import (
     SusyPartner,
     evaluate,
     format_spec,
-    morse_asymptote,
     parse_spec,
     seed_log_derivatives,
     susy_partner_closed_form,
@@ -85,7 +84,7 @@ def test_scalar_and_array_types():
 
 def test_morse_eval_and_asymptote():
     spec = Morse(1.0, 8.0, SQRT2, 0.0)
-    assert morse_asymptote(spec) == pytest.approx(32.0)
+    assert spec.v_inf == pytest.approx(32.0)
     # well value at z = e^{-alpha x}: (z^2 - (2b+alpha) z + b^2)/2
     z = math.exp(-SQRT2 * 1.0)
     expected = 0.5 * (z * z - (16.0 + SQRT2) * z + 64.0)
@@ -103,7 +102,6 @@ def test_morse_constants():
     for a, b, alpha, n_index in params:
         spec = Morse(a, b, alpha, n_index)
         c1 = 2.0 * b + alpha * (2.0 * n_index + 1.0)
-        assert morse_asymptote(spec) == spec.v_inf
         assert spec.v_inf == pytest.approx(0.5 * (n_index * alpha + b) ** 2, rel=1e-15)
         # V approaches the plateau from below, the gap falling like a c1 z / 2
         for z in (1e-6, 1e-8):
