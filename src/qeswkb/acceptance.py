@@ -62,7 +62,7 @@ def susy_pair(spec):
     grid: [-3, 6] for the exponential well, [-3, 3] for the even ones."""
     grid = np.linspace(-3.0, 6.0 if isinstance(spec, Morse) else 3.0, 241)
     states = qes_algebra.qes_states(spec)
-    partner, operator = qes_algebra.darboux(spec, states[0])
+    partner, operator = qes_algebra.darboux(states[0])
     return SusyPair(spec, grid, states, partner, operator)
 
 
@@ -162,9 +162,9 @@ class Study:
     @_part(1)
     def morse_levels(self):
         """Closed-form and numeric (tol 1e-9) six bound levels of the reference exponential well."""
-        a, b, alpha = MORSE_REF
-        exact = np.asarray(qes_algebra.morse_exact_spectrum(a, b, alpha, 5))
-        return exact, lowest_eigen(Morse(a, b, alpha, 0.0), 6, tol=1e-9).energies
+        spec = Morse(*MORSE_REF, 0.0)
+        exact = np.asarray(qes_algebra.morse_exact_spectrum(spec, 5))
+        return exact, lowest_eigen(spec, 6, tol=1e-9).energies
 
     @_part(2)
     def morse_gamma(self):
@@ -217,7 +217,7 @@ def _sl2_commutators(study):
 
 def _lie_form(study):
     return _worst(
-        qes_algebra.morse_lie_form_check(n_index, *params)
+        qes_algebra.morse_lie_form_check(Morse(*params, n_index))
         for n_index in range(6)
         for params in (MORSE_REF, (1.3, 5.0, 0.9), (0.7, 3.3, 1.7))
     )
@@ -326,7 +326,7 @@ CHECKS = (
           lambda s: _worst(row[1] for row in s.shape_invariance)),
     Check("intertwining_residual", 10, 1e-8,
           lambda s: _worst(
-              qes_algebra.intertwining_residual(p.spec, p.states[0], p.states[1], p.grid)
+              qes_algebra.intertwining_residual(p.states[0], p.states[1], p.grid)
               for p in s.susy_pairs)),
     Check("seed_annihilation", 10, 1e-12,
           lambda s: _worst(annihilation_ratio(p) for p in s.susy_pairs)),

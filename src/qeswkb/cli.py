@@ -12,9 +12,9 @@ suite, and a pass/fail summary with one row per check of
 Each field of each potential family (``potentials._FAMILY_FIELDS``) is both
 a flag (``--N``, ``--alpha``, ...) and a key of a ``--config`` file, as are
 ``n_max``, ``tol``, ``out`` and ``format``, beside the config key
-``family``; flags win over the file.  An unknown config key, a value that
-does not parse and an output path that cannot be written each exit with
-status 2 and one ``error<TAB><Type><TAB>...`` line on stderr.
+``family``; flags win over the file.  An unknown or repeated config key, a
+value that does not parse and an output path that cannot be written each
+exit with status 2 and one ``error<TAB><Type><TAB>...`` line on stderr.
 
 The single commands build their tables with the code ``reproduce`` uses,
 so these runs write files byte-identical to ``reproduce`` files:
@@ -37,7 +37,7 @@ import numpy as np
 from . import fitmodels, qes_algebra, wkb
 from .acceptance import CHECKS, DEPTHS, Study, annihilation_ratio, residual_rows, susy_pair
 from .eigensolver import lowest_eigen, morse_bound_count
-from .errors import DomainError, QeswkbError
+from .errors import DomainError, QeswkbError, SpectrumExhaustedError
 from .potentials import _FAMILY_FIELDS, Morse, SexticReduced, build_spec, evaluate
 
 _DEPTH_TAGS = {0.0: "0", 0.25: "1q", 0.5: "1h", 0.7: "7t"}
@@ -90,7 +90,7 @@ def _write_table(config, name, header, rows):
 
 
 def _parse_config_file(path):
-    values = {}
+    values, line_of = {}, {}
     try:
         with open(path) as handle:
             text = handle.read()
@@ -108,7 +108,10 @@ def _parse_config_file(path):
         key = key.strip()
         if key != "family" and key not in _TYPES:
             raise DomainError("config %s line %d: unknown key %r" % (path, lineno, key))
-        values[key] = value.strip()
+        if key in values:
+            raise DomainError("config %s line %d: key %r repeats line %d"
+                              % (path, lineno, key, line_of[key]))
+        values[key], line_of[key] = value.strip(), lineno
     return values
 
 
@@ -250,9 +253,7 @@ def _cmd_susy(config):
     _write_partner(config, "susy_partner", pair)
     lines = ["quantity value", "annihilation_ratio %s" % _fmt(annihilation_ratio(pair))]
     for idx, state in enumerate(pair.states[1:], start=1):
-        residual = qes_algebra.intertwining_residual(
-            pair.spec, pair.states[0], state, pair.grid
-        )
+        residual = qes_algebra.intertwining_residual(pair.states[0], state, pair.grid)
         lines.append("intertwining_residual_state_%d %s" % (idx, _fmt(residual)))
     _write_lines(config, "susy_report.txt", lines)
     return 0
@@ -261,7 +262,9 @@ def _cmd_susy(config):
 def _cmd_morse(config):
     spec = config.potential
     count = min(config.n_max + 1, morse_bound_count(spec))
-    exact = qes_algebra.morse_exact_spectrum(spec.a, spec.beta, spec.alpha, count - 1)
+    if count == 0:
+        raise SpectrumExhaustedError("the well supports no bound states")
+    exact = qes_algebra.morse_exact_spectrum(spec, count - 1)
     numeric = lowest_eigen(spec, count, tol=min(config.tol, 1e-9)).energies
     _write_levels(config, "morse", exact, numeric)
     return 0

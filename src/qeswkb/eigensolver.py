@@ -53,7 +53,7 @@ from .errors import (
 from .potentials import (
     EVEN_WELLS,
     Morse,
-    SexticGround,
+    SEXTICS,
     SexticReduced,
     SusyPartner,
     evaluate,
@@ -286,7 +286,7 @@ def _is_even(spec):
     """Whether the spec's type guarantees V(-x) = V(x)."""
     if isinstance(spec, EVEN_WELLS):
         return True
-    return isinstance(spec, SusyPartner) and _is_even(spec.base) and isinstance(spec.seed, SexticGround)
+    return isinstance(spec, SusyPartner) and isinstance(spec.base, SEXTICS)
 
 
 def _parity_block(spec, mesh, sign):
@@ -444,7 +444,7 @@ def _morse_box(spec, k):
     beta, c1, v_inf = spec.beta, spec.c1, spec.v_inf
     z_left = max(math.sqrt(800.0 * max(v_inf, 1.0)), 3.0 * c1, 20.0) / spec.a
     x_left = -math.log(z_left) / spec.alpha
-    e_top = morse_exact_spectrum(spec.a, beta, spec.alpha, k - 1)[-1]
+    e_top = morse_exact_spectrum(spec, k - 1)[-1]
     kappa = math.sqrt(max(2.0 * (v_inf - e_top), 1e-12))
     disc = math.sqrt(max(c1 * c1 - 4.0 * (beta * beta - 2.0 * e_top), 0.0))
     z_min = max((c1 - disc) / (2.0 * spec.a), 1e-300)

@@ -45,10 +45,10 @@ from .potentials import _as_int
 
 def _level_index(n):
     """Coerce an integer level index, leaving range checks to the model."""
-    r = round(float(n))
-    if abs(float(n) - r) > 1e-12:
+    v = float(n)
+    if not math.isfinite(v) or abs(v - round(v)) > 1e-12:
         raise UnsupportedParameterError(f"level index must be an integer, got {n!r}")
-    return int(r)
+    return int(round(v))
 
 _MAX_NFEV = 20000
 _TOL = 1e-14  # MINPACK's ftol, xtol and gtol

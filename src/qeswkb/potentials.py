@@ -2,11 +2,15 @@
 
 Provides immutable specifications of the supported potentials (reduced and
 general sextic oscillators, the exponential Morse well, even polynomial
-oracles, and first-order factorization partners built from analytic seed
-functions), together with pointwise evaluation, the one derivative-chain
-recurrence per family that both the seeds' log-derivatives and the exact
-algebraic states use, and the flat key-value spec format that the CLI and
-its config files share.
+oracles, and first-order factorization partners), together with pointwise
+evaluation and the flat key-value spec format that the CLI and its config
+files share.
+
+``GaugeState`` is an exact state u = Gamma(x) p(z) of a sextic or Morse
+well: the exact levels of ``qes_algebra`` and the seeds of ``SusyPartner``
+are both gauge states.  Its one derivative chain, the family's recurrence
+(``sextic_chain`` or ``morse_chain``), gives both the state's derivatives
+and a seed's log-derivatives.
 
 Every even well (both sextic families and ``EvenPolynomial``) exposes its
 potential as ``coeffs``, the ascending coefficients of V in x^2, and
@@ -18,6 +22,7 @@ Units are atomic throughout (hbar = m = 1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -25,18 +30,16 @@ from typing import Union
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DomainError, SeedError, UnsupportedParameterError
+from .errors import DomainError, RangeOverflowError, SeedError, UnsupportedParameterError
 
 __all__ = [
     "SexticReduced",
     "SexticGeneral",
     "Morse",
     "EvenPolynomial",
+    "GaugeState",
     "SusyPartner",
-    "SexticGround",
-    "MorseGround",
     "PotentialSpec",
-    "SeedSpec",
     "evaluate",
     "SEXTICS",
     "EVEN_WELLS",
@@ -50,8 +53,9 @@ __all__ = [
 
 def _as_int(value, what):
     """Coerce a value that must be a non-negative integer."""
-    r = round(float(value))
-    if abs(float(value) - r) > 1e-12 or r < 0:
+    v = float(value)
+    r = round(v) if math.isfinite(v) else None
+    if r is None or abs(v - r) > 1e-12 or r < 0:
         raise UnsupportedParameterError(f"{what} must be a non-negative integer, got {value!r}")
     return int(r)
 
@@ -164,62 +168,79 @@ class EvenPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# factorization seeds
+# exact states and factorization partners
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SexticGround:
-    """Analytic sextic eigenstate used as a factorization seed.
+class GaugeState:
+    """Exact state u(x) = Gamma(x) p(z) of a sextic or Morse well.
 
-    u(x) = exp(-nu x^4/4 - mu x^2/2) * p(x^2), with ``poly`` the ascending
-    coefficients of the nodeless polynomial p.
+    ``poly`` holds the ascending coefficients of p in the algebraic variable
+    z; the well fixes z and the gauge factor Gamma:
+    z = x^2 and Gamma = exp(-nu x^4/4 - mu x^2/2) for a sextic well,
+    z = exp(-alpha x) and Gamma = exp(-(a/alpha) z - b x) for a Morse well.
     """
 
-    N: int
+    well: "PotentialSpec"
     poly: tuple
-    nu: float = 1.0
-    mu: float = 1.0
 
-    def __init__(self, N, poly=(1.0,), nu=1.0, mu=1.0):
-        object.__setattr__(self, "N", _as_int(N, "seed N"))
-        poly = tuple(float(c) for c in poly)
-        if not poly or abs(poly[-1]) == 0.0:
-            raise SeedError("seed polynomial must have a nonzero leading coefficient")
-        object.__setattr__(self, "poly", poly)
-        if not (nu > 0):
-            raise DomainError("nu must be positive")
-        object.__setattr__(self, "nu", float(nu))
-        object.__setattr__(self, "mu", float(mu))
+    def __post_init__(self):
+        if not isinstance(self.well, SEXTICS + (Morse,)):
+            raise DomainError(f"no gauge factor for potential family {type(self.well).__name__!r}")
+        if not self.poly or self.poly[-1] == 0.0:
+            raise SeedError("state polynomial must have a nonzero leading coefficient")
 
+    @functools.cached_property
+    def _polys(self):
+        """Coefficients of S_0..S_3 in the chain variable (x or z)."""
+        w = self.well
+        if isinstance(w, Morse):
+            return morse_chain(np.asarray(self.poly, dtype=float), w.a, w.b, w.alpha)
+        return sextic_chain(self.poly, w.nu, w.mu)
 
-@dataclass(frozen=True)
-class MorseGround:
-    """Ground state of the Morse family, u(x) = exp(-(a/alpha) z) z^(N + b/alpha), z = exp(-alpha x)."""
+    def _chain(self, x, order):
+        """log Gamma and S_0..S_order at the points x, with d^k u/dx^k = Gamma S_k.
 
-    N: int
-    a: float = 1.0
-    b: float = 8.0
-    alpha: float = math.sqrt(2.0)
+        For a Morse well, points left of where z^(deg p + 3) would overflow
+        raise :class:`RangeOverflowError`.
+        """
+        x = _check_x(x)
+        w = self.well
+        if isinstance(w, Morse):
+            safe = 600.0 / (len(self.poly) + 2)
+            if np.any(-w.alpha * x > safe):
+                raise RangeOverflowError(
+                    "gauge factor overflows left of x = %.3f; restrict the grid" % (-safe / w.alpha)
+                )
+            arg = np.exp(-w.alpha * x)
+            log_gauge = -(w.a / w.alpha) * arg - w.b * x
+        else:
+            arg = x
+            log_gauge = -0.25 * w.nu * x**4 - 0.5 * w.mu * x * x
+        return log_gauge, [npoly.polyval(arg, c) for c in self._polys[: order + 1]]
 
-    def __init__(self, N, a=1.0, b=8.0, alpha=math.sqrt(2.0)):
-        object.__setattr__(self, "N", _as_int(N, "seed N"))
-        if not (a > 0 and alpha > 0):
-            raise DomainError("a and alpha must be positive")
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-        object.__setattr__(self, "alpha", float(alpha))
+    def derivatives(self, x, order=2):
+        """The state and its x-derivatives up to ``order`` (max 3) at the points x."""
+        if order < 0 or order > 3:
+            raise DomainError("derivative order must lie in 0..3")
+        log_gauge, values = self._chain(x, order)
+        gauge = np.exp(log_gauge)
+        return tuple(gauge * s for s in values)
 
 
 @dataclass(frozen=True)
 class SusyPartner:
-    """Partner potential V1(x) = V0(x) - (ln u)''(x) built from a nodeless seed u of V0."""
+    """Partner potential V1(x) = V0(x) - (ln u)''(x) of a nodeless exact state u of V0."""
 
-    base: "PotentialSpec"
-    seed: "SeedSpec"
+    seed: GaugeState
+
+    @property
+    def base(self):
+        """The well V0 that the seed solves."""
+        return self.seed.well
 
 
 PotentialSpec = Union[SexticReduced, SexticGeneral, Morse, EvenPolynomial, SusyPartner]
-SeedSpec = Union[SexticGround, MorseGround]
 
 SEXTICS = (SexticReduced, SexticGeneral)
 EVEN_WELLS = SEXTICS + (EvenPolynomial,)
@@ -318,32 +339,21 @@ def morse_chain(poly_z, a, b, alpha, orders=3):
 
 
 def seed_log_derivatives(seed, x, check_positive=False):
-    """Closed-form chain W = (ln u)', W' and W'' of a seed at the points x.
+    """Closed-form chain W = (ln u)', W' and W'' of a seed ``GaugeState`` at the points x.
 
     Computed from ratios of the derivative polynomials of u, which avoids
     evaluating the (rapidly decaying) gauge factor altogether:
     W = u'/u, W' = u''/u - W^2, W'' = u'''/u - 3 (u''/u) W + 2 W^3.
     """
-    xa = _check_x(x)
-    if isinstance(seed, SexticGround):
-        polys = sextic_chain(seed.poly, seed.nu, seed.mu)
-        arg = xa
-    elif isinstance(seed, MorseGround):
-        polys = morse_chain(np.append(np.zeros(seed.N), 1.0), seed.a, seed.b, seed.alpha)
-        arg = np.exp(-seed.alpha * xa)
-    else:
-        raise UnsupportedParameterError(f"unknown seed spec {type(seed).__name__}")
-    s0 = npoly.polyval(arg, polys[0])
+    _, (s0, s1, s2, s3) = seed._chain(x, 3)
     if check_positive and np.any(s0 <= 0.0):
         raise SeedError("seed function is not positive at the requested points")
     if np.any(s0 == 0.0):
         raise SeedError("seed function vanishes at a requested point")
-    r1 = npoly.polyval(arg, polys[1]) / s0
-    r2 = npoly.polyval(arg, polys[2]) / s0
-    r3 = npoly.polyval(arg, polys[3]) / s0
-    w = r1
+    w = s1 / s0
+    r2 = s2 / s0
     w1 = r2 - w * w
-    w2 = r3 - 3.0 * r2 * w + 2.0 * w**3
+    w2 = s3 / s0 - 3.0 * r2 * w + 2.0 * w**3
     if np.ndim(x) == 0:
         return float(w), float(w1), float(w2)
     return w, w1, w2

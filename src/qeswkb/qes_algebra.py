@@ -3,21 +3,20 @@
 For the sextic and exponential (Morse-type) families, a gauge rotation
 turns the Schrodinger operator into a differential operator that
 preserves polynomials up to a finite degree N.  Restricting to the
-monomial basis {1, z, ..., z^N} gives a small matrix whose eigenpairs
-deliver N+1 exact levels: energies from the eigenvalues, wavefunctions
-from (gauge factor) x (eigen-polynomial).
+monomial basis {1, z, ..., z^N} gives a small tridiagonal matrix
+(``qes_block``) whose eigenpairs deliver N+1 exact levels.  Each level is
+a ``QesState``: a ``potentials.GaugeState`` u = Gamma(x) p(z) of its well,
+with p the eigen-polynomial, plus the eigenvalue as its energy.
 
-The same ground-state data drives first-order Darboux factorization:
+The same states drive first-order Darboux factorization:
 A1+ = (1/sqrt 2)(-d/dx + W) with W the seed's logarithmic derivative
 maps eigenstates of the original well onto eigenstates of the partner
 well V - W', and annihilates the seed itself.  Every x-derivative is
-exact: a state's derivatives are its gauge factor times the polynomials
-of the family's derivative chain (``potentials.sextic_chain`` or
-``potentials.morse_chain``), the same recurrence that gives the seed's
-log-derivatives W, W' and W''.  No finite differences appear anywhere.
+exact: ``GaugeState`` gives a state's derivatives and a seed's W, W' and
+W'' from one derivative chain.  No finite differences appear anywhere.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -25,153 +24,57 @@ import numpy as np
 from .errors import (
     AccuracyError,
     DomainError,
-    RangeOverflowError,
     SeedError,
     SpectrumExhaustedError,
 )
 from .potentials import (
     SEXTICS,
+    GaugeState,
     Morse,
-    MorseGround,
-    SexticGround,
     SusyPartner,
     _as_int,
     evaluate,
-    morse_chain,
     seed_log_derivatives,
-    sextic_chain,
 )
 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class QesMatrix:
-    """Algebraic block of a gauge-rotated well on the monomial basis."""
+@dataclass(frozen=True)
+class QesState(GaugeState):
+    """One exactly known level: a gauge state of its well and its energy.
 
-    dim: int
-    entries: np.ndarray
-    family: str
-    gauge: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class QesState:
-    """One exactly known level: energy, polynomial factor, evaluators.
-
-    ``poly`` holds ascending coefficients of the polynomial factor in the
-    algebraic variable z (z = x^2 for the sextic family, z = e^{-alpha x}
-    for the exponential family), normalized so the highest-degree
-    coefficient is +1.  ``derivatives`` evaluates the full wavefunction
-    and its first few x-derivatives in closed form.
+    ``poly`` is normalized so that its highest-degree coefficient is +1.
     """
 
     energy: float
-    poly: tuple
-    family: str
-    gauge: tuple
-    chain: tuple = field(repr=False)
-
-    def derivatives(self, x, order=2):
-        """Wavefunction and x-derivatives up to ``order`` (max 3) on ``x``."""
-        if order < 0 or order > 3:
-            raise DomainError("derivative order must lie in 0..3")
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise DomainError("evaluation points must be finite")
-        if self.family == "sextic":
-            nu, mu, _ = self.gauge
-            log_gauge = -0.25 * nu * x**4 - 0.5 * mu * x * x
-            gauge = np.exp(log_gauge)
-            return tuple(
-                gauge * np.polyval(self.chain[k][::-1], x) for k in range(order + 1)
-            )
-        a, b, alpha, n_index = self.gauge
-        top_degree = len(self.chain[-1]) - 1
-        safe = 600.0 / max(top_degree, 1)
-        if np.any(-alpha * x > safe):
-            raise RangeOverflowError(
-                "gauge factor overflows left of x = %.3f; restrict the grid"
-                % (-safe / alpha)
-            )
-        z = np.exp(-alpha * x)
-        gauge = np.exp(-(a / alpha) * z - b * x)
-        return tuple(
-            gauge * np.polyval(self.chain[k][::-1], z) for k in range(order + 1)
-        )
 
 
-def _apply_sextic_h0_poly(n_index, nu, mu, coeffs):
-    """Apply the gauge-rotated sextic operator to a z-polynomial.
+def qes_block(spec):
+    """Algebraic block of a sextic or Morse well on the monomials z^0..z^N.
 
-    The operator is -2 z d^2 + (2 nu z^2 + 2 mu z - 1) d - 2 N nu z + mu/2
-    acting on ascending coefficient arrays.
+    Column k is the gauge-rotated operator applied to z^k.  For the sextic
+    well, -2 z d^2 + (2 nu z^2 + 2 mu z - 1) d - 2 N nu z + mu/2 maps z^k to
+    (2 mu k + mu/2) z^k + 2 nu (k - N) z^{k+1} - k (2k - 1) z^{k-1}.  For
+    the Morse well, -(alpha^2/2) z^2 d^2 - alpha (b + alpha/2) z d
+    + a alpha z^2 d - a alpha N z + (beta^2 - b^2)/2, with beta = N alpha + b,
+    maps z^k to (beta^2 - (alpha k + b)^2)/2 z^k + a alpha (k - N) z^{k+1}.
+    The raising coefficient vanishes at k = N, so the block closes.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    k = np.arange(len(coeffs))
-    out = np.zeros(len(coeffs) + 1)
-    out[: len(coeffs)] += (2.0 * mu * k + 0.5 * mu) * coeffs
-    out[1:] += 2.0 * nu * (k - n_index) * coeffs
-    if len(coeffs) > 1:
-        out[: len(coeffs) - 1] -= (k[1:] * (2.0 * k[1:] - 1.0)) * coeffs[1:]
-    return out
-
-
-def _apply_morse_h0_poly(n_index, a, b, alpha, coeffs):
-    """Apply the gauge-rotated exponential-well operator to a z-polynomial.
-
-    The operator is -(alpha^2/2) z^2 d^2 - alpha (b + alpha/2) z d
-    + a alpha z^2 d - a alpha N z + (beta^2 - b^2)/2 with beta = N alpha + b;
-    on z^k the diagonal part collapses to (beta^2 - (alpha k + b)^2)/2.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    beta = Morse(a, b, alpha, n_index).beta
-    k = np.arange(len(coeffs))
-    out = np.zeros(len(coeffs) + 1)
-    out[: len(coeffs)] += 0.5 * (beta * beta - (alpha * k + b) ** 2) * coeffs
-    out[1:] += a * alpha * (k - n_index) * coeffs
-    return out
-
-
-def _h0_matrix(dim, apply_poly, family, gauge):
-    """Block whose column k is ``apply_poly`` of z^k, truncated to the dim monomials."""
-    entries = np.zeros((dim, dim))
-    for k in range(dim):
-        column = np.zeros(dim)
-        column[k] = 1.0
-        entries[:, k] = apply_poly(column)[:dim]
-    return QesMatrix(dim=dim, entries=entries, family=family, gauge=gauge)
-
-
-def sextic_h0_matrix(n_index, nu=1.0, mu=1.0):
-    """Algebraic block of the sextic well on monomials of degree <= N."""
-    n_index = _as_int(n_index, "N")
-    nu = float(nu)
-    mu = float(mu)
-    if nu <= 0.0:
-        raise DomainError("leading strength nu must be positive")
-    return _h0_matrix(
-        n_index + 1,
-        lambda c: _apply_sextic_h0_poly(n_index, nu, mu, c),
-        "sextic",
-        (nu, mu, float(n_index)),
-    )
-
-
-def morse_h0_matrix(n_index, a, b, alpha):
-    """Algebraic block of the exponential well on monomials of degree <= N."""
-    n_index = _as_int(n_index, "N")
-    a = float(a)
-    b = float(b)
-    alpha = float(alpha)
-    if a <= 0.0 or alpha <= 0.0:
-        raise DomainError("scale parameters a and alpha must be positive")
-    return _h0_matrix(
-        n_index + 1,
-        lambda c: _apply_morse_h0_poly(n_index, a, b, alpha, c),
-        "morse",
-        (a, b, alpha, float(n_index)),
-    )
+    if not isinstance(spec, SEXTICS + (Morse,)):
+        raise DomainError("no finite algebraic block for potential family %r" % type(spec).__name__)
+    n_index = _as_int(spec.N, "N")
+    k = np.arange(n_index + 1)
+    if isinstance(spec, Morse):
+        beta = n_index * spec.alpha + spec.b
+        diagonal = 0.5 * (beta * beta - (spec.alpha * k + spec.b) ** 2)
+        raising = spec.a * spec.alpha * (k[:-1] - n_index)
+        lowering = np.zeros(n_index)
+    else:
+        diagonal = 2.0 * spec.mu * k + 0.5 * spec.mu
+        raising = 2.0 * spec.nu * (k[:-1] - n_index)
+        lowering = -(k[1:] * (2.0 * k[1:] - 1.0))
+    return np.diag(diagonal) + np.diag(raising, -1) + np.diag(lowering, 1)
 
 
 def sl2_generators(n_index, dim=None):
@@ -182,8 +85,6 @@ def sl2_generators(n_index, dim=None):
     because its coefficient vanishes at k = N.
     """
     n_index = _as_int(n_index, "N")
-    if n_index < 0:
-        raise DomainError("N must be non-negative")
     if dim is None:
         dim = n_index + 2
     dim = _as_int(dim, "dim")
@@ -198,15 +99,16 @@ def sl2_generators(n_index, dim=None):
     return raising, weight, lowering
 
 
-def morse_lie_form_check(n_index, a, b, alpha):
-    """Max deviation between the exponential-well block and its bilinear form.
+def morse_lie_form_check(spec):
+    """Max deviation between a Morse well's block and its bilinear form.
 
     The block equals -(alpha^2/2) J+ J- + a alpha J+
     - (alpha/2)(2b + alpha(N+1)) D + (2c - b^2)/2 with c = (N alpha + b)^2 / 2,
     where D is the plain degree operator (diag k), i.e. the weight generator
     with its -N/2 offset removed.  Returns the max absolute entry difference.
     """
-    n_index = _as_int(n_index, "N")
+    n_index = _as_int(spec.N, "N")
+    a, b, alpha = spec.a, spec.b, spec.alpha
     dim = n_index + 1
     raising, weight, lowering = sl2_generators(n_index, dim)
     degree = weight + 0.5 * n_index * np.eye(dim)
@@ -217,7 +119,7 @@ def morse_lie_form_check(n_index, a, b, alpha):
         - 0.5 * alpha * (2.0 * b + alpha * (n_index + 1)) * degree
         + 0.5 * (2.0 * c - b * b) * np.eye(dim)
     )
-    return float(np.max(np.abs(bilinear - morse_h0_matrix(n_index, a, b, alpha).entries)))
+    return float(np.max(np.abs(bilinear - qes_block(spec))))
 
 
 def _monic(vector):
@@ -230,61 +132,39 @@ def _monic(vector):
 
 
 def qes_states(spec):
-    """All exactly known levels of a quasi-solvable well, sorted by energy."""
-    if isinstance(spec, SEXTICS):
-        block = sextic_h0_matrix(spec.N, spec.nu, spec.mu)
-    elif isinstance(spec, Morse):
-        block = morse_h0_matrix(spec.N, spec.a, spec.b, spec.alpha)
-    else:
-        raise DomainError(
-            "no finite algebraic block for potential family %r" % type(spec).__name__
-        )
-    values, vectors = np.linalg.eig(block.entries)
+    """All exactly known levels of a sextic or Morse well, sorted by energy."""
+    values, vectors = np.linalg.eig(qes_block(spec))
     worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if worst > 1e-9 * (1.0 + float(np.max(np.abs(values.real)))):
-        raise AccuracyError(
-            "algebraic block produced a complex eigenvalue", achieved=worst
-        )
-    order = np.argsort(values.real)
-    states = []
-    for idx in order:
-        poly = _monic(vectors[:, idx].real)
-        if block.family == "sextic":
-            chain = sextic_chain(poly, block.gauge[0], block.gauge[1])
-        else:
-            chain = morse_chain(poly, block.gauge[0], block.gauge[1], block.gauge[2])
-        states.append(
-            QesState(
-                energy=float(values.real[idx]),
-                poly=poly,
-                family=block.family,
-                gauge=block.gauge,
-                chain=tuple(tuple(c) for c in chain),
-            )
-        )
-    return states
+        raise AccuracyError("algebraic block produced a complex eigenvalue", achieved=worst)
+    return [
+        QesState(spec, _monic(vectors[:, idx].real), float(values.real[idx]))
+        for idx in np.argsort(values.real)
+    ]
 
 
-def residual_check(spec, state, grid):
+def _scaled_residual(well, energy, grid, values, scale):
+    """max |(-1/2) f'' + (V - E) f| / scale on the grid, for values (f, f', f'')."""
+    f, _, d2f = values
+    residual = -0.5 * d2f + (evaluate(well, grid) - energy) * f
+    return float(np.max(np.abs(residual))) / scale
+
+
+def residual_check(state, grid):
     """Scaled Schrodinger residual of an exactly known level on a grid.
 
     Returns max |(-1/2) psi'' + (V - E) psi| / max |psi| using the
     closed-form derivative evaluators.
     """
-    grid = np.asarray(grid, dtype=float)
-    psi, _, d2psi = state.derivatives(grid, 2)
-    scale = float(np.max(np.abs(psi)))
+    values = state.derivatives(grid, 2)
+    scale = float(np.max(np.abs(values[0])))
     if scale == 0.0:
         raise DomainError("state vanishes identically on the supplied grid")
-    v = evaluate(spec, grid)
-    residual = -0.5 * d2psi + (v - state.energy) * psi
-    return float(np.max(np.abs(residual))) / scale
+    return _scaled_residual(state.well, state.energy, grid, values, scale)
 
 
 def _nodeless_or_raise(poly):
     coeffs = np.asarray(poly, dtype=float)
-    if len(coeffs) <= 1:
-        return
     roots = np.roots(coeffs[::-1])
     for r in roots:
         if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)) and r.real > 1e-12:
@@ -306,7 +186,7 @@ class A1Plus:
         phi'' = (-f''' + W'' f + 2 W' f' + W f'') / sqrt 2
     """
 
-    seed: object
+    seed: GaugeState
 
     def apply_values(self, x, values):
         """Map (f, f', f'', [f''']) to (phi, [phi', [phi'']])."""
@@ -328,89 +208,60 @@ class A1Plus:
         return self.apply_values(x, state.derivatives(x, order + 1))
 
 
-def darboux(spec, seed):
-    """Factorize a well through a nodeless exactly known seed state.
+def darboux(seed):
+    """Factorize the seed's well through the nodeless exactly known seed.
 
     Returns (partner_spec, A1Plus).  The partner potential is
     V - (ln u)'' for seed wavefunction u; for the exponential family it
     coincides with the same family at index N-1 shifted up by the first
-    level spacing (see susy_partner_closed_form).
+    level spacing (see susy_partner_closed_form).  An exponential-family
+    seed must be the ground state z^N at integer N: its polynomial is
+    replaced by exactly z^N, since an eigenvector's lower coefficients
+    are only rounding noise.
     """
     _nodeless_or_raise(seed.poly)
-    if isinstance(spec, SEXTICS) and seed.family == "sextic":
-        seed_spec = SexticGround(N=int(spec.N), poly=seed.poly, nu=spec.nu, mu=spec.mu)
-    elif isinstance(spec, Morse) and seed.family == "morse":
-        coeffs = np.asarray(seed.poly, dtype=float)
-        if len(coeffs) != int(spec.N) + 1 or (
-            len(coeffs) > 1 and np.max(np.abs(coeffs[:-1])) > 1e-8
-        ):
+    poly = seed.poly
+    if isinstance(seed.well, Morse):
+        n_index = _as_int(seed.well.N, "seed N")
+        coeffs = np.asarray(poly, dtype=float)
+        if len(coeffs) != n_index + 1 or np.any(np.abs(coeffs[:-1]) > 1e-8):
             raise SeedError(
                 "exponential-family factorization requires the pure power "
                 "ground polynomial z^N"
             )
-        seed_spec = MorseGround(N=int(spec.N), a=spec.a, b=spec.b, alpha=spec.alpha)
-    else:
-        raise DomainError("seed family does not match the potential family")
-    return SusyPartner(base=spec, seed=seed_spec), A1Plus(seed=seed_spec)
+        poly = (0.0,) * n_index + (1.0,)
+    seed = GaugeState(seed.well, poly)
+    return SusyPartner(seed), A1Plus(seed)
 
 
-def intertwining_residual(spec, seed, state, grid):
+def intertwining_residual(seed, state, grid):
     """Partner-well Schrodinger residual of a mapped state.
 
-    Applies the factorization operator to ``state`` and checks that the
-    image solves the partner well at the same energy:
-    max |(-1/2) phi'' + (V1 - E) phi| / max |phi|.  A seed image that is
-    annihilated (max |phi| < 1e-12 max |psi|) returns NaN as the
-    degenerate-image signal rather than raising.
+    Applies the factorization operator of ``seed`` to ``state``, an exact
+    level of the same well, and checks that the image solves the partner
+    well at the same energy: max |(-1/2) phi'' + (V1 - E) phi| / max |phi|.
+    A seed image that is annihilated (max |phi| < 1e-12 max |psi|) returns
+    NaN as the degenerate-image signal rather than raising.
     """
-    grid = np.asarray(grid, dtype=float)
-    partner, operator = darboux(spec, seed)
+    if state.well != seed.well:
+        raise DomainError("the state and the seed solve different wells")
+    partner, operator = darboux(seed)
     psi = state.derivatives(grid, 0)[0]
-    phi, _, d2phi = operator.apply_state(state, grid, order=2)
-    phi_scale = float(np.max(np.abs(phi)))
-    if phi_scale < 1e-12 * float(np.max(np.abs(psi))):
+    phi = operator.apply_state(state, grid, order=2)
+    scale = float(np.max(np.abs(phi[0])))
+    if scale < 1e-12 * float(np.max(np.abs(psi))):
         return math.nan
-    v1 = evaluate(partner, grid)
-    residual = -0.5 * d2phi + (v1 - state.energy) * phi
-    return float(np.max(np.abs(residual))) / phi_scale
+    return _scaled_residual(partner, state.energy, grid, phi, scale)
 
 
-def apply_A1_plus_wronskian(seed_poly, state_poly):
-    """Wronskian polynomial p' P - p P' of seed and state polynomials.
-
-    Together with the original gauge factor this assembles the pointwise
-    image of the factorization operator:
-    (A1+ psi)(x) = sqrt 2 * x * Gamma(x) * w(x^2) / p(x^2).
-    """
-    p = np.asarray(seed_poly, dtype=float)
-    big_p = np.asarray(state_poly, dtype=float)
-    dp = p[1:] * np.arange(1, len(p)) if len(p) > 1 else np.zeros(1)
-    d_big = big_p[1:] * np.arange(1, len(big_p)) if len(big_p) > 1 else np.zeros(1)
-    first = np.convolve(dp, big_p) if dp.any() else np.zeros(1)
-    second = np.convolve(p, d_big) if d_big.any() else np.zeros(1)
-    n = max(len(first), len(second))
-    out = np.zeros(n)
-    out[: len(first)] += first
-    out[: len(second)] -= second
-    while len(out) > 1 and out[-1] == 0.0:
-        out = out[:-1]
-    return tuple(out)
-
-
-def morse_exact_spectrum(a, b, alpha, n_max):
-    """Bound energies E_n = alpha n (2b - alpha n) / 2 for n = 0..n_max."""
-    a = float(a)
-    b = float(b)
-    alpha = float(alpha)
+def morse_exact_spectrum(spec, n_max):
+    """Bound energies E_n = alpha n (2 beta - alpha n) / 2 of a Morse well, n = 0..n_max."""
     n_max = _as_int(n_max, "n_max")
-    if a <= 0.0 or alpha <= 0.0:
-        raise DomainError("scale parameters a and alpha must be positive")
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
-    if n_max >= b / alpha:
+    alpha, beta = spec.alpha, spec.beta
+    if n_max >= beta / alpha:
         raise SpectrumExhaustedError(
-            "level %d lies beyond the bound band (need n < b/alpha = %.6g)"
-            % (n_max, b / alpha)
+            "level %d lies beyond the bound band (need n < beta/alpha = %.6g)"
+            % (n_max, beta / alpha)
         )
     n = np.arange(n_max + 1, dtype=float)
-    return [float(v) for v in 0.5 * alpha * n * (2.0 * b - alpha * n)]
+    return [float(v) for v in 0.5 * alpha * n * (2.0 * beta - alpha * n)]

@@ -299,6 +299,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert len(read_lines(out / "spectrum.csv")) == 5
 
 
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "run.conf"
+    config_path.write_text("family=sextic_reduced\nN=0\n# deeper\nN=3\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error\tDomainError\t")
+    assert "line 4: key 'N' repeats line 2" in err
+    assert not out.exists()
+
+
+def test_morse_command_without_bound_states_exits_2(tmp_path, capsys):
+    argv = ["--a", "1", "--b", "-8", "--alpha", repr(SQRT2), "--N", "0"]
+    assert main(["morse", *argv, "--out", str(tmp_path / "morse")]) == 2
+    assert main(["spectrum", "--family", "morse", *argv, "--out", str(tmp_path / "spectrum")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert [line.split("\t")[1] for line in errors] == ["SpectrumExhaustedError"] * 2
+
+
 def test_unusable_out_path_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")

@@ -22,7 +22,7 @@ from qeswkb.errors import (
     SpectrumExhaustedError,
     UnsupportedParameterError,
 )
-from qeswkb.potentials import EvenPolynomial, Morse, MorseGround, SexticReduced, SusyPartner
+from qeswkb.potentials import EvenPolynomial, GaugeState, Morse, SexticReduced, SusyPartner
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -112,7 +112,7 @@ def test_certified_spectra_agree_with_a_doubled_mesh():
     # at the same scale or in the same box, to the requested tol
     tol = 1e-10
     base = SexticReduced(1.0)
-    partner, _ = qes_algebra.darboux(base, qes_algebra.qes_states(base)[0])
+    partner, _ = qes_algebra.darboux(qes_algebra.qes_states(base)[0])
     even = [SexticReduced(depth) for depth in (0.0, 0.25, 0.5, 0.7, 1.0, 2.0, 3.0)]
     even += [HARMONIC, EvenPolynomial((0.0, -1.0, 0.05, 0.02)), partner]
     for k in (1, 10, 51, 130):
@@ -139,7 +139,7 @@ def test_certificate_rejects_an_under_resolved_start():
     spec = Morse(1.0, 4.0, 1.0, 0.0)
     x_left, x_right, start = eigensolver._morse_box(spec, 4)
     assert start == 115
-    exact = qes_algebra.morse_exact_spectrum(spec.a, spec.beta, spec.alpha, 3)
+    exact = qes_algebra.morse_exact_spectrum(spec, 3)
     energies, _, bounds, floor = eigensolver._certified_solve(spec, uniform_mesh(start, x_left, x_right), 4)
     error = np.max(np.abs(energies - exact))
     assert error > 1e-9
@@ -165,7 +165,7 @@ def test_certificate_bounds_the_error():
         spec = Morse(a, b, alpha, depth)
         k = morse_bound_count(spec)
         x_left, x_right, start = eigensolver._morse_box(spec, k)
-        exact = qes_algebra.morse_exact_spectrum(a, spec.beta, alpha, k - 1)
+        exact = qes_algebra.morse_exact_spectrum(spec, k - 1)
         for M in range(start // 2, start + 1, 8):
             cases.append((spec, uniform_mesh(M, x_left, x_right), k, exact, 0.0))
     checked = short = 0
@@ -219,12 +219,12 @@ def test_low_morse_requests_take_at_most_two_solves():
 
 def test_oscillator_path_needs_even_well():
     base = SexticReduced(1.0)
-    partner, _ = qes_algebra.darboux(base, qes_algebra.qes_states(base)[0])
+    partner, _ = qes_algebra.darboux(qes_algebra.qes_states(base)[0])
     # the partner of an even well built from its even ground state is even,
     # and its levels are the base levels above the seed level
     levels = lowest_eigen(partner, 3, tol=1e-11).energies
     assert np.max(np.abs(levels - lowest_eigen(base, 4, tol=1e-11).energies[1:])) < 1e-9
-    uneven = SusyPartner(Morse(1.0, 8.0, SQRT2, 1.0), MorseGround(1, 1.0, 8.0, SQRT2))
+    uneven = SusyPartner(GaugeState(Morse(1.0, 8.0, SQRT2, 1.0), (0.0, 1.0)))
     with pytest.raises(UnsupportedParameterError):
         lowest_eigen(uneven, 3)
 
@@ -277,7 +277,7 @@ def test_morse_spectrum_matches_closed_form():
             spec = Morse(a, b, alpha, depth)
             count = morse_bound_count(spec)
             spectrum = lowest_eigen(spec, count, tol=1e-10)
-            exact = qes_algebra.morse_exact_spectrum(a, spec.beta, alpha, count - 1)
+            exact = qes_algebra.morse_exact_spectrum(spec, count - 1)
             assert np.max(np.abs(spectrum.energies - exact)) < 1e-9, (a, b, alpha, depth)
             if (a, b, alpha, depth) == (1.0, 4.0, 1.0, 0.0):
                 assert len(spectrum.refinement_deltas) >= 2
@@ -354,7 +354,7 @@ def test_convergence_error_carries_best_spectrum():
     spec = Morse(1.0, 8.0, SQRT2, 3.0)
     spectrum = lowest_eigen(spec, 9, tol=1e-9, m_cap=400)
     assert spectrum.mesh.size == 353
-    exact = qes_algebra.morse_exact_spectrum(spec.a, spec.beta, spec.alpha, 8)
+    exact = qes_algebra.morse_exact_spectrum(spec, 8)
     assert np.max(np.abs(spectrum.energies - exact)) < 1e-9
     # a tol below the rounding floor eps ||H||, about 5e-12 here, stops the
     # loop at once: a larger mesh only raises the floor

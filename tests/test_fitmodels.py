@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qeswkb import fitmodels
-from qeswkb.errors import DomainError, ModelDomainError
+from qeswkb.errors import DomainError, ModelDomainError, UnsupportedParameterError
 from qeswkb.fitmodels import (
     PUBLISHED_GAMMA,
     EnergyFitParams,
@@ -364,3 +364,15 @@ def test_refit_errors_stable_under_data_perturbation(refits):
         for name in ("max_rel_error", "rms_rel_error"):
             before, after = getattr(report, name), getattr(again, name)
             assert abs(after - before) <= 1e-5 * before, (kind, depth, name)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_level_index_is_a_typed_error(value):
+    params = PUBLISHED_GAMMA[0.0]
+    with pytest.raises(UnsupportedParameterError):
+        gamma_fit_eval(params, value)
+    with pytest.raises(UnsupportedParameterError):
+        energy_fit_eval(published_energy_params(0.0, 0.5), value)
+    data = [(n, gamma_fit_eval(params, n)) for n in range(3, 9)] + [(value, 0.1)]
+    with pytest.raises(UnsupportedParameterError):
+        fit_gamma(data)

@@ -11,10 +11,9 @@ from qeswkb.errors import (
 )
 from qeswkb.potentials import (
     EvenPolynomial,
+    GaugeState,
     Morse,
-    MorseGround,
     SexticGeneral,
-    SexticGround,
     SexticReduced,
     SusyPartner,
     evaluate,
@@ -120,7 +119,7 @@ def test_morse_partner_closed_form_shift():
     # the shift equals the first level spacing alpha (N alpha + b) - alpha^2/2
     assert shift == pytest.approx(SQRT2 * (SQRT2 + 8.0) - 1.0, rel=1e-14)
     x = np.linspace(-3.0, 6.0, 241)
-    partner = SusyPartner(spec, MorseGround(1, 1.0, 8.0, SQRT2))
+    partner = SusyPartner(GaugeState(spec, (0.0, 1.0)))
     deviation = evaluate(partner, x) - evaluate(lowered, x) - shift
     assert np.max(np.abs(deviation)) < 1e-10
 
@@ -133,7 +132,7 @@ def test_morse_partner_n0_keeps_original_constant():
     x = np.linspace(-3.0, 6.0, 241)
     z = np.exp(-alpha * x)
     expected = 0.5 * (a * a * z * z + a * z * (alpha - 2.0 * b) + b * b)
-    partner = SusyPartner(spec, MorseGround(0, a, b, alpha))
+    partner = SusyPartner(GaugeState(spec, (1.0,)))
     assert np.max(np.abs(evaluate(partner, x) - expected)) < 1e-10
     lowered, shift = susy_partner_closed_form(spec)
     assert np.max(np.abs(evaluate(lowered, x) + shift - expected)) < 1e-10
@@ -150,7 +149,7 @@ def test_sextic_partner_matches_hand_derivation():
     # seed exp(-x^4/4 - x^2/2): (ln u)'' = -3x^2 - 1, so the partner of the
     # N=0 well is x^6/2 + x^4 + 2x^2 + 1.
     spec = SexticReduced(0.0)
-    partner = SusyPartner(spec, SexticGround(0, (1.0,)))
+    partner = SusyPartner(GaugeState(spec, (1.0,)))
     x = np.linspace(-3.0, 3.0, 241)
     expected = 0.5 * x**6 + x**4 + 2.0 * x * x + 1.0
     assert np.max(np.abs(evaluate(partner, x) - expected)) < 1e-10
@@ -158,7 +157,7 @@ def test_sextic_partner_matches_hand_derivation():
 
 def test_seed_log_derivatives_match_difference_quotients():
     # independent route: central differences of W at loose tolerance
-    seed = SexticGround(1, (1.3660254037844386, 1.0))
+    seed = GaugeState(SexticReduced(1.0), (1.3660254037844386, 1.0))
     x = np.linspace(-2.0, 2.0, 41)
     eps = 1e-5
     w, w1, w2 = seed_log_derivatives(seed, x)
@@ -171,7 +170,7 @@ def test_seed_log_derivatives_match_difference_quotients():
 
 
 def test_morse_seed_log_derivative_closed_form():
-    seed = MorseGround(0, 1.0, 8.0, SQRT2)
+    seed = GaugeState(Morse(1.0, 8.0, SQRT2, 0.0), (1.0,))
     x = np.linspace(-2.0, 4.0, 61)
     w, w1, _ = seed_log_derivatives(seed, x)
     z = np.exp(-SQRT2 * x)
@@ -180,7 +179,7 @@ def test_morse_seed_log_derivative_closed_form():
 
 
 def test_seed_with_node_raises():
-    seed = SexticGround(1, (-0.36602540378443865, 1.0))
+    seed = GaugeState(SexticReduced(1.0), (-0.36602540378443865, 1.0))
     with pytest.raises(SeedError):
         seed_log_derivatives(seed, np.linspace(-2.0, 2.0, 21), check_positive=True)
 
@@ -215,9 +214,10 @@ def test_constructor_validation():
         Morse(a=-1.0, b=8.0, alpha=SQRT2, N=0.0)
     with pytest.raises(DomainError):
         EvenPolynomial((1.0, -2.0))  # negative leading coefficient
-    with pytest.raises(UnsupportedParameterError):
-        MorseGround(0.5, 1.0, 8.0, SQRT2)
-
+    with pytest.raises(DomainError):
+        GaugeState(EvenPolynomial((0.0, 0.5)), (1.0,))  # no gauge factor
+    with pytest.raises(SeedError):
+        GaugeState(SexticReduced(1.0), (1.0, 0.0))  # zero leading coefficient
 
 def test_unknown_family_rejected():
     class Odd:

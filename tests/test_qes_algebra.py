@@ -1,29 +1,26 @@
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 import pytest
 
-from qeswkb import qes_algebra
 from qeswkb.eigensolver import lowest_eigen
 from qeswkb.errors import (
-    AccuracyError,
     DomainError,
     RangeOverflowError,
     SeedError,
     SpectrumExhaustedError,
+    UnsupportedParameterError,
 )
-from qeswkb.potentials import Morse, SexticGeneral, SexticReduced
+from qeswkb.potentials import GaugeState, Morse, SexticGeneral, SexticReduced
 from qeswkb.qes_algebra import (
-    A1Plus,
-    apply_A1_plus_wronskian,
     darboux,
     intertwining_residual,
     morse_exact_spectrum,
-    morse_h0_matrix,
     morse_lie_form_check,
+    qes_block,
     qes_states,
     residual_check,
-    sextic_h0_matrix,
     sl2_generators,
 )
 
@@ -33,43 +30,48 @@ MORSE_REF = (1.0, 8.0, SQRT2)
 
 
 def test_sextic_block_small_cases():
-    m0 = sextic_h0_matrix(0, 1.0, 2.5)
-    assert m0.entries.shape == (1, 1)
-    assert m0.entries[0, 0] == pytest.approx(1.25)
-    m1 = sextic_h0_matrix(1)
+    m0 = qes_block(SexticGeneral(nu=1.0, mu=2.5, N=0.0))
+    assert m0.shape == (1, 1)
+    assert m0[0, 0] == pytest.approx(1.25)
+    m1 = qes_block(SexticReduced(1.0))
     expected = np.array([[0.5, -1.0], [-2.0, 2.5]])
-    assert np.max(np.abs(m1.entries - expected)) < 1e-14
-    values = np.sort(np.linalg.eigvals(m1.entries).real)
+    assert np.max(np.abs(m1 - expected)) < 1e-14
+    values = np.sort(np.linalg.eigvals(m1).real)
     assert values[0] == pytest.approx(1.5 - SQRT3, abs=1e-12)
     assert values[1] == pytest.approx(1.5 + SQRT3, abs=1e-12)
 
 
 def test_sextic_block_n2_eigenvalues():
-    values = np.sort(np.linalg.eigvals(sextic_h0_matrix(2).entries).real)
+    values = np.sort(np.linalg.eigvals(qes_block(SexticReduced(2.0))).real)
     expected = sorted((-1.5, 4.5 - math.sqrt(8.0), 4.5 + math.sqrt(8.0)))
     assert np.max(np.abs(values - expected)) < 1e-12
 
 
 def test_morse_block_n1():
     a, b, alpha = MORSE_REF
-    block = morse_h0_matrix(1, a, b, alpha)
-    values = np.sort(np.linalg.eigvals(block.entries).real)
+    block = qes_block(Morse(a, b, alpha, 1.0))
+    values = np.sort(np.linalg.eigvals(block).real)
     assert values[0] == pytest.approx(0.0, abs=1e-12)
     assert values[1] == pytest.approx(0.5 * alpha * (alpha + 2 * b), rel=1e-12)
 
 
-def test_block_action_preserves_polynomial_degree():
-    # applying the gauge-rotated operator to z^N must not produce z^{N+1}
+def test_block_levels_of_random_wells_solve_the_well():
+    # every eigenpair of the block is an exact level of its well: the
+    # Schrodinger residual of Gamma(x) p(z) vanishes pointwise
     rng = np.random.default_rng(7)
-    for n_index in range(9):
-        top = np.zeros(n_index + 1)
-        top[-1] = 1.0
+    sextic_grid = np.linspace(-3.0, 3.0, 61)
+    morse_grid = np.linspace(-2.0, 6.0, 81)
+    for n_index in range(5):
         nu, mu = rng.uniform(0.3, 2.0), rng.uniform(-1.0, 2.0)
-        image = qes_algebra._apply_sextic_h0_poly(n_index, nu, mu, top)
-        assert len(image) <= n_index + 1 or abs(image[n_index + 1]) == 0.0
         a, b, alpha = rng.uniform(0.3, 2.0, size=3)
-        image = qes_algebra._apply_morse_h0_poly(n_index, a, b, alpha, top)
-        assert len(image) <= n_index + 1 or abs(image[n_index + 1]) == 0.0
+        for spec, grid in (
+            (SexticGeneral(nu=nu, mu=mu, N=float(n_index)), sextic_grid),
+            (Morse(a, b, alpha, float(n_index)), morse_grid),
+        ):
+            states = qes_states(spec)
+            assert len(states) == n_index + 1
+            for state in states:
+                assert residual_check(state, grid) < 1e-8, (spec, state.energy)
 
 
 def test_qes_states_sorted_monic_real():
@@ -95,13 +97,12 @@ def test_qes_states_match_mesh_spectrum():
 def test_residual_checks():
     grid = np.linspace(-3.0, 3.0, 61)
     for state in qes_states(SexticReduced(1.0)):
-        assert residual_check(SexticReduced(1.0), state, grid) < 1e-9
+        assert residual_check(state, grid) < 1e-9
     n0 = qes_states(SexticReduced(0.0))[0]
     assert n0.energy == pytest.approx(0.5, abs=1e-13)
-    assert residual_check(SexticReduced(0.0), n0, grid) < 1e-10
-    morse = Morse(*MORSE_REF, 0.0)
-    ground = qes_states(morse)[0]
-    assert residual_check(morse, ground, np.linspace(-2.0, 6.0, 81)) < 1e-10
+    assert residual_check(n0, grid) < 1e-10
+    ground = qes_states(Morse(*MORSE_REF, 0.0))[0]
+    assert residual_check(ground, np.linspace(-2.0, 6.0, 81)) < 1e-10
 
 
 def test_morse_excited_polynomial_closed_form():
@@ -128,12 +129,15 @@ def test_sl2_commutators_close_on_invariant_block():
         top = np.zeros(n_index + 2)
         top[n_index] = 1.0
         assert np.max(np.abs(raising @ top)) == 0.0
+    for value in (math.nan, math.inf):
+        with pytest.raises(UnsupportedParameterError):
+            sl2_generators(value)
 
 
 def test_lie_algebraic_form_of_morse_block():
     for n_index in range(6):
         for a, b, alpha in ((1.0, 8.0, SQRT2), (1.3, 5.0, 0.9), (0.7, 3.3, 1.7)):
-            assert morse_lie_form_check(n_index, a, b, alpha) < 1e-12
+            assert morse_lie_form_check(Morse(a, b, alpha, n_index)) < 1e-12
 
 
 def test_darboux_intertwining_morse():
@@ -141,8 +145,8 @@ def test_darboux_intertwining_morse():
     states = qes_states(spec)
     seed = states[0]
     grid = np.linspace(-2.0, 6.0, 81)
-    assert math.isnan(intertwining_residual(spec, seed, seed, grid))
-    assert intertwining_residual(spec, seed, states[1], grid) < 1e-8
+    assert math.isnan(intertwining_residual(seed, seed, grid))
+    assert intertwining_residual(seed, states[1], grid) < 1e-8
 
 
 def test_darboux_intertwining_sextic():
@@ -150,14 +154,13 @@ def test_darboux_intertwining_sextic():
     states = qes_states(spec)
     seed = states[0]
     grid = np.linspace(-3.0, 3.0, 61)
-    assert math.isnan(intertwining_residual(spec, seed, seed, grid))
-    assert intertwining_residual(spec, seed, states[1], grid) < 1e-8
+    assert math.isnan(intertwining_residual(seed, seed, grid))
+    assert intertwining_residual(seed, states[1], grid) < 1e-8
 
 
 def test_operator_annihilates_seed_pointwise():
-    spec = Morse(*MORSE_REF, 1.0)
-    seed = qes_states(spec)[0]
-    _, operator = darboux(spec, seed)
+    seed = qes_states(Morse(*MORSE_REF, 1.0))[0]
+    _, operator = darboux(seed)
     x = np.linspace(-2.0, 6.0, 81)
     values = seed.derivatives(x, 1)
     (image,) = operator.apply_values(x, values)
@@ -165,24 +168,32 @@ def test_operator_annihilates_seed_pointwise():
 
 
 def test_darboux_seed_validation():
-    spec = SexticReduced(1.0)
-    states = qes_states(spec)
+    states = qes_states(SexticReduced(1.0))
     with pytest.raises(SeedError):
-        darboux(spec, states[1])  # excited seed has a node at z ~ +0.366
+        darboux(states[1])  # excited seed has a node at z ~ +0.366
     morse = Morse(*MORSE_REF, 1.0)
+    with pytest.raises(SeedError):
+        darboux(GaugeState(morse, (0.5, 1.0)))  # nodeless, but not the pure power z^N
+    with pytest.raises(UnsupportedParameterError):
+        darboux(GaugeState(Morse(*MORSE_REF, 1.5), (0.0, 1.0)))
+    grid = np.linspace(-2.0, 2.0, 21)
     with pytest.raises(DomainError):
-        darboux(morse, states[0])  # family mismatch
+        intertwining_residual(qes_states(morse)[0], states[1], grid)  # different wells
 
 
 def test_wronskian_route_matches_pointwise_operator():
     spec = SexticReduced(1.0)
     states = qes_states(spec)
     ground, excited = states[0], states[1]
-    w = apply_A1_plus_wronskian(ground.poly, excited.poly)
+    # the Wronskian polynomial p' P - p P' of seed p and state P
+    w = npoly.polysub(
+        npoly.polymul(npoly.polyder(ground.poly), excited.poly),
+        npoly.polymul(ground.poly, npoly.polyder(excited.poly)),
+    )
     assert len(w) == 1
     assert w[0] == pytest.approx(-SQRT3, rel=1e-10)
     # assemble pointwise: sqrt2 * x * Gamma(x) * w(x^2) / p(x^2)
-    _, operator = darboux(spec, ground)
+    _, operator = darboux(ground)
     x = np.linspace(-2.5, 2.5, 41)
     phi_direct = operator.apply_state(excited, x, order=0)[0]
     gauge = np.exp(-0.25 * x**4 - 0.5 * x * x)
@@ -197,7 +208,8 @@ def test_wronskian_route_matches_pointwise_operator():
 
 
 def test_exact_spectrum_values_and_exhaustion():
-    levels = morse_exact_spectrum(1.0, 8.0, SQRT2, 5)
+    spec = Morse(*MORSE_REF, 0.0)
+    levels = morse_exact_spectrum(spec, 5)
     expected = [
         0.0,
         10.313708498984761,
@@ -208,9 +220,9 @@ def test_exact_spectrum_values_and_exhaustion():
     ]
     assert np.max(np.abs(np.asarray(levels) - expected)) < 1e-9
     with pytest.raises(SpectrumExhaustedError):
-        morse_exact_spectrum(1.0, 8.0, SQRT2, 6)
-    with pytest.raises(DomainError):
-        morse_exact_spectrum(-1.0, 8.0, SQRT2, 3)
+        morse_exact_spectrum(spec, 6)
+    with pytest.raises(UnsupportedParameterError):
+        morse_exact_spectrum(spec, -1)
 
 
 def test_state_evaluation_guards():
@@ -238,4 +250,4 @@ def test_general_sextic_states():
     states = qes_states(spec)
     grid = np.linspace(-2.5, 2.5, 51)
     for state in states:
-        assert residual_check(spec, state, grid) < 1e-9
+        assert residual_check(state, grid) < 1e-9

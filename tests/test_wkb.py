@@ -356,3 +356,9 @@ def test_no_module_imports_scipy_optimize():
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False", module
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_level_index_is_a_typed_error(value):
+    with pytest.raises(UnsupportedParameterError):
+        gamma(SexticReduced(0.0), value, 1.0)
