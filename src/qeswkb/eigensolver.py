@@ -4,7 +4,9 @@ Two discretizations are provided, both yielding dense symmetric matrices:
 
 * an oscillator mesh (scaled Gauss-Hermite points with the kinetic matrix
   projected from the harmonic-oscillator basis), suited to confining
-  polynomial potentials whose eigenfunctions decay like a Gaussian;
+  polynomial potentials whose eigenfunctions decay like a Gaussian.  Its
+  points, weights and basis rows come from the three-term Hermite
+  recurrence and its kinetic matrix from a closed form, in O(M^2);
 * a uniform grid with a sine-basis (particle-in-a-box) kinetic matrix,
   suited to the Morse well whose eigenfunctions decay only exponentially
   toward the dissociation side.
@@ -15,8 +17,10 @@ size, solved apart (Baye, Phys. Rep. 565 (2015) 1).  Its scale is fixed once
 per spectrum: the mesh at the starting size reaches the outer turning point
 of the top requested level plus the margin over which the WKB decay
 exponent of that level grows to 40.  Each mesh starts at the size its
-states need: eight oscillator points per requested state, or six uniform
-points per shortest classical wavelength.
+states need: 64 oscillator points plus two per requested state, or six
+uniform points per shortest classical wavelength.  Every dense solve is a
+full symmetric eigensolve through NumPy's LAPACK, of which the lowest
+eigenpairs are kept.
 
 Every solve certifies itself from the tail of its eigenvectors' spectral
 expansion (Boyd, Chebyshev and Fourier Spectral Methods, 2001, sec. 2.12):
@@ -40,7 +44,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, hankel, toeplitz
 
 from .errors import (
     ConvergenceError,
@@ -58,7 +61,7 @@ from .potentials import (
     SusyPartner,
     evaluate,
 )
-from .qes_algebra import morse_exact_spectrum
+from .qes_algebra import morse_bound_count, morse_exact_spectrum
 
 __all__ = [
     "Mesh",
@@ -77,6 +80,14 @@ UNIFORM = "uniform-grid"
 
 _M_CAP_DEFAULT = 2048
 _MIN_SIZE = 8
+# An oscillator mesh starts at _START_BASE points plus _START_PER_STATE per
+# requested state.  The first solve at that size, at a scale fitted to it,
+# certified to 1e-10 every spectrum of 1 to 130 levels of the reduced
+# sextic at N = 0 to 3, the harmonic well, a double well and a
+# factorization partner; the smallest size that did so was 34 to 50 points
+# for one level and 108 to 120 for 51 levels.
+_START_BASE = 64
+_START_PER_STATE = 2
 # A Morse grid is never started smaller than for this many levels.
 _MORSE_MIN_LEVELS = 4
 
@@ -85,6 +96,11 @@ _MORSE_MIN_LEVELS = 4
 _EDGE_DECAY = 40.0
 
 _SEARCH_STEPS = 60
+
+# Halley steps allowed for the Gauss-Hermite points (three are taken), and
+# the size past which the Hermite recurrence rescales its values.
+_NODE_STEPS = 8
+_RESCALE = 1e120
 
 # The energy bound of a state is _TAIL_SAFETY tail^2 max(1, |E|), with tail
 # the largest |coefficient| among the top _tail_count(M) functions of its
@@ -163,63 +179,112 @@ class _HermiteData(NamedTuple):
 
 @lru_cache(maxsize=6)
 def _hermite_data(M):
-    """Gauss-Hermite points, the projected kinetic matrix, log mesh weights,
-    and the tail rows of the Hermite-function basis.
+    """Gauss-Hermite points, the kinetic matrix, log mesh weights, and the
+    tail rows of the Hermite-function basis of the size-M oscillator mesh.
 
     The kinetic matrix is the second-derivative operator of the oscillator
-    eigenbasis projected onto the mesh: T = -1/2 V^T D2 V, where D2 has
-    -(n + 1/2) on the diagonal and sqrt(m (m-1))/2 two off.  D2 V is formed
-    from three row-shifted products, so one GEMM remains.
+    eigenbasis projected onto the mesh, T = -1/2 V^T D2 V, where D2 has
+    -(n + 1/2) on the diagonal and sqrt(m (m-1))/2 two off.  On the zeros of
+    H_M that projection has the closed form T_ii = (4M - 1 - 2 t_i^2) / 12,
+    T_ij = (-1)^(i-j) (1 / (t_i - t_j)^2 - 1/4) (Baye, Phys. Rep. 565
+    (2015) 1), so no M x M product is formed.  Its signs belong to the
+    column signs of V that _hermite_mesh fixes.
+    """
+    t, tail, logw = _hermite_mesh(M, _tail_count(M))
+    diff = np.subtract.outer(t, t)
+    np.fill_diagonal(diff, 1.0)
+    kin = 1.0 / (diff * diff) - 0.25
+    alternating = (-1.0) ** np.arange(M)
+    kin *= np.outer(alternating, alternating)
+    np.fill_diagonal(kin, (4.0 * M - 1.0 - 2.0 * t * t) / 12.0)
+    return _HermiteData(t, kin, logw, tail)
+
+
+def _hermite_mesh(M, rows):
+    """Gauss-Hermite points t, the last ``rows`` rows of the basis V, and log mesh weights.
 
     Column j of V holds sqrt(w_j) q_n(t_j), n = 0..M-1, with q_n the
-    orthonormal Hermite polynomials (q_0 > 0) and w_j the Gauss weights
-    (Golub & Welsch).  The solver returns each column up to a sign.  That
-    sign is read from the last row rather than the first: row 0 scales like
-    exp(-t_j^2/2) and at the outer nodes falls below rounding, even to 0.0,
-    while row M-1 stays well scaled.  The zeros of q_{M-1} interlace with
-    the nodes, so the true sign of q_{M-1}(t_j) is (-1)^(M-1-j).
-
-    The points are made exactly symmetric, t_{M-1-j} = -t_j, so that the
-    mesh reflects onto itself and the parity blocks are exact.  V is
+    orthonormal Hermite polynomials and w_j the Gauss weights; V is
     orthogonal, so V c holds the Hermite-function coefficients of a unit
-    node vector c; only the rows of the top _tail_count(M) functions are
-    kept, for the eigenvector tails, not the whole M x M matrix.
+    node vector c.  The points are the zeros of q_M, taken by Halley steps
+    from Tricomi's asymptotic zeros (Townsend, Trogdon & Olver, IMA J.
+    Numer. Anal. 36 (2016) 337), which start within 1e-3 of their spacing
+    at every M; each step walks the recurrence of _hermite_walk, and a
+    step below 1e-6 of the spacing leaves the next one under rounding.
+    Only the non-negative points are walked, and t_{M-1-j} = -t_j is
+    exact, so the mesh reflects onto itself and the parity blocks are
+    exact.
+
+    One more walk at the converged points gives the rest.  With the
+    Christoffel-Darboux identity, sum_{n<M} q_n(t_j)^2 = M q_{M-1}(t_j)^2 at
+    a zero of q_M, so the mesh weight lambda_j = w_j exp(t_j^2) is
+    1 / (M phi_{M-1}(t_j)^2) and V[n, j] = phi_n(t_j) / phi_{M-1}(t_j)
+    times +-1/sqrt(M), phi_n the oscillator functions.  The column signs
+    make V[M-1, j] = (-1)^(M-1-j) / sqrt(M), the sign of q_{M-1}(t_j) with
+    q_0 > 0, since the zeros of q_{M-1} interlace with the points.
     """
-    off = np.sqrt(np.arange(1, M) / 2.0)
-    t, vecs = eigh_tridiagonal(np.zeros(M), off)
-    t = 0.5 * (t - t[::-1])
-    vecs = vecs * (np.sign(vecs[-1]) * (-1.0) ** (M - 1 - np.arange(M)))
-    n = np.arange(M)
-    coupling = 0.5 * np.sqrt(n[2:] * (n[2:] - 1.0))[:, None]
-    d2v = -(n + 0.5)[:, None] * vecs
-    d2v[:-2] += coupling * vecs[2:]
-    d2v[2:] += coupling * vecs[:-2]
-    kin = -0.5 * (vecs.T @ d2v)
-    return _HermiteData(t, kin, _hermite_log_weights(t, M), vecs[M - _tail_count(M) :].copy())
+    half = M // 2
+    nu = 2.0 * M + 1.0
+    # Tricomi: the k-th largest zero is near sqrt(nu c - ...), c = cos^2(theta/2),
+    # with theta - sin(theta) = (4k - 1) pi / nu (Gatteschi, J. Comput. Appl.
+    # Math. 144 (2002) 7).
+    rhs = np.pi * (4.0 * np.arange(half, 0, -1) - 1.0) / nu
+    theta = np.full(half, 0.5 * np.pi)
+    for _ in range(10):
+        theta -= (theta - np.sin(theta) - rhs) / (1.0 - np.cos(theta))
+    c = np.cos(0.5 * theta) ** 2
+    x = np.sqrt(nu * c - (1.25 / (1.0 - c) ** 2 - 1.0 / (1.0 - c) - 0.25) / (3.0 * nu))
+    x = np.concatenate((np.zeros(M % 2), x))
+    spacing = np.pi / math.sqrt(nu)
+    for _ in range(_NODE_STEPS):
+        below, phi_m, _ = _hermite_walk(x, M, 1)
+        # r = q_M / q_M', and q_M'' = 2 t q_M' - 2 M q_M gives Halley's step
+        r = phi_m / (math.sqrt(2.0 * M) * below[0])
+        step = r / (1.0 - x * r + M * r * r)
+        x = x - step
+        if np.max(np.abs(step)) < 1e-6 * spacing:
+            break
+    else:
+        raise MeshError(f"Gauss-Hermite points of size {M} did not converge")
+    kept, _, log_scale = _hermite_walk(x, M, rows)
+    last = kept[-1]
+    logw = -math.log(M) - 2.0 * (np.log(np.abs(last)) + log_scale)
+    ratio = kept / last
+    # phi_n(-t) / phi_{M-1}(-t) = (-1)^(n-M+1) phi_n(t) / phi_{M-1}(t)
+    mirror = (-1.0) ** np.arange(rows - 1, -1, -1)[:, None] * ratio[:, M % 2 :][:, ::-1]
+    t = np.concatenate((-x[M % 2 :][::-1], x))
+    basis = np.hstack((mirror, ratio)) * ((-1.0) ** np.arange(M - 1, -1, -1) / math.sqrt(M))
+    return t, basis, np.concatenate((logw[M % 2 :][::-1], logw))
 
 
-def _hermite_log_weights(t, M):
-    """log(lambda_i) with lambda_i = 1 / sum_{n<M} phi_n(t_i)^2.
+def _hermite_walk(x, M, rows):
+    """The oscillator functions phi_n at the points x, for the last ``rows``
+    n < M and for n = M, each point's values divided by exp(its log scale).
 
-    phi_n are the orthonormal oscillator functions; the sum is accumulated
-    with an exponent-tracking rescaling so it never overflows, which keeps
-    the weights usable to M in the thousands.
+    phi_0 = pi^(-1/4) exp(-x^2/2) and phi_{n+1} = sqrt(2/(n+1)) x phi_n -
+    sqrt(n/(n+1)) phi_{n-1}.  The Gaussian starts in the log scale, and
+    every eighth step the values past _RESCALE are divided by it and the
+    log scale raised, so that no value underflows or overflows at any M.
+    Returns the kept rows, phi_M and the log scale.
     """
-    f_prev = np.zeros_like(t)
-    f = np.full_like(t, np.pi**-0.25)
-    sigma = -0.5 * t * t
-    total = f * f
-    for n in range(M - 1):
-        f_next = t * np.sqrt(2.0 / (n + 1)) * f - np.sqrt(n / (n + 1.0)) * f_prev
-        f_prev, f = f, f_next
-        total += f * f
-        big = np.abs(f) > 1e120
-        if np.any(big):
-            f[big] *= 1e-120
-            f_prev[big] *= 1e-120
-            total[big] *= 1e-240
-            sigma[big] += 120.0 * np.log(10.0)
-    return -(np.log(total) + 2.0 * sigma)
+    n = np.arange(1.0, M + 1.0)
+    up, down = np.sqrt(2.0 / n), np.sqrt((n - 1.0) / n)
+    f_prev, f = np.zeros_like(x), np.full_like(x, np.pi**-0.25)
+    log_scale = -0.5 * x * x
+    kept = np.empty((rows, x.size))
+    first = M - rows
+    for i in range(M):
+        if i >= first:
+            kept[i - first] = f
+        f_prev, f = f, up[i] * x * f - down[i] * f_prev
+        if i % 8 == 7:
+            big = np.abs(f) > _RESCALE
+            if np.any(big):
+                f[big] /= _RESCALE
+                f_prev[big] /= _RESCALE
+                kept[: max(i - first + 1, 0), big] /= _RESCALE
+                log_scale[big] += math.log(_RESCALE)
+    return kept, f, log_scale
 
 
 def oscillator_mesh(M, h):
@@ -242,8 +307,8 @@ def _sine_kinetic(M, spacing):
     """Kinetic matrix -1/2 d^2/dx^2 of the sine (hard-wall box) basis on M interior points.
 
     Entry (i, j) depends on i - j and i + j only, so 1/sin^2(pi d / 2n) is
-    tabulated once, for d = 1 - M .. 2M, and gathered as a Toeplitz and a
-    Hankel matrix: O(M) sine calls instead of 2 M^2.
+    tabulated once, for d = 1 - M .. 2M, and gathered by those two indices:
+    O(M) sine calls instead of 2 M^2.
     """
     L = spacing * (M + 1)
     n = M + 1
@@ -253,13 +318,25 @@ def _sine_kinetic(M, spacing):
     with np.errstate(divide="ignore"):
         inv = 1.0 / np.sin(np.pi * d / (2 * n)) ** 2
     signed = np.where(d % 2 == 0, pre, -pre)
-    # table index M - 1 holds d = 0; column 0 of the Toeplitz part is d = i - 1,
-    # row 0 is d = 1 - j, and the Hankel part runs over d = i + j = 2 .. 2M
-    kin = toeplitz(signed[M - 1 : 2 * M - 1], signed[M - 1 :: -1]) * (
-        toeplitz(inv[M - 1 : 2 * M - 1], inv[M - 1 :: -1]) - hankel(inv[M + 1 : 2 * M + 1], inv[2 * M :])
-    )
+    # table index M - 1 holds d = 0; with 0-based rows and columns the
+    # difference part reads d = i - j and the sum part d = i + j + 2
+    index = np.arange(M)
+    diff = np.subtract.outer(index, index) + (M - 1)
+    kin = signed[diff] * (inv[diff] - inv[np.add.outer(index, index) + (M + 1)])
     kin[np.arange(M), np.arange(M)] = pre * ((2.0 * n**2 + 1.0) / 3.0 - 1.0 / np.sin(np.pi * i / n) ** 2)
     return kin
+
+
+def eigh(matrix, eigvals_only=False):
+    """Ascending eigenvalues of a dense symmetric matrix and, unless
+    ``eigvals_only``, its orthonormal eigenvectors as columns.
+
+    Every dense solve of the module goes through this one function (LAPACK
+    through NumPy), so that a caller can count or time them.
+    """
+    if eigvals_only:
+        return np.linalg.eigvalsh(matrix)
+    return np.linalg.eigh(matrix)
 
 
 def _potential_at_nodes(spec, mesh):
@@ -316,9 +393,9 @@ def _solve_parity(spec, mesh, k):
             continue
         block = _parity_block(spec, mesh, sign)
         norm = max(norm, np.linalg.norm(block, np.inf))
-        e, u = eigh(block, subset_by_index=(0, count - 1))
-        energies.append(e)
-        vectors.append(np.vstack((u, sign * u[::-1])) / math.sqrt(2.0))
+        e, u = eigh(block)
+        energies.append(e[:count])
+        vectors.append(np.vstack((u[:, :count], sign * u[::-1, :count])) / math.sqrt(2.0))
     energies = np.concatenate(energies)
     order = np.argsort(energies, kind="stable")
     return energies[order], np.hstack(vectors)[:, order], norm
@@ -344,7 +421,8 @@ def _certified_solve(spec, mesh, k):
         scale = np.sqrt(mesh.h * np.exp(_hermite_data(mesh.size).logw))
     else:
         ham = build_hamiltonian(spec, mesh)
-        energies, coeffs = eigh(ham, subset_by_index=(0, k - 1))
+        energies, coeffs = eigh(ham)
+        energies, coeffs = energies[:k], coeffs[:, :k]
         norm = np.linalg.norm(ham, np.inf)
         scale = np.full(mesh.size, math.sqrt(mesh.h))
     tail = np.max(np.abs(_tail_rows(mesh) @ coeffs), axis=0)
@@ -393,7 +471,7 @@ def _oscillator_scale(spec, M, k):
     mesh = oscillator_mesh(M, trial[np.argmax(balance > 0)])
     top = (k - 1) // 2
     block = _parity_block(spec, mesh, 1.0 if k % 2 else -1.0)
-    e_top = float(eigh(block, eigvals_only=True, subset_by_index=(top, top))[0])
+    e_top = float(eigh(block, eigvals_only=True)[top])
     return _edge_extent(spec, e_top) / t_max
 
 
@@ -410,14 +488,6 @@ def _fix_signs(vectors):
 def _digits(bound, energies):
     rel = bound / np.maximum(1.0, np.abs(energies))
     return np.clip(-np.log10(np.maximum(rel, 1e-16)), 0.0, 16.0)
-
-
-def morse_bound_count(spec):
-    """Number of bound states of a Morse spec (levels below the asymptote)."""
-    ratio = spec.beta / spec.alpha
-    if ratio <= 0:
-        return 0
-    return int(math.floor(ratio - 1e-12)) + 1
 
 
 def _morse_box(spec, k):
@@ -462,10 +532,10 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     grid points per shortest classical wavelength of the top requested
     level; reflection-even wells (reduced and general sextic, even
     polynomials, and partners of those built from a sextic seed) on an
-    oscillator mesh in parity blocks, starting at eight mesh points per
-    requested state and at least 256 (408 for a 51-level spectrum), at a
-    scale chosen once, at the starting size, from the turning point of the
-    top requested level; any other spec raises
+    oscillator mesh in parity blocks, starting at 64 mesh points plus two
+    per requested state (166 for a 51-level spectrum), at a scale chosen
+    once, at the starting size, from the turning point of the top
+    requested level; any other spec raises
     :class:`UnsupportedParameterError`.  Both starting sizes are clamped to
     ``m_cap`` (the oscillator mesh to an even size, for its parity blocks).
     Each solve is certified from its own eigenvectors: a state's
@@ -495,9 +565,7 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
         raise UnsupportedParameterError(
             f"the oscillator mesh needs a reflection-even well, got {type(spec).__name__}"
         )
-    # Eight mesh points per requested state keep the top state resolved
-    # at the starting size, where the scale is chosen.
-    M = min(max(256, 8 * k), m_cap - m_cap % 2)
+    M = min(_START_BASE + _START_PER_STATE * k, m_cap - m_cap % 2)
     h = _oscillator_scale(spec, M, k)
     return _refine(spec, k, tol, m_cap, M, lambda size: oscillator_mesh(size, h))
 

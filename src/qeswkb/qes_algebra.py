@@ -132,9 +132,22 @@ def _monic(vector):
 
 
 def qes_states(spec):
-    """All exactly known levels of a sextic or Morse well, sorted by energy."""
-    values, vectors = np.linalg.eig(qes_block(spec))
-    worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
+    """All exactly known bound levels of a sextic or Morse well, sorted by energy.
+
+    A Morse level Gamma p(z) decays as x -> +inf only when b + alpha j > 0,
+    z^j the lowest power of z in p; that is level n = N - j of the well, so
+    the bound ones are j > N - morse_bound_count.  The Morse block maps
+    z^j..z^N into themselves, so only that part of it is solved.  Below it
+    lie the levels that do not decay, and, at b < 0, diagonal entries that
+    coincide and leave the whole block defective.
+    """
+    block = qes_block(spec)
+    low = max(0, len(block) - morse_bound_count(spec)) if isinstance(spec, Morse) else 0
+    if low == len(block):
+        raise SpectrumExhaustedError("the well supports no bound states")
+    values, vectors = np.linalg.eig(block[low:, low:])
+    vectors = np.vstack((np.zeros((low, len(values))), vectors))
+    worst = float(np.max(np.abs(values.imag)))
     if worst > 1e-9 * (1.0 + float(np.max(np.abs(values.real)))):
         raise AccuracyError("algebraic block produced a complex eigenvalue", achieved=worst)
     return [
@@ -252,6 +265,14 @@ def intertwining_residual(seed, state, grid):
     if scale < 1e-12 * float(np.max(np.abs(psi))):
         return math.nan
     return _scaled_residual(partner, state.energy, grid, phi, scale)
+
+
+def morse_bound_count(spec):
+    """Number of bound states of a Morse spec (levels below the asymptote)."""
+    ratio = spec.beta / spec.alpha
+    if ratio <= 0:
+        return 0
+    return int(math.floor(ratio - 1e-12)) + 1
 
 
 def morse_exact_spectrum(spec, n_max):

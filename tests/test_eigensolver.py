@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from qeswkb import eigensolver, qes_algebra
 from qeswkb.eigensolver import (
@@ -47,9 +50,7 @@ def test_harmonic_ground_state_values():
 def test_quadrature_normalization_and_parity():
     spectrum = lowest_eigen(HARMONIC, 6, tol=1e-12)
     h = spectrum.mesh.h
-    lam = np.exp(
-        eigensolver._hermite_log_weights(spectrum.mesh.nodes / h, spectrum.mesh.size)
-    )
+    lam = np.exp(eigensolver._hermite_data(spectrum.mesh.size).logw)
     for n in range(6):
         psi = spectrum.eigenvectors[:, n]
         norm = float(np.sum(h * lam * psi * psi))
@@ -73,6 +74,46 @@ def test_hermite_kinetic_matrix_signs(M):
     assert not np.any(np.all(kin == 0.0, axis=1))
     scale = np.max(np.abs(kin))
     assert np.max(np.abs(kin[::-1, ::-1] - kin)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("M", [64, 256, 1040, 2048])
+def test_hermite_data_matches_golub_welsch(M):
+    # The recurrence-built points, basis and weights against SciPy's
+    # Golub-Welsch eigenvectors of the Jacobi matrix, with V's column signs
+    # fixed by its last row.  A recurrence without rescaling is NaN by 1040.
+    t, basis, logw = eigensolver._hermite_mesh(M, M)
+    assert np.all(np.isfinite(basis)) and np.all(np.isfinite(logw))
+    nodes, vecs = eigh_tridiagonal(np.zeros(M), np.sqrt(np.arange(1, M) / 2.0))
+    vecs = vecs * (np.sign(vecs[-1]) * (-1.0) ** (M - 1 - np.arange(M)))
+    assert np.max(np.abs(t - nodes) / np.maximum(1.0, np.abs(nodes))) < 1e-12
+    assert np.max(np.abs(basis - vecs)) < 1e-12
+    # log mesh weights log(w_j) + t_j^2, with w_j = sqrt(pi) V[0, j]^2, where
+    # that first component still carries relative accuracy
+    resolved = vecs[0] ** 2 > 1e-6
+    reference = np.log(math.sqrt(math.pi) * vecs[0, resolved] ** 2) + nodes[resolved] ** 2
+    assert np.count_nonzero(resolved) >= 16
+    assert np.max(np.abs(logw[resolved] - reference)) < 1e-12
+    data = eigensolver._hermite_data(M)
+    assert np.array_equal(data.t, t) and np.array_equal(data.logw, logw)
+    assert np.array_equal(data.tail, basis[M - eigensolver._tail_count(M) :])
+
+
+def test_runtime_loads_no_scipy():
+    # A fresh process: the command-line module, a 51-level sextic spectrum,
+    # a Morse spectrum and the critical-depth search.
+    src = os.path.dirname(os.path.dirname(eigensolver.__file__))
+    probe = (
+        "import sys, math, qeswkb.cli\n"
+        "from qeswkb import eigensolver as es\n"
+        "from qeswkb.potentials import Morse, SexticReduced\n"
+        "es.lowest_eigen(SexticReduced(0.5), 51)\n"
+        "es.lowest_eigen(Morse(1.0, 8.0, math.sqrt(2.0), 3.0), 9, tol=1e-9)\n"
+        "es.critical_N(tol=1e-6)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_parity_blocks_match_full_matrix():
@@ -183,9 +224,9 @@ def test_certificate_bounds_the_error():
 
 
 def test_large_request_fits_under_default_cap():
-    # 130 levels start at 1040 points, where the first solve certifies itself
+    # 130 levels start at 324 points, where the first solve certifies itself
     spectrum = lowest_eigen(SexticReduced(0.5), 130)
-    assert spectrum.mesh.size == 1040
+    assert spectrum.mesh.size == 324
 
 
 def test_solve_counts(monkeypatch):
@@ -197,11 +238,11 @@ def test_solve_counts(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "eigh", counted)
     spectrum = lowest_eigen(SexticReduced(0.25), 51, tol=1e-10)
-    # eight points per state start the mesh at 408, where the first solve,
-    # one even and one odd block, certifies itself
+    # 64 points plus two per state start the mesh at 166, where the first
+    # solve, one even and one odd block, certifies itself
     assert len(sizes) <= 6
     assert all(2 * m <= spectrum.mesh.size for m in sizes)
-    assert spectrum.mesh.size == 408
+    assert spectrum.mesh.size == 166
     sizes.clear()
     # six grid points per shortest classical wavelength of the top level
     spectrum = lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9)

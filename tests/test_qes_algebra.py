@@ -16,6 +16,7 @@ from qeswkb.potentials import GaugeState, Morse, SexticGeneral, SexticReduced
 from qeswkb.qes_algebra import (
     darboux,
     intertwining_residual,
+    morse_bound_count,
     morse_exact_spectrum,
     morse_lie_form_check,
     qes_block,
@@ -251,3 +252,30 @@ def test_general_sextic_states():
     grid = np.linspace(-2.5, 2.5, 51)
     for state in states:
         assert residual_check(state, grid) < 1e-9
+
+
+def test_morse_states_are_bound_and_distinct():
+    # At b <= 0 the lower powers of z give levels that do not decay, and
+    # diagonal entries that coincide and leave the whole block defective.
+    rng = np.random.default_rng(19)
+    wells = [(1.0, -1.0, 1.0, 3.0), (1.0, -2.5, 0.7, 5.0), (1.0, 8.0, SQRT2, 3.0)]
+    wells += [(rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0), rng.uniform(0.3, 2.0), float(n))
+              for n in range(7) for _ in range(4)]
+    for a, b, alpha, n_index in wells:
+        spec = Morse(a, b, alpha, n_index)
+        count = morse_bound_count(spec)
+        if count == 0:
+            with pytest.raises(SpectrumExhaustedError):
+                qes_states(spec)
+            continue
+        states = qes_states(spec)
+        assert len(states) == min(count, n_index + 1), (a, b, alpha, n_index)
+        assert len({state.poly for state in states}) == len(states)
+        for state in states:
+            poly = np.abs(state.poly)
+            lowest = int(np.argmax(poly > 1e-12 * poly.max()))
+            assert b + alpha * lowest > 0
+            assert state.energy < spec.v_inf
+            assert residual_check(state, np.linspace(-2.0, 4.0, 61)) < 1e-8
+    levels = qes_states(Morse(1.0, -1.0, 1.0, 3.0))
+    assert [state.energy for state in levels] == [0.0, 1.5]
