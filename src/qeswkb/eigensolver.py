@@ -537,7 +537,8 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     once, at the starting size, from the turning point of the top
     requested level; any other spec raises
     :class:`UnsupportedParameterError`.  Both starting sizes are clamped to
-    ``m_cap`` (the oscillator mesh to an even size, for its parity blocks).
+    ``m_cap`` (the oscillator mesh to an even size, for its parity blocks),
+    and a ``k`` above that even size raises :class:`MeshError`.
     Each solve is certified from its own eigenvectors: a state's
     certificate is the larger of ten times the square of its largest
     coefficient in the top eighth of the basis (at least 16 functions),
@@ -553,6 +554,9 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
         raise MeshError("k must be at least 1")
     if not tol > 0:
         raise MeshError("tol must be positive")
+    if k > m_cap - m_cap % 2:
+        # a solve returns at most as many levels as its mesh has points
+        raise MeshError(f"m_cap={m_cap} leaves no room for {k} states")
     if isinstance(spec, Morse):
         count = morse_bound_count(spec)
         if k > count:

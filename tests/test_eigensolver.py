@@ -362,6 +362,11 @@ def test_mesh_validation():
         lowest_eigen(HARMONIC, 0)
     with pytest.raises(MeshError):
         lowest_eigen(HARMONIC, 3, tol=-1.0)
+    # the full solve returns at most M levels, so a cap below k is refused
+    with pytest.raises(MeshError):
+        lowest_eigen(HARMONIC, 80, m_cap=64)
+    with pytest.raises(MeshError):
+        lowest_eigen(Morse(0.5, 6.0, 0.7, 3.0), 12, m_cap=10)
 
 
 def test_oscillator_mesh_shape():
