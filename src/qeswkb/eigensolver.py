@@ -82,8 +82,8 @@ _M_CAP_DEFAULT = 2048
 _MIN_SIZE = 8
 # An oscillator mesh starts at _START_BASE points plus _START_PER_STATE per
 # requested state.  The first solve at that size, at a scale fitted to it,
-# certified to 1e-10 every spectrum of 1 to 130 levels of the reduced
-# sextic at N = 0 to 3, the harmonic well, a double well and a
+# certified to 1e-10 every spectrum tried, of 1 to 130 levels of the
+# reduced sextic at N = 0 to 3, the harmonic well, a double well and a
 # factorization partner; the smallest size that did so was 34 to 50 points
 # for one level and 108 to 120 for 51 levels.
 _START_BASE = 64
@@ -97,7 +97,7 @@ _EDGE_DECAY = 40.0
 
 _SEARCH_STEPS = 60
 
-# Halley steps allowed for the Gauss-Hermite points (three are taken), and
+# Halley steps allowed for the Gauss-Hermite points (two or three are taken), and
 # the size past which the Hermite recurrence rescales its values.
 _NODE_STEPS = 8
 _RESCALE = 1e120
