@@ -28,12 +28,19 @@ the Hermite-function coefficients on the oscillator mesh, the sine (DST-I)
 coefficients on the uniform grid.  A resolved state has negligible weight
 in the top eighth of the basis (at least 16 functions).  Its energy error
 is bounded by _TAIL_SAFETY times the square of its largest coefficient
-there, times max(1, |E|), a map tested on under-resolved solves, but the
-bound is never taken below the rounding floor eps ||H||_inf of the
-matrices solved.  One refinement loop serves both meshes: it grows the
-basis size by steps of about 5/4 at that fixed scale (or box), never past
-the size cap, only while some state's certificate is not below the
-requested tolerance, and keeps the eigenvectors of its last solve.
+there, times max(1, |E|), a map tested on under-resolved solves.  On the
+uniform grid the bound adds a wall term for each hard wall, the shift that
+cutting the decaying tail off there puts on the level, read from the node
+next to the wall.  No bound is taken below the rounding floor
+eps ||H||_inf of the matrices solved.  The Morse box is sized from the
+requested tolerance: each wall sits where the top level's WKB decay
+exponent makes its wall term a few percent of that tolerance.  One
+refinement loop serves both meshes: it grows the basis size by steps of
+about 5/4 at that fixed scale (or box), never past the size cap, only
+while some state's certificate is not below the requested tolerance, and
+keeps the eigenvectors of its last solve.  A wall term at or above the
+tolerance stops it at once, since a finer grid in the same box does not
+lower it.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from .potentials import (
     SusyPartner,
     evaluate,
 )
-from .qes_algebra import morse_bound_count, morse_exact_spectrum
+from .qes_algebra import morse_bound_count
 
 __all__ = [
     "Mesh",
@@ -88,8 +95,13 @@ _MIN_SIZE = 8
 # for one level and 108 to 120 for 51 levels.
 _START_BASE = 64
 _START_PER_STATE = 2
-# A Morse grid is never started smaller than for this many levels.
+# A Morse grid is never started smaller than for this many levels, nor at
+# fewer than _MORSE_MIN_SIZE points.  Below that size the 16 tail modes are
+# over a quarter of the basis, and the tail bound of a resolved state sits far
+# above its error: 1.4e-5 against 2.5e-10 for the three lowest levels of the
+# Morse (1, 8, sqrt 2, 0) well at the 47 points of their box at tol 1e-9.
 _MORSE_MIN_LEVELS = 4
+_MORSE_MIN_SIZE = 64
 
 # WKB decay exponent of the top requested level at the edge of the starting
 # oscillator mesh: exp(-40) ~ 4e-18 puts the truncated tail below rounding.
@@ -112,6 +124,20 @@ _TAIL_SAFETY = 10.0
 # A small mesh reads its tail from at least this many top functions, not
 # from the two or three of its top eighth.
 _TAIL_MIN_MODES = 16
+# The wall term of a state on the uniform grid is _WALL_SAFETY psi^2 /
+# (4 kappa h^2) at each wall, with psi its quadrature-normalized value at the
+# node next to the wall, kappa = sqrt(2 (V - E)) there and h the spacing.
+# On 118 solves of the ten Morse wells of the tests, at the spacing of their
+# certified spectra, with one wall moved in until its error dominates some
+# state's, that error is 0.99 to 1.0 times the estimate at the right wall.
+# At the steep left wall the estimate is mostly 1.6 to 10 times the error,
+# which is at most 1.001 times it.  Twice the estimate keeps the bound clear
+# of the error, with room for the grid's own.
+_WALL_SAFETY = 2.0
+# Each wall of a Morse box sits where the top level's WKB decay exponent
+# reaches (ln(1/tol) + _WALL_EXTRA) / 2, so that its wall term, which falls
+# like exp(-2 exponent), lands near exp(-_WALL_EXTRA) tol.
+_WALL_EXTRA = 3.0
 _EPS = np.finfo(float).eps
 
 
@@ -156,9 +182,10 @@ class Spectrum:
     normalized under the mesh quadrature rule, with the sign fixed so the
     first non-negligible node value is positive.  ``refinement_deltas``
     holds one certificate per solve, in order: the largest per-state energy
-    error bound of that solve, from its eigenvector tails and rounding
-    floor.  ``converged_digits[n]`` is the number of significant digits of
-    E_n that the last certificate vouches for, relative to max(1, |E_n|).
+    error bound of that solve, from its eigenvector tails, its wall terms
+    (uniform grid only) and its rounding floor.  ``converged_digits[n]`` is
+    the number of significant digits of E_n that the last certificate
+    vouches for, relative to max(1, |E_n|).
     """
 
     energies: np.ndarray
@@ -412,27 +439,56 @@ def _tail_rows(mesh):
     return math.sqrt(2.0 / (M + 1)) * np.sin(np.outer(modes, np.arange(1, M + 1)) * (np.pi / (M + 1)))
 
 
-def _certified_solve(spec, mesh, k):
+def _bounded_solve(spec, mesh, k):
     """k lowest energies on one mesh, quadrature-normalized node values, the
-    per-state tail bounds _TAIL_SAFETY tail^2 max(1, |E|), and the rounding
-    floor eps ||H||_inf of the matrices solved."""
+    per-state tail bounds _TAIL_SAFETY tail^2 max(1, |E|), the per-state
+    wall terms (zero on the oscillator mesh), and the rounding floor
+    eps ||H||_inf of the matrices solved."""
     if mesh.kind == OSCILLATOR:
         energies, coeffs, norm = _solve_parity(spec, mesh, k)
         scale = np.sqrt(mesh.h * np.exp(_hermite_data(mesh.size).logw))
+        wall = np.zeros(k)
     else:
         ham = build_hamiltonian(spec, mesh)
         energies, coeffs = eigh(ham)
         energies, coeffs = energies[:k], coeffs[:, :k]
         norm = np.linalg.norm(ham, np.inf)
         scale = np.full(mesh.size, math.sqrt(mesh.h))
+        wall = _wall_terms(spec, mesh, energies, coeffs)
     tail = np.max(np.abs(_tail_rows(mesh) @ coeffs), axis=0)
     bounds = _TAIL_SAFETY * tail**2 * np.maximum(1.0, np.abs(energies))
-    return energies, _fix_signs(coeffs / scale[:, None]), bounds, _EPS * float(norm)
+    return energies, _fix_signs(coeffs / scale[:, None]), bounds, wall, _EPS * float(norm)
+
+
+def _wall_terms(spec, mesh, energies, coeffs):
+    """Per-state energy shift from the two hard walls of a uniform grid.
+
+    Moving a Dirichlet wall at L out by dL lowers a level by psi'(L)^2 dL / 2.
+    Beyond its turning point a state decays like exp(-kappa x), and the wall
+    doubles the slope of that free tail, so pushing the wall to infinity
+    lowers the level by about kappa psi_free(L)^2 = psi(L - h)^2 / (4 kappa h^2),
+    psi(L - h) the node value next to the wall.  A state that is not
+    classically forbidden at a wall gets an infinite term.  Each state's term
+    is _WALL_SAFETY times its sum over both walls; ``coeffs`` are unit node
+    vectors, psi^2 = coeffs^2 / h.
+    """
+    edge = evaluate(spec, mesh.nodes[[0, -1]])
+    kappa = np.sqrt(2.0 * np.maximum(edge[:, None] - energies, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = coeffs[[0, -1]] ** 2 / (4.0 * kappa * mesh.h**3)
+    return _WALL_SAFETY * np.where(kappa > 0.0, terms, np.inf).sum(axis=0)
+
+
+def _certified_solve(spec, mesh, k):
+    """k lowest energies on one mesh, quadrature-normalized node values, the
+    per-state bounds (tail bound plus wall term), and the rounding floor."""
+    energies, vectors, tail, wall, floor = _bounded_solve(spec, mesh, k)
+    return energies, vectors, tail + wall, floor
 
 
 def _solve(spec, mesh, k):
     """k lowest energies on one mesh, with quadrature-normalized node values."""
-    return _certified_solve(spec, mesh, k)[:2]
+    return _bounded_solve(spec, mesh, k)[:2]
 
 
 def _edge_extent(spec, energy):
@@ -490,65 +546,91 @@ def _digits(bound, energies):
     return np.clip(-np.log10(np.maximum(rel, 1e-16)), 0.0, 16.0)
 
 
-def _morse_box(spec, k):
-    """Box and starting grid size for the k lowest levels of a Morse well.
+def _morse_box(spec, k, tol):
+    """Box and starting grid size for the k lowest levels of a Morse well,
+    for energies certified to ``tol``.
 
-    The box is large enough that wall-truncation error is far below 1e-10.
-    The left wall sits where the exponential barrier is several hundred
-    times the dissociation energy; the right wall extends past the outer
-    turning point of the highest requested level by many decay lengths
-    1/kappa, kappa = sqrt(2 (V_inf - E_{k-1})).
+    Each wall sits past a turning point of the top requested level, n, where
+    its WKB decay exponent reaches D = (ln(1/tol) + _WALL_EXTRA) / 2, so its
+    wall term lands near exp(-_WALL_EXTRA) tol.  In z = exp(-alpha x),
+    2 (V - E_n) = a^2 (z - z_in)(z - z_out), with the turning points
+    z_out < z_in in closed form.  Right of the outer turning point the decay
+    rate climbs to kappa = beta - alpha n, and the right wall sits D / kappa
+    past it.  Left of the inner one the decay rate is at least
+    a (z - z_in), so the exponent is at least (a z_in / alpha)(u - 1 - ln u)
+    >= (a z_in / alpha)(u - 1)^2 / (2u), u = z / z_in; the left wall sits
+    where that last bound reaches D, at u = 1 + r + sqrt(r (r + 2)),
+    r = alpha D / (a z_in).
 
     The grid starts where its Nyquist momentum pi / dx is three times the
-    largest classical momentum of that level, p_top = sqrt(2 (E_{k-1} - V_min)):
-    six points per shortest classical wavelength (Colbert & Miller,
-    J. Chem. Phys. 96 (1992) 1982).  This sizes the first solve, not the
-    last; the refinement loop grows it while its certificate is too large.
+    largest classical momentum of level n, sqrt(2 (E_n - V_min)): six points
+    per shortest classical wavelength (Colbert & Miller, J. Chem. Phys. 96
+    (1992) 1982).  This sizes the first solve, not the last; the refinement
+    loop grows it while its certificate is too large.
 
     Box and grid are sized for at least the four lowest levels (all of them
     in a shallower well): the lowest levels carry momentum well beyond
     their classical maximum, and a ground level certifies to 1e-9 only at
-    about 2.5 times its own six-points-per-wavelength size.
+    about 2.5 times its own six-points-per-wavelength size.  The grid
+    starts at no fewer than _MORSE_MIN_SIZE points.
+
+    Raises MeshError when the walls, the width or the starting size are not
+    finite, or when the square of the width or of the starting spacing
+    overflows or underflows.
     """
-    k = max(k, min(_MORSE_MIN_LEVELS, morse_bound_count(spec)))
-    beta, c1, v_inf = spec.beta, spec.c1, spec.v_inf
-    z_left = max(math.sqrt(800.0 * max(v_inf, 1.0)), 3.0 * c1, 20.0) / spec.a
-    x_left = -math.log(z_left) / spec.alpha
-    e_top = morse_exact_spectrum(spec, k - 1)[-1]
-    kappa = math.sqrt(max(2.0 * (v_inf - e_top), 1e-12))
-    disc = math.sqrt(max(c1 * c1 - 4.0 * (beta * beta - 2.0 * e_top), 0.0))
-    z_min = max((c1 - disc) / (2.0 * spec.a), 1e-300)
-    x_turn = -math.log(z_min) / spec.alpha
-    x_right = x_turn + min(max(20.7 / kappa, 5.0), 80.0)
-    p_top = math.sqrt(2.0 * (e_top - spec.v_min))
-    size = max(math.ceil(3.0 * (x_right - x_left) * p_top / math.pi), _MIN_SIZE)
-    return x_left, x_right, size
+    n = max(k, min(_MORSE_MIN_LEVELS, morse_bound_count(spec))) - 1
+    decay = 0.5 * (math.log(1.0 / tol) + _WALL_EXTRA)
+    a, alpha, c1 = np.float64(spec.a), np.float64(spec.alpha), np.float64(spec.c1)
+    with np.errstate(all="ignore"):
+        kappa = spec.beta - alpha * n
+        # sqrt(c1^2 - 4 kappa^2), with c1 - 2 kappa = alpha (2n + 1); it is
+        # also twice the largest classical momentum of level n
+        disc = np.sqrt(alpha * (2 * n + 1) * (c1 + 2.0 * kappa))
+        z_in = (c1 + disc) / (2.0 * a)
+        z_out = 2.0 * kappa * kappa / (a * (c1 + disc))
+        r = alpha * decay / (a * z_in)
+        x_left = -np.log(z_in * (1.0 + r + np.sqrt(r * (r + 2.0)))) / alpha
+        x_right = decay / kappa - np.log(z_out) / alpha
+        width = x_right - x_left
+        size = 3.0 * width * disc / (2.0 * math.pi)
+        spacing = width / (max(size, _MORSE_MIN_SIZE) + 1.0)
+        finite = np.isfinite([x_left, x_right, size, width * width, 1.0 / (spacing * spacing)]).all()
+    if not (finite and width > 0.0):
+        raise MeshError(
+            f"no usable Morse box for {k} levels at tol {tol:.1e}: walls {x_left:.6g}, {x_right:.6g}, "
+            f"starting size {size:.6g}"
+        )
+    return float(x_left), float(x_right), max(math.ceil(size), _MORSE_MIN_SIZE)
 
 
 def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     """Converged k lowest eigenpairs of the potential.
 
-    Morse wells are solved on a uniform grid in a fixed box, starting at six
-    grid points per shortest classical wavelength of the top requested
-    level; reflection-even wells (reduced and general sextic, even
-    polynomials, and partners of those built from a sextic seed) on an
-    oscillator mesh in parity blocks, starting at 64 mesh points plus two
-    per requested state (166 for a 51-level spectrum), at a scale chosen
-    once, at the starting size, from the turning point of the top
-    requested level; any other spec raises
+    Morse wells are solved on a uniform grid in a box sized from ``tol``:
+    each wall sits where the top requested level's WKB decay exponent
+    reaches (ln(1/tol) + 3) / 2.  The grid starts at six points per shortest
+    classical wavelength of that level.  Reflection-even wells (reduced and
+    general sextic, even polynomials, and partners of those built from a
+    sextic seed) are solved on an oscillator mesh in parity blocks, starting
+    at 64 mesh points plus two per requested state (166 for a 51-level
+    spectrum), at a scale chosen once, at the starting size, from the
+    turning point of the top requested level.  Any other spec raises
     :class:`UnsupportedParameterError`.  Both starting sizes are clamped to
     ``m_cap`` (the oscillator mesh to an even size, for its parity blocks),
-    and a ``k`` above that even size raises :class:`MeshError`.
+    and a ``k`` above that even size raises :class:`MeshError`, as does a
+    Morse box whose walls, width or starting size are not finite.
     Each solve is certified from its own eigenvectors: a state's
-    certificate is the larger of ten times the square of its largest
-    coefficient in the top eighth of the basis (at least 16 functions),
-    times max(1, |E|), and the rounding floor eps ||H||_inf.  A first solve
-    whose certificates are all below ``tol`` is returned as it is.
-    Otherwise the mesh size grows to the next even size at or above 5/4 of
-    the last one, at that fixed scale or box and never past ``m_cap``, until
-    every requested energy is certified to ``tol``.  If the cap or the
-    rounding floor stops the loop first, a :class:`ConvergenceError`
-    carrying the best spectrum so far is raised.
+    certificate is ten times the square of its largest coefficient in the
+    top eighth of the basis (at least 16 functions), times max(1, |E|),
+    plus on the uniform grid twice its estimated wall term, but never less
+    than the rounding floor eps ||H||_inf.  A first solve whose certificates
+    are all below ``tol`` is returned as it is.  Otherwise the mesh size
+    grows to the next even size at or above 5/4 of the last one, at that
+    fixed scale or box and never past ``m_cap``, until every requested
+    energy is certified to ``tol``.  If the cap, the rounding floor or a
+    wall term stops the loop first, a :class:`ConvergenceError` carrying
+    the best spectrum so far is raised; a wall term at or above ``tol``
+    means the box is too short, and the error says so.
     """
     if k < 1:
         raise MeshError("k must be at least 1")
@@ -563,7 +645,7 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
             raise SpectrumExhaustedError(
                 f"requested {k} states but the well supports only {count} bound states"
             )
-        x_left, x_right, M = _morse_box(spec, k)
+        x_left, x_right, M = _morse_box(spec, k, tol)
         return _refine(spec, k, tol, m_cap, min(M, m_cap), lambda size: uniform_mesh(size, x_left, x_right))
     if not _is_even(spec):
         raise UnsupportedParameterError(
@@ -579,20 +661,22 @@ def _refine(spec, k, tol, m_cap, M, mesh_at):
     state's certificate is at or above ``tol``.
 
     A state's certificate is the larger of its tail bound, _TAIL_SAFETY
-    tail^2 max(1, |E|), and the rounding floor eps ||H||_inf of the solve.
-    Each step goes to the next even size at or above 5 M / 4, at a fixed
-    scale or box, where the mesh energies converge exponentially in M (Baye,
-    Phys. Rep. 565 (2015) 1).  The loop stops with a ConvergenceError when
-    the next size would pass ``m_cap``, or as soon as the rounding floor
-    reaches ``tol``: the floor only rises with M.
+    tail^2 max(1, |E|), plus its wall term, and the rounding floor
+    eps ||H||_inf of the solve.  Each step goes to the next even size at or
+    above 5 M / 4, at a fixed scale or box, where the mesh energies converge
+    exponentially in M (Baye, Phys. Rep. 565 (2015) 1).  The loop stops with
+    a ConvergenceError when the next size would pass ``m_cap``, or as soon as
+    the rounding floor or a state's wall term reaches ``tol``: the floor only
+    rises with M, and the wall term of a fixed box does not fall.
     """
     certificates = []
     while True:
         mesh = mesh_at(M)
-        energies, vectors, bounds, floor = _certified_solve(spec, mesh, k)
-        certificates.append(max(float(bounds.max()), floor))
+        energies, vectors, tail, wall, floor = _bounded_solve(spec, mesh, k)
+        certificates.append(max(float((tail + wall).max()), floor))
+        wall_term = float(wall.max())
         grown = 2 * math.ceil(5 * M / 8)
-        if certificates[-1] < tol or floor >= tol or grown > m_cap:
+        if certificates[-1] < tol or floor >= tol or wall_term >= tol or grown > m_cap:
             break
         M = grown
     spectrum = Spectrum(
@@ -604,9 +688,13 @@ def _refine(spec, k, tol, m_cap, M, mesh_at):
     )
     if certificates[-1] < tol:
         return spectrum
+    if wall_term >= tol:
+        cause = (f"the box [{mesh.nodes[0] - mesh.h:.6g}, {mesh.nodes[-1] + mesh.h:.6g}] is too short: "
+                 f"its wall term {wall_term:.3e} >= tol {tol:.1e}")
+    else:
+        cause = f"certificate {certificates[-1]:.3e} >= tol {tol:.1e}"
     raise ConvergenceError(
-        f"refinement stalled at M={M} (certificate {certificates[-1]:.3e} >= tol {tol:.1e}; "
-        f"rounding floor {floor:.3e}, next size {grown}, m_cap={m_cap})",
+        f"refinement stalled at M={M} ({cause}; rounding floor {floor:.3e}, next size {grown}, m_cap={m_cap})",
         best=spectrum,
     )
 

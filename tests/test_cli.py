@@ -327,3 +327,15 @@ def test_unusable_out_path_exits_2(tmp_path, capsys):
         assert err.startswith("error\tDomainError\tcannot write %s: " % out)
         assert len(err.splitlines()) == 1
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "morse", "--a", "2.5", "--b", "1e300", "--alpha", "3", "--N", "2.5"],
+    ["fit-gamma", "--family", "morse", "--a", "1", "--b", "40", "--alpha", "1e-300", "--N", "0.7"],
+], ids=["spectrum", "fit-gamma"])
+def test_morse_box_out_of_range_exits_2(tmp_path, capsys, argv):
+    # a plateau that overflows, and a box too wide for its spacing to be squared
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error\tMeshError\t")
+    assert len(err.splitlines()) == 1

@@ -170,16 +170,71 @@ def test_certified_spectra_agree_with_a_doubled_mesh():
         spec = Morse(a, b, alpha, depth)
         count = morse_bound_count(spec)
         for k in sorted({1, min(10, count), count}):
-            x_left, x_right, _ = eigensolver._morse_box(spec, k)
+            x_left, x_right, _ = eigensolver._morse_box(spec, k, tol)
             spectrum = lowest_eigen(spec, k, tol=tol)
             reference, _ = eigensolver._solve(spec, uniform_mesh(2 * spectrum.mesh.size, x_left, x_right), k)
             assert np.max(np.abs(spectrum.energies - reference)) < tol, (spec, k)
 
 
+def _morse_turning_points(spec, level):
+    """Inner and outer turning points of a Morse level, and its decay rate
+    kappa = sqrt(2 (V_inf - E)) past the outer one."""
+    energy = qes_algebra.morse_exact_spectrum(spec, level)[-1]
+    kappa = math.sqrt(2.0 * (spec.v_inf - energy))
+    disc = math.sqrt(spec.c1**2 - 4.0 * kappa**2)
+    z_in, z_out = (spec.c1 + disc) / (2.0 * spec.a), (spec.c1 - disc) / (2.0 * spec.a)
+    return -math.log(z_in) / spec.alpha, -math.log(z_out) / spec.alpha, kappa
+
+
+def test_certified_spectra_agree_with_a_longer_box():
+    # each certified Morse spectrum agrees with one solve at the same spacing
+    # in a box whose margins past the top level's turning points are doubled
+    tol = 1e-10
+    wells = [(1.0, 8.0, SQRT2, 0.0), (1.0, 4.0, 1.0, 0.0), (1.0, 4.0, 1.0, 3.0), (1.0, 12.0, 2.0, 0.0)]
+    wells += [(1.0, 12.0, 2.0, 3.0), (0.5, 6.0, 0.7, 0.0), (0.5, 6.0, 0.7, 3.0)]
+    for a, b, alpha, depth in wells:
+        spec = Morse(a, b, alpha, depth)
+        count = morse_bound_count(spec)
+        for k in sorted({1, min(10, count), count}):
+            spectrum = lowest_eigen(spec, k, tol=tol)
+            mesh = spectrum.mesh
+            x_in, x_out, _ = _morse_turning_points(spec, k - 1)
+            x_left = x_in - 2.0 * (x_in - (mesh.nodes[0] - mesh.h))
+            size = math.ceil((x_out + 2.0 * (mesh.nodes[-1] + mesh.h - x_out) - x_left) / mesh.h) - 1
+            longer = uniform_mesh(size, x_left, x_left + (size + 1) * mesh.h)
+            assert longer.h == pytest.approx(mesh.h, rel=1e-12)
+            reference, _ = eigensolver._solve(spec, longer, k)
+            assert np.max(np.abs(spectrum.energies - reference)) < tol, (spec, k)
+
+
+def test_too_short_a_box_is_never_certified(monkeypatch):
+    # The four wells of the spectra workload in a box whose right wall is
+    # only 8 decay lengths past the top level's outer turning point, on a
+    # grid that resolves them: cutting the tail off there costs the top
+    # level about 4.7e-8, which the tail of the sine expansion does not see.
+    tol = 1e-9
+    for depth in (0.0, 1.0, 2.0, 3.0):
+        spec = Morse(1.0, 8.0, SQRT2, depth)
+        k = morse_bound_count(spec)
+        exact = qes_algebra.morse_exact_spectrum(spec, k - 1)
+        x_in, x_out, kappa = _morse_turning_points(spec, k - 1)
+        x_left, x_right = x_in - 1.0, x_out + 8.0 / kappa
+        size = 2 * math.ceil(3.0 * (x_right - x_left) * math.sqrt(2.0 * (exact[-1] - spec.v_min)) / math.pi)
+        energies, _, bounds, floor = eigensolver._certified_solve(spec, uniform_mesh(size, x_left, x_right), k)
+        error = np.max(np.abs(energies - exact))
+        assert 4e-8 < error < 6e-8
+        assert max(bounds.max(), floor) >= error
+        monkeypatch.setattr(eigensolver, "_morse_box", lambda *args, box=(x_left, x_right, size): box)
+        with pytest.raises(ConvergenceError) as excinfo:
+            lowest_eigen(spec, k, tol=tol)
+        assert "too short" in str(excinfo.value)
+        assert excinfo.value.best.refinement_deltas[-1] >= error
+
+
 def test_certificate_rejects_an_under_resolved_start():
     spec = Morse(1.0, 4.0, 1.0, 0.0)
-    x_left, x_right, start = eigensolver._morse_box(spec, 4)
-    assert start == 115
+    x_left, x_right, start = eigensolver._morse_box(spec, 4, 1e-10)
+    assert start == 80
     exact = qes_algebra.morse_exact_spectrum(spec, 3)
     energies, _, bounds, floor = eigensolver._certified_solve(spec, uniform_mesh(start, x_left, x_right), 4)
     error = np.max(np.abs(energies - exact))
@@ -205,7 +260,7 @@ def test_certificate_bounds_the_error():
     for a, b, alpha, depth in ((1.0, 8.0, SQRT2, 0.0), (1.0, 8.0, SQRT2, 3.0), (1.0, 4.0, 1.0, 0.0)):
         spec = Morse(a, b, alpha, depth)
         k = morse_bound_count(spec)
-        x_left, x_right, start = eigensolver._morse_box(spec, k)
+        x_left, x_right, start = eigensolver._morse_box(spec, k, 1e-9)
         exact = qes_algebra.morse_exact_spectrum(spec, k - 1)
         for M in range(start // 2, start + 1, 8):
             cases.append((spec, uniform_mesh(M, x_left, x_right), k, exact, 0.0))
@@ -246,7 +301,7 @@ def test_solve_counts(monkeypatch):
     sizes.clear()
     # six grid points per shortest classical wavelength of the top level
     spectrum = lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9)
-    assert sizes == [353]
+    assert sizes == [225]
     assert spectrum.mesh.size < 1024
 
 
@@ -395,19 +450,20 @@ def test_convergence_error_carries_best_spectrum():
     assert best.mesh.size <= 512
     assert "refinement stalled" in str(excinfo.value)
     assert "no room" not in str(excinfo.value)
-    # the Morse grid starts at 353 here; its first step, to 442, would pass
+    # the Morse grid starts at 225 here; its first step, to 282, would pass
     # the cap, but the first solve certifies itself
     spec = Morse(1.0, 8.0, SQRT2, 3.0)
-    spectrum = lowest_eigen(spec, 9, tol=1e-9, m_cap=400)
-    assert spectrum.mesh.size == 353
+    spectrum = lowest_eigen(spec, 9, tol=1e-9, m_cap=250)
+    assert spectrum.mesh.size == 225
     exact = qes_algebra.morse_exact_spectrum(spec, 8)
     assert np.max(np.abs(spectrum.energies - exact)) < 1e-9
-    # a tol below the rounding floor eps ||H||, about 5e-12 here, stops the
-    # loop at once: a larger mesh only raises the floor
+    # a tol below the rounding floor eps ||H||, about 6e-13 here, stops the
+    # loop at once, in the box sized for that tol: a larger mesh only raises
+    # the floor
     with pytest.raises(ConvergenceError) as excinfo:
         lowest_eigen(spec, 9, tol=1e-13)
     best = excinfo.value.best
-    assert best.mesh.size == 353
+    assert best.mesh.size == 288
     assert len(best.refinement_deltas) == 1 and best.refinement_deltas[0] >= 1e-13
     assert "refinement stalled" in str(excinfo.value)
     assert np.max(np.abs(best.energies - exact)) < 1e-9
