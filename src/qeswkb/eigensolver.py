@@ -580,6 +580,9 @@ def _morse_box(spec, k, tol):
     """
     n = max(k, min(_MORSE_MIN_LEVELS, morse_bound_count(spec))) - 1
     decay = 0.5 * (math.log(1.0 / tol) + _WALL_EXTRA)
+    # NumPy scalars turn an overflow, a log of zero or a division by an
+    # underflowed product into inf or nan, which the check below rejects,
+    # where Python floats would raise
     a, alpha, c1 = np.float64(spec.a), np.float64(spec.alpha), np.float64(spec.c1)
     with np.errstate(all="ignore"):
         kappa = spec.beta - alpha * n

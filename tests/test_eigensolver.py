@@ -202,7 +202,6 @@ def test_certified_spectra_agree_with_a_longer_box():
             x_left = x_in - 2.0 * (x_in - (mesh.nodes[0] - mesh.h))
             size = math.ceil((x_out + 2.0 * (mesh.nodes[-1] + mesh.h - x_out) - x_left) / mesh.h) - 1
             longer = uniform_mesh(size, x_left, x_left + (size + 1) * mesh.h)
-            assert longer.h == pytest.approx(mesh.h, rel=1e-12)
             reference, _ = eigensolver._solve(spec, longer, k)
             assert np.max(np.abs(spectrum.energies - reference)) < tol, (spec, k)
 
