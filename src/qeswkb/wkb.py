@@ -62,10 +62,40 @@ class WkbRecord:
     gamma: float
 
 
-@lru_cache(maxsize=32)
-def _leggauss(m):
-    nodes, weights = np.polynomial.legendre.leggauss(m)
-    return nodes, weights
+@lru_cache(maxsize=64)
+def _leggauss(rules, width, shift):
+    """Weights, cos(phase) and sin(phase) of Gauss-Legendre rules laid end to end.
+
+    ``rules`` is a tuple of node counts; each rule's nodes t on (-1, 1) are
+    mapped to the phase width (t + shift).  Built on first use of each
+    group of rules and map, and read-only, since every caller shares it.
+    """
+    nodes, weights = zip(*(np.polynomial.legendre.leggauss(m) for m in rules))
+    phase = width * (np.concatenate(nodes) + shift)
+    tables = np.concatenate(weights), np.cos(phase), np.sin(phase)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _rule_groups():
+    """Node counts of the ladder 24, 35, 51, 74, ... up to ``_NODE_CAP``.
+
+    The cap is read when the ladder is walked.  The first three rules come
+    as one group, since every quadrature needs them all; each later rule
+    comes alone.
+    """
+    group = []
+    size = 3
+    m = 24
+    while m <= _NODE_CAP:
+        group.append(m)
+        if len(group) == size:
+            yield tuple(group)
+            group, size = [], 1
+        m = int(m * _GROWTH) + 1
+    if group:
+        yield tuple(group)
 
 
 @lru_cache(maxsize=64)
@@ -236,6 +266,12 @@ def _quadrature(spec, energy, tol):
     (relative for actions above one); failure to stabilise within the node
     budget raises AccuracyError carrying the best achieved delta.
 
+    The weights and the cos and sin of each rule's phases are cached per
+    rule and map (``_leggauss``).  Two refinements need three rules, so
+    the first three (24, 35 and 51 nodes) share one potential evaluation,
+    and each rule's S is summed over its own slice of it; later rules are
+    evaluated one at a time.
+
     T = integral of dx / sqrt(2 (E - V)) is summed on the final nodes.  The
     map makes its integrand cos(phi) / sqrt(2 (E - V)) finite at the
     turning points; a node where rounding leaves E - V <= 0 adds nothing.
@@ -250,25 +286,26 @@ def _quadrature(spec, energy, tol):
     previous = None
     delta = math.inf
     hits = 0
-    m = 24
-    while m <= _NODE_CAP:
-        nodes, weights = _leggauss(m)
-        phase = width * (nodes + shift)
-        cos = np.cos(phase)
-        local = 2.0 * (energy - evaluate(spec, center + scale * np.sin(phase)))
+    for rules in _rule_groups():
+        weights, cos, sin = _leggauss(rules, width, shift)
+        local = 2.0 * (energy - evaluate(spec, center + scale * sin))
         root = np.sqrt(np.maximum(local, 0.0))
-        value = prefactor * float(np.dot(weights, root * cos))
-        if previous is not None:
-            delta = abs(value - previous)
-            if delta < tol * max(1.0, abs(value)):
-                hits += 1
-                if hits >= 2:
-                    ratio = np.divide(cos, root, out=np.zeros_like(root), where=root > 0.0)
-                    return x_left, x_right, value, prefactor * float(np.dot(weights, ratio))
-            else:
-                hits = 0
-        previous = value
-        m = int(m * _GROWTH) + 1
+        end = 0
+        for m in rules:
+            rule = slice(end, end + m)
+            end += m
+            value = prefactor * float(np.dot(weights[rule], root[rule] * cos[rule]))
+            if previous is not None:
+                delta = abs(value - previous)
+                if delta < tol * max(1.0, abs(value)):
+                    hits += 1
+                    if hits >= 2:
+                        r = root[rule]
+                        ratio = np.divide(cos[rule], r, out=np.zeros_like(r), where=r > 0.0)
+                        return x_left, x_right, value, prefactor * float(np.dot(weights[rule], ratio))
+                else:
+                    hits = 0
+            previous = value
     raise AccuracyError(
         "action quadrature did not stabilise to %g within %d nodes"
         % (tol, _NODE_CAP),

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -18,7 +19,7 @@ from qeswkb.errors import (
     SpectrumExhaustedError,
 )
 from qeswkb import fitmodels
-from qeswkb.potentials import EvenPolynomial, Morse, SexticGeneral, SexticReduced
+from qeswkb.potentials import EvenPolynomial, Morse, SexticGeneral, SexticReduced, evaluate
 from qeswkb.wkb import (
     action,
     bohr_sommerfeld_invert,
@@ -34,6 +35,45 @@ MORSE_REF = Morse(1.0, 8.0, SQRT2, 0.0)
 
 def morse_exact_level(n, b=8.0, alpha=SQRT2):
     return 0.5 * alpha * n * (2.0 * b - alpha * n)
+
+
+_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
+
+
+def _plain_ladder(spec, energy, tol):
+    """``wkb._quadrature`` as one Gauss-Legendre rule per pass, each rule's
+    phases mapped and its potential evaluated on its own.
+
+    Returns (x_left, x_right, S, T) and the node counts of the rules
+    evaluated.
+    """
+    x_left, x_right = turning_points(spec, energy)
+    if isinstance(spec, Morse):
+        center, scale = 0.5 * (x_left + x_right), 0.5 * (x_right - x_left)
+        width, shift = 0.5 * math.pi, 0.0
+    else:
+        center, scale, width, shift = 0.0, x_right, 0.25 * math.pi, 1.0
+    prefactor = 0.5 * math.pi * scale
+    previous = None
+    hits = 0
+    rules = []
+    m = 24
+    while m <= wkb._NODE_CAP:
+        rules.append(m)
+        nodes, weights = _gauss_legendre(m)
+        phase = width * (nodes + shift)
+        root = np.sqrt(np.maximum(2.0 * (energy - evaluate(spec, center + scale * np.sin(phase))), 0.0))
+        value = prefactor * float(np.dot(weights, root * np.cos(phase)))
+        if previous is not None and abs(value - previous) < tol * max(1.0, abs(value)):
+            hits += 1
+            if hits >= 2:
+                ratio = np.divide(np.cos(phase), root, out=np.zeros_like(root), where=root > 0.0)
+                return (x_left, x_right, value, prefactor * float(np.dot(weights, ratio))), rules
+        elif previous is not None:
+            hits = 0
+        previous = value
+        m = int(m * wkb._GROWTH) + 1
+    pytest.fail("the plain ladder did not stabilise")
 
 
 def test_harmonic_phase_integral_is_exact():
@@ -167,6 +207,35 @@ def test_accuracy_error_reports_achieved(monkeypatch):
         action(SexticReduced(0.0), 5.0, tol=1e-16)
     assert excinfo.value.achieved is not None
     assert excinfo.value.achieved > 0
+
+
+def test_small_node_cap_drops_the_third_rule(monkeypatch):
+    # under a 40-node cap the shared first evaluation holds the 24- and
+    # 35-node rules only, and no rule above the cap is evaluated
+    monkeypatch.setattr(wkb, "_NODE_CAP", 40)
+    points = []
+    monkeypatch.setattr(wkb, "evaluate", lambda spec, x: points.append(np.size(x)) or evaluate(spec, x))
+    with pytest.raises(AccuracyError) as excinfo:
+        action(SexticReduced(0.0), 5.0, tol=1e-16)
+    assert points == [24 + 35]
+    assert excinfo.value.achieved > 0
+
+
+@pytest.mark.parametrize("spec, energy, tol, past_head", [
+    (SexticReduced(0.0), 5.0, 1e-12, False),
+    (SexticReduced(0.5), 1e-6, 1e-12, True),  # just above the barrier top: nine rules
+    (SexticGeneral(2.0, 0.5, 1.3), 4.0, 1e-10, False),
+    (EvenPolynomial((0.0, 0.5, 0.1)), 3.0, 1e-12, False),
+    (MORSE_REF, 3.0, 1e-12, False),
+    (Morse(0.5, 6.0, 0.7, 3.0), -2.0, 1e-10, False),
+])
+def test_quadrature_matches_a_plain_ladder(spec, energy, tol, past_head):
+    expected, rules = _plain_ladder(spec, energy, tol)
+    assert (len(rules) > 3) == past_head, rules
+    result = wkb._quadrature(spec, energy, tol)
+    assert result[:2] == expected[:2]
+    for value, reference in zip(result[2:], expected[2:]):
+        assert abs(value - reference) <= 2.0 * np.spacing(abs(reference)), (value, reference)
 
 
 def test_bohr_sommerfeld_round_trip_sextic():
@@ -330,6 +399,40 @@ def test_quantize_inversions_take_at_most_five_quadratures(monkeypatch):
             del solves[:]
             assert gamma(spec, n, energy).gamma == pytest.approx(gamma0, abs=1e-9)
             assert len(solves) == 1
+
+
+def test_quantize_quadratures_evaluate_the_potential_once(monkeypatch):
+    # one evaluate call for the first three rules, then one per later rule:
+    # a quadrature that settles within three rules calls it exactly once,
+    # on the same points as the plain ladder
+    points = []
+    monkeypatch.setattr(wkb, "evaluate", lambda spec, x: points.append(np.size(x)) or evaluate(spec, x))
+    quadratures = []
+    quadrature = wkb._quadrature
+
+    def traced(*args):
+        start = len(points)
+        result = quadrature(*args)
+        quadratures.append((args, points[start:]))
+        return result
+
+    monkeypatch.setattr(wkb, "_quadrature", traced)
+    for depth in (0.0, 0.25, 0.5, 0.7):
+        spec = SexticReduced(depth)
+        for n in range(3, 51):
+            gamma0 = fitmodels.gamma_fit_eval(fitmodels.PUBLISHED_GAMMA[depth], n)
+            gamma(spec, n, bohr_sommerfeld_invert(spec, n, gamma0))
+    plain_points = 0
+    calls = 0
+    for args, sizes in quadratures:
+        rules = _plain_ladder(*args)[1]
+        if len(rules) <= 3:
+            assert len(sizes) == 1, (args, sizes)
+        assert sizes == [sum(rules[:3])] + rules[3:], (args, sizes, rules)
+        plain_points += sum(rules)
+        calls += len(sizes)
+    assert sum(sum(sizes) for _, sizes in quadratures) == plain_points
+    assert calls <= 1.25 * len(quadratures), (calls, len(quadratures))
 
 
 def test_no_module_imports_scipy_optimize():
