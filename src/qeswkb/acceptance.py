@@ -17,6 +17,7 @@ import numpy as np
 
 from . import fitmodels, qes_algebra, wkb
 from .eigensolver import critical_N, lowest_eigen
+from .errors import DomainError
 from .potentials import (
     EvenPolynomial,
     Morse,
@@ -70,8 +71,11 @@ def annihilation_ratio(pair):
     """max |A u0| / max |u0| on the pair's grid, u0 the seed and A its operator."""
     seed = pair.states[0]
     psi = seed.derivatives(pair.grid, 0)[0]
+    scale = float(np.max(np.abs(psi)))
+    if scale == 0.0:
+        raise DomainError("seed vanishes identically on the pair's grid")
     image = pair.operator.apply_state(seed, pair.grid, order=0)[0]
-    return float(np.max(np.abs(image))) / float(np.max(np.abs(psi)))
+    return float(np.max(np.abs(image))) / scale
 
 
 def _part(criterion):

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fitmodels, qes_algebra, wkb
 from .acceptance import CHECKS, DEPTHS, Study, annihilation_ratio, residual_rows, susy_pair
-from .eigensolver import lowest_eigen, morse_bound_count
+from .eigensolver import lowest_eigen
 from .errors import DomainError, QeswkbError, SpectrumExhaustedError
 from .potentials import _FAMILY_FIELDS, Morse, SexticReduced, build_spec, evaluate
 
@@ -261,7 +261,7 @@ def _cmd_susy(config):
 
 def _cmd_morse(config):
     spec = config.potential
-    count = min(config.n_max + 1, morse_bound_count(spec))
+    count = min(config.n_max + 1, qes_algebra.morse_bound_count(spec))
     if count == 0:
         raise SpectrumExhaustedError("the well supports no bound states")
     exact = qes_algebra.morse_exact_spectrum(spec, count - 1)

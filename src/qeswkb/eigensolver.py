@@ -78,7 +78,6 @@ __all__ = [
     "build_hamiltonian",
     "lowest_eigen",
     "critical_N",
-    "morse_bound_count",
     "count_sign_changes",
 ]
 
@@ -477,18 +476,6 @@ def _wall_terms(spec, mesh, energies, coeffs):
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = coeffs[[0, -1]] ** 2 / (4.0 * kappa * mesh.h**3)
     return _WALL_SAFETY * np.where(kappa > 0.0, terms, np.inf).sum(axis=0)
-
-
-def _certified_solve(spec, mesh, k):
-    """k lowest energies on one mesh, quadrature-normalized node values, the
-    per-state bounds (tail bound plus wall term), and the rounding floor."""
-    energies, vectors, tail, wall, floor = _bounded_solve(spec, mesh, k)
-    return energies, vectors, tail + wall, floor
-
-
-def _solve(spec, mesh, k):
-    """k lowest energies on one mesh, with quadrature-normalized node values."""
-    return _bounded_solve(spec, mesh, k)[:2]
 
 
 def _edge_extent(spec, energy):

@@ -93,7 +93,6 @@ class FitReport:
     params: object
     max_rel_error: float
     rms_rel_error: float
-    n_range: tuple
     iterations: int
     converged: bool
     jacobian_cond: float
@@ -137,11 +136,6 @@ def published_energy_params(n_label, ground_energy):
         )
     numer, denom = _PUBLISHED_ENERGY_AB[n_label]
     return EnergyFitParams(float(ground_energy), *numer, *denom, N_label=float(n_label))
-
-
-def published_depth_indices():
-    """Depth indices with bundled reference parameters, ascending."""
-    return sorted(PUBLISHED_GAMMA)
 
 
 def _nearest_published(n_label, table):
@@ -374,7 +368,7 @@ def _scaled_cond(jac):
     return float(np.linalg.cond(jac / np.where(norms > 0.0, norms, 1.0)))
 
 
-def _report(params, model, n_fit, y, n_arr, result):
+def _report(params, model, n_fit, y, result):
     """FitReport whose errors are those of ``params`` themselves: the model
     evaluated at them over the fitted levels ``n_fit``, against ``y``."""
     fitted = np.array([model(params, n) for n in n_fit])
@@ -383,7 +377,6 @@ def _report(params, model, n_fit, y, n_arr, result):
         params=params,
         max_rel_error=float(np.max(rel)),
         rms_rel_error=float(np.sqrt(np.mean(rel**2))),
-        n_range=(int(n_arr[0]), int(n_arr[-1])),
         iterations=result.nfev,
         converged=result.status > 0,
         jacobian_cond=_scaled_cond(result.jac),
@@ -414,7 +407,7 @@ def fit_gamma(data, init=None, n_label=None):
     x, result = _fit_rational(g_arr, m, basis, 0.0, 4, 0.5, x0)
     label = float(n_label) if n_label is not None else init.N_label
     params = GammaFitParams(*x, N_label=label)
-    return _report(params, gamma_fit_eval, n_arr, g_arr, n_arr, result)
+    return _report(params, gamma_fit_eval, n_arr, g_arr, result)
 
 
 def fit_energy(data, ground_energy, init=None, n_label=None):
@@ -430,8 +423,6 @@ def fit_energy(data, ground_energy, init=None, n_label=None):
     pairs = sorted((_as_int(n, "level index"), float(e)) for n, e in data)
     if len(pairs) < 12:
         raise DomainError("need at least twelve samples to determine twelve parameters")
-    if pairs[0][0] < 0:
-        raise ModelDomainError("energy samples must have n >= 0")
     e0 = float(ground_energy)
     n_arr = np.array([n for n, _ in pairs], dtype=float)
     e_arr = np.array([e for _, e in pairs])
@@ -444,21 +435,20 @@ def fit_energy(data, ground_energy, init=None, n_label=None):
     x, result = _fit_rational(e_arr[keep], m, basis, e0 * m, 5, 1.0, x0)
     label = float(n_label) if n_label is not None else init.N_label
     params = EnergyFitParams(e0, *x, N_label=label)
-    return _report(params, energy_fit_eval, n_arr[keep], e_arr[keep], n_arr, result)
+    return _report(params, energy_fit_eval, n_arr[keep], e_arr[keep], result)
 
 
 _GAMMA_FIELDS = tuple(f.name for f in fields(GammaFitParams))
 _ENERGY_FIELDS = tuple(f.name for f in fields(EnergyFitParams))
+# Model kind -> (parameter type, field names), as the `model` line names it.
+_MODELS = {"gamma": (GammaFitParams, _GAMMA_FIELDS), "energy": (EnergyFitParams, _ENERGY_FIELDS)}
 
 
 def format_fit_params(params):
     """Flat text rendering of a parameter set, one `name value` pair per line."""
-    if isinstance(params, GammaFitParams):
-        names = _GAMMA_FIELDS
-        kind = "gamma"
-    elif isinstance(params, EnergyFitParams):
-        names = _ENERGY_FIELDS
-        kind = "energy"
+    for kind, (cls, names) in _MODELS.items():
+        if isinstance(params, cls):
+            break
     else:
         raise DomainError("unknown parameter set type %r" % type(params).__name__)
     lines = ["model %s" % kind]
@@ -486,12 +476,9 @@ def parse_fit_params(text):
             raise DomainError(
                 "parameter %s has non-numeric value %r" % (name, value.strip())
             ) from None
-    if kind == "gamma":
-        names, cls = _GAMMA_FIELDS, GammaFitParams
-    elif kind == "energy":
-        names, cls = _ENERGY_FIELDS, EnergyFitParams
-    else:
+    if kind not in _MODELS:
         raise DomainError("parameter text must declare `model gamma` or `model energy`")
+    cls, names = _MODELS[kind]
     missing = [name for name in names if name not in entries]
     if missing:
         raise DomainError("missing parameter fields: %s" % ", ".join(missing))

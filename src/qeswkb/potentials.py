@@ -3,8 +3,8 @@
 Provides immutable specifications of the supported potentials (reduced and
 general sextic oscillators, the exponential Morse well, even polynomial
 oracles, and first-order factorization partners), together with pointwise
-evaluation and the flat key-value spec format that the CLI and its config
-files share.
+evaluation and ``build_spec``, the one spec parser: it builds a spec from a
+family name and field values, as the CLI's flags and config files give them.
 
 ``GaugeState`` is an exact state u = Gamma(x) p(z) of a sextic or Morse
 well: the exact levels of ``qes_algebra`` and the seeds of ``SusyPartner``
@@ -46,8 +46,6 @@ __all__ = [
     "seed_log_derivatives",
     "susy_partner_closed_form",
     "build_spec",
-    "format_spec",
-    "parse_spec",
 ]
 
 
@@ -101,8 +99,8 @@ class SexticGeneral:
     N: float
 
     def __post_init__(self):
-        if not (self.nu > 0):
-            raise DomainError(f"nu must be positive, got {self.nu}")
+        if not 0 < self.nu < math.inf:
+            raise DomainError(f"nu must be positive and finite, got {self.nu}")
         if not (math.isfinite(self.mu) and math.isfinite(self.N)):
             raise DomainError("mu and N must be finite")
         object.__setattr__(self, "coeffs", _sextic_coeffs(self))
@@ -122,8 +120,8 @@ class Morse:
     N: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.alpha > 0):
-            raise DomainError("a and alpha must be positive")
+        if not (0 < self.a < math.inf and 0 < self.alpha < math.inf):
+            raise DomainError("a and alpha must be positive and finite")
         if not (math.isfinite(self.b) and math.isfinite(self.N)):
             raise DomainError("b and N must be finite")
 
@@ -385,10 +383,10 @@ def susy_partner_closed_form(spec):
 
 
 # ---------------------------------------------------------------------------
-# flat key-value specs (format_spec, and the CLI's flags and config files)
+# flat key-value specs (the CLI's flags and config files)
 # ---------------------------------------------------------------------------
 
-# Family name -> (spec type, field names in format order).  Each type's
+# Family name -> (spec type, field names in flag order).  Each type's
 # constructor takes exactly these fields as keywords.
 _FAMILY_FIELDS = {
     "sextic_reduced": (SexticReduced, ("N",)),
@@ -396,19 +394,6 @@ _FAMILY_FIELDS = {
     "morse": (Morse, ("a", "b", "alpha", "N")),
     "even_polynomial": (EvenPolynomial, ("coeffs",)),
 }
-
-
-def format_spec(spec):
-    """Render a spec as a single flat key-value line, e.g. ``family=sextic_reduced N=0.25``."""
-    for family, (kind, keys) in _FAMILY_FIELDS.items():
-        if isinstance(spec, kind):
-            tokens = ["family=" + family]
-            for key in keys:
-                value = getattr(spec, key)
-                text = ",".join(f"{c:.17g}" for c in value) if key == "coeffs" else f"{value:.17g}"
-                tokens.append(f"{key}={text}")
-            return " ".join(tokens)
-    raise UnsupportedParameterError(f"cannot serialize {type(spec).__name__}")
 
 
 def _field_value(key, value):
@@ -437,24 +422,3 @@ def build_spec(family, values):
     except ValueError as exc:
         raise DomainError(f"bad numeric value for family {family}: {exc}") from None
     return kind(**fields)
-
-
-def _parse_tokens(text):
-    fields = {}
-    for tok in text.split():
-        if "=" not in tok:
-            raise DomainError(f"malformed token {tok!r}: expected key=value")
-        key, val = tok.split("=", 1)
-        fields[key] = val
-    return fields
-
-
-def parse_spec(text):
-    """Parse the flat key-value format produced by :func:`format_spec`."""
-    fields = _parse_tokens(text)
-    family = fields.pop("family", None)
-    spec = build_spec(family, fields)
-    extra = sorted(set(fields) - set(_FAMILY_FIELDS[family][1]))
-    if extra:
-        raise DomainError(f"unexpected extra fields {extra} for family {family!r}")
-    return spec

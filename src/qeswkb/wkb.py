@@ -47,13 +47,8 @@ _GROWTH = 1.45
 
 @dataclass(frozen=True)
 class WkbRecord:
-    """One semiclassical evaluation: level, energy, turning points, action.
+    """One semiclassical evaluation: level, energy, turning points, action."""
 
-    ``well_depth_index`` is the quasi-solvability index of the underlying
-    potential (NaN when the potential family does not carry one).
-    """
-
-    well_depth_index: float
     n: int
     energy: float
     x_left: float
@@ -367,13 +362,10 @@ def gamma(spec, n, energy, tol=1e-11):
     gamma = S / pi - n - 1/2.
     """
     n = _as_int(n, "level index")
-    if n < 0:
-        raise DomainError("level index must be non-negative")
     energy = float(energy)
     x_left, x_right, s, _ = _quadrature(spec, energy, tol)
     value = s / math.pi - n - 0.5
     return WkbRecord(
-        well_depth_index=float(getattr(spec, "N", math.nan)),
         n=n,
         energy=energy,
         x_left=x_left,
@@ -427,8 +419,6 @@ def bohr_sommerfeld_invert(spec, n, gamma0=0.0, tol=1e-12):
     action below the plateau cannot reach raises SearchError.
     """
     n = _as_int(n, "level index")
-    if n < 0:
-        raise DomainError("level index must be non-negative")
     gamma0 = float(gamma0)
     target = math.pi * (n + 0.5 + gamma0)
     if target <= 0.0:

@@ -339,3 +339,16 @@ def test_morse_box_out_of_range_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error\tMeshError\t")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["qes", "--family", "morse", "--a", "inf", "--b", "3", "--alpha", "1e-300", "--N", "1"],
+    ["qes", "--family", "morse", "--a", "0.5", "--b", "40", "--alpha", "inf", "--N", "0"],
+    ["susy", "--family", "morse", "--a", "7", "--b", "0", "--alpha", "1e-3", "--N", "1"],
+], ids=["infinite-a", "infinite-alpha", "vanishing-seed"])
+def test_degenerate_morse_wells_exit_2(tmp_path, capsys, argv):
+    # infinite fields, and a seed that underflows to zero on the pair's grid
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error\tDomainError\t")
+    assert len(err.splitlines()) == 1

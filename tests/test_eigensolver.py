@@ -13,7 +13,6 @@ from qeswkb.eigensolver import (
     count_sign_changes,
     critical_N,
     lowest_eigen,
-    morse_bound_count,
     oscillator_mesh,
     uniform_mesh,
 )
@@ -26,6 +25,7 @@ from qeswkb.errors import (
     UnsupportedParameterError,
 )
 from qeswkb.potentials import EvenPolynomial, GaugeState, Morse, SexticReduced, SusyPartner
+from qeswkb.qes_algebra import morse_bound_count
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -119,7 +119,7 @@ def test_runtime_loads_no_scipy():
 def test_parity_blocks_match_full_matrix():
     spec = SexticReduced(0.5)
     mesh = oscillator_mesh(512, eigensolver._oscillator_scale(spec, 512, 51))
-    energies, vectors = eigensolver._solve(spec, mesh, 51)
+    energies, vectors = eigensolver._bounded_solve(spec, mesh, 51)[:2]
     full = eigh(eigensolver.build_hamiltonian(spec, mesh), eigvals_only=True, subset_by_index=(0, 50))
     # relative to max(1, |E|), as in converged_digits: both solves round at
     # eps * ||H||, a few 1e-12 here, which is 2e-11 of E_0 = 0.18
@@ -143,7 +143,7 @@ def test_step_keeps_an_honest_certificate():
         spec = SexticReduced(depth)
         spectrum = lowest_eigen(spec, 51, tol=1e-10)
         mesh = oscillator_mesh(2 * spectrum.mesh.size, spectrum.mesh.h)
-        reference, _ = eigensolver._solve(spec, mesh, 51)
+        reference = eigensolver._bounded_solve(spec, mesh, 51)[0]
         error = np.abs(spectrum.energies - reference) / np.maximum(1.0, np.abs(reference))
         assert np.max(error) < 1e-10, depth
 
@@ -161,7 +161,7 @@ def test_certified_spectra_agree_with_a_doubled_mesh():
             spectrum = lowest_eigen(spec, k, tol=tol)
             assert spectrum.refinement_deltas[-1] < tol
             mesh = oscillator_mesh(2 * spectrum.mesh.size, spectrum.mesh.h)
-            reference, _ = eigensolver._solve(spec, mesh, k)
+            reference = eigensolver._bounded_solve(spec, mesh, k)[0]
             assert np.max(np.abs(spectrum.energies - reference)) < tol, (spec, k)
     # the wells of test_morse_spectrum_matches_closed_form
     wells = [(1.0, 8.0, SQRT2, 0.0), (1.0, 4.0, 1.0, 0.0), (1.0, 4.0, 1.0, 3.0), (1.0, 12.0, 2.0, 0.0)]
@@ -172,7 +172,7 @@ def test_certified_spectra_agree_with_a_doubled_mesh():
         for k in sorted({1, min(10, count), count}):
             x_left, x_right, _ = eigensolver._morse_box(spec, k, tol)
             spectrum = lowest_eigen(spec, k, tol=tol)
-            reference, _ = eigensolver._solve(spec, uniform_mesh(2 * spectrum.mesh.size, x_left, x_right), k)
+            reference = eigensolver._bounded_solve(spec, uniform_mesh(2 * spectrum.mesh.size, x_left, x_right), k)[0]
             assert np.max(np.abs(spectrum.energies - reference)) < tol, (spec, k)
 
 
@@ -202,7 +202,7 @@ def test_certified_spectra_agree_with_a_longer_box():
             x_left = x_in - 2.0 * (x_in - (mesh.nodes[0] - mesh.h))
             size = math.ceil((x_out + 2.0 * (mesh.nodes[-1] + mesh.h - x_out) - x_left) / mesh.h) - 1
             longer = uniform_mesh(size, x_left, x_left + (size + 1) * mesh.h)
-            reference, _ = eigensolver._solve(spec, longer, k)
+            reference = eigensolver._bounded_solve(spec, longer, k)[0]
             assert np.max(np.abs(spectrum.energies - reference)) < tol, (spec, k)
 
 
@@ -219,7 +219,8 @@ def test_too_short_a_box_is_never_certified(monkeypatch):
         x_in, x_out, kappa = _morse_turning_points(spec, k - 1)
         x_left, x_right = x_in - 1.0, x_out + 8.0 / kappa
         size = 2 * math.ceil(3.0 * (x_right - x_left) * math.sqrt(2.0 * (exact[-1] - spec.v_min)) / math.pi)
-        energies, _, bounds, floor = eigensolver._certified_solve(spec, uniform_mesh(size, x_left, x_right), k)
+        energies, _, tail, wall, floor = eigensolver._bounded_solve(spec, uniform_mesh(size, x_left, x_right), k)
+        bounds = tail + wall
         error = np.max(np.abs(energies - exact))
         assert 4e-8 < error < 6e-8
         assert max(bounds.max(), floor) >= error
@@ -235,7 +236,8 @@ def test_certificate_rejects_an_under_resolved_start():
     x_left, x_right, start = eigensolver._morse_box(spec, 4, 1e-10)
     assert start == 80
     exact = qes_algebra.morse_exact_spectrum(spec, 3)
-    energies, _, bounds, floor = eigensolver._certified_solve(spec, uniform_mesh(start, x_left, x_right), 4)
+    energies, _, tail, wall, floor = eigensolver._bounded_solve(spec, uniform_mesh(start, x_left, x_right), 4)
+    bounds = tail + wall
     error = np.max(np.abs(energies - exact))
     assert error > 1e-9
     assert max(bounds.max(), floor) >= error
@@ -253,7 +255,7 @@ def test_certificate_bounds_the_error():
     cases = []
     for spec in (SexticReduced(0.0), SexticReduced(0.7)):
         h = eigensolver._oscillator_scale(spec, 256, 1)
-        reference, _, _, ref_floor = eigensolver._certified_solve(spec, oscillator_mesh(512, h), 1)
+        reference, _, _, _, ref_floor = eigensolver._bounded_solve(spec, oscillator_mesh(512, h), 1)
         for M in range(64, 257, 16):
             cases.append((spec, oscillator_mesh(M, h), 1, reference, ref_floor))
     for a, b, alpha, depth in ((1.0, 8.0, SQRT2, 0.0), (1.0, 8.0, SQRT2, 3.0), (1.0, 4.0, 1.0, 0.0)):
@@ -265,7 +267,8 @@ def test_certificate_bounds_the_error():
             cases.append((spec, uniform_mesh(M, x_left, x_right), k, exact, 0.0))
     checked = short = 0
     for spec, mesh, k, reference, ref_floor in cases:
-        energies, _, bounds, floor = eigensolver._certified_solve(spec, mesh, k)
+        energies, _, tail, wall, floor = eigensolver._bounded_solve(spec, mesh, k)
+        bounds = tail + wall
         certificate = max(bounds.max(), floor)
         if certificate >= 1e-4:
             continue

@@ -16,7 +16,6 @@ from qeswkb.fitmodels import (
     format_fit_params,
     gamma_fit_eval,
     parse_fit_params,
-    published_depth_indices,
     published_energy_params,
 )
 
@@ -47,7 +46,7 @@ def test_asymptotic_coefficient_closed_form():
 
 
 def test_published_depth_indices():
-    assert published_depth_indices() == [0.0, 0.25, 0.5, 0.7]
+    assert sorted(PUBLISHED_GAMMA) == sorted(fitmodels._PUBLISHED_ENERGY_AB) == [0.0, 0.25, 0.5, 0.7]
 
 
 def test_gamma_model_reference_values():
@@ -103,7 +102,7 @@ def test_energy_model_slope_near_asymptote():
 
 
 def test_denominator_positive_on_model_range():
-    for label in published_depth_indices():
+    for label in sorted(PUBLISHED_GAMMA):
         p = PUBLISHED_GAMMA[label]
         for n in range(3, 2000, 13):
             m = n - 2.0
@@ -339,7 +338,7 @@ def test_gamma_params_do_not_depend_on_the_start(refits):
         np.array([-1.1, 0.6, -0.2, -1.4, 1.0, 0.5]),
     )
     names = ("a0", "a1", "b1", "b2", "b3", "b4")
-    for depth in published_depth_indices():
+    for depth in sorted(PUBLISHED_GAMMA):
         data, report, _ = refits["gamma", depth]
         refit = np.array([getattr(report.params, name) for name in names])
         published = np.array([getattr(PUBLISHED_GAMMA[depth], name) for name in names])

@@ -16,9 +16,8 @@ from qeswkb.potentials import (
     SexticGeneral,
     SexticReduced,
     SusyPartner,
+    build_spec,
     evaluate,
-    format_spec,
-    parse_spec,
     seed_log_derivatives,
     susy_partner_closed_form,
 )
@@ -184,27 +183,15 @@ def test_seed_with_node_raises():
         seed_log_derivatives(seed, np.linspace(-2.0, 2.0, 21), check_positive=True)
 
 
-def test_spec_io_round_trip():
-    for spec in (
-        SexticReduced(0.25),
-        SexticGeneral(1.5, -0.75, 2.0),
-        Morse(1.0, 8.0, 1.41421356, 0.25),
-        EvenPolynomial((0.0, 0.5)),
-    ):
-        assert parse_spec(format_spec(spec)) == spec
-
-
-def test_parse_spec_errors():
+def test_build_spec_errors():
     with pytest.raises(DomainError, match="unknown potential family"):
-        parse_spec("family=unknown")
+        build_spec("unknown", {})
     with pytest.raises(DomainError, match="requires alpha, N"):
-        parse_spec("family=morse a=1 b=8")
-    with pytest.raises(DomainError, match="unexpected extra fields"):
-        parse_spec(format_spec(SexticReduced(0.5)) + " stray=1")
+        build_spec("morse", {"a": 1.0, "b": 8.0})
     with pytest.raises(DomainError, match="bad numeric value"):
-        parse_spec("family=sextic_reduced N=abc")
-    with pytest.raises(DomainError, match="malformed token"):
-        parse_spec("family unknown_family")
+        build_spec("sextic_reduced", {"N": "abc"})
+    with pytest.raises(DomainError, match="bad numeric value"):
+        build_spec("even_polynomial", {"coeffs": "0,x"})
 
 
 def test_constructor_validation():
@@ -212,6 +199,12 @@ def test_constructor_validation():
         SexticGeneral(nu=-1.0, mu=1.0, N=0.0)
     with pytest.raises(DomainError):
         Morse(a=-1.0, b=8.0, alpha=SQRT2, N=0.0)
+    for nu in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SexticGeneral(nu=nu, mu=1.0, N=0.0)
+    for a, alpha in ((math.inf, 1e-300), (0.5, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            Morse(a=a, b=3.0, alpha=alpha, N=1.0)
     with pytest.raises(DomainError):
         EvenPolynomial((1.0, -2.0))  # negative leading coefficient
     with pytest.raises(DomainError):

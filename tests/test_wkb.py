@@ -262,6 +262,11 @@ def test_bohr_sommerfeld_target_validation():
         bohr_sommerfeld_invert(SexticReduced(0.0), -1)
 
 
+def test_gamma_rejects_a_negative_level():
+    with pytest.raises(UnsupportedParameterError):
+        gamma(SexticReduced(0.0), -1, 1.0)
+
+
 def test_morse_bohr_sommerfeld_reproduces_exact_levels():
     # the quantization rule is exact for this well: inversion returns the
     # closed-form energies to full precision
