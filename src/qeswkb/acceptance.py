@@ -173,13 +173,12 @@ class Study:
     @_part(2)
     def morse_gamma(self):
         """Rows (n, energy, closed-form gamma, quadrature gamma) at the exact levels."""
-        a, b, alpha = MORSE_REF
+        spec = Morse(*MORSE_REF, 0.0)
         rows = []
         for n, energy in enumerate(self.morse_levels[0]):
             energy = float(energy)
-            closed = wkb.morse_action_closed(a, b, alpha, energy) / math.pi - n - 0.5
-            quadrature = wkb.gamma(Morse(a, b, alpha, 0.0), n, energy).gamma
-            rows.append((n, energy, closed, quadrature))
+            closed = wkb.morse_action_closed(spec, energy) / math.pi - n - 0.5
+            rows.append((n, energy, closed, wkb.gamma(spec, n, energy).gamma))
         return rows
 
     @_part(3)

@@ -261,7 +261,7 @@ def _cmd_susy(config):
 
 def _cmd_morse(config):
     spec = config.potential
-    count = min(config.n_max + 1, qes_algebra.morse_bound_count(spec))
+    count = min(config.n_max + 1, spec.bound_count)
     if count == 0:
         raise SpectrumExhaustedError("the well supports no bound states")
     exact = qes_algebra.morse_exact_spectrum(spec, count - 1)

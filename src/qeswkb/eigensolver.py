@@ -63,12 +63,11 @@ from .errors import (
 from .potentials import (
     EVEN_WELLS,
     Morse,
-    SEXTICS,
+    SexticGeneral,
     SexticReduced,
     SusyPartner,
     evaluate,
 )
-from .qes_algebra import morse_bound_count
 
 __all__ = [
     "Mesh",
@@ -389,7 +388,7 @@ def _is_even(spec):
     """Whether the spec's type guarantees V(-x) = V(x)."""
     if isinstance(spec, EVEN_WELLS):
         return True
-    return isinstance(spec, SusyPartner) and isinstance(spec.base, SEXTICS)
+    return isinstance(spec, SusyPartner) and isinstance(spec.base, SexticGeneral)
 
 
 def _parity_block(spec, mesh, sign):
@@ -565,7 +564,7 @@ def _morse_box(spec, k, tol):
     finite, or when the square of the width or of the starting spacing
     overflows or underflows.
     """
-    n = max(k, min(_MORSE_MIN_LEVELS, morse_bound_count(spec))) - 1
+    n = max(k, min(_MORSE_MIN_LEVELS, spec.bound_count)) - 1
     decay = 0.5 * (math.log(1.0 / tol) + _WALL_EXTRA)
     # NumPy scalars turn an overflow, a log of zero or a division by an
     # underflowed product into inf or nan, which the check below rejects,
@@ -630,10 +629,9 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
         # a solve returns at most as many levels as its mesh has points
         raise MeshError(f"m_cap={m_cap} leaves no room for {k} states")
     if isinstance(spec, Morse):
-        count = morse_bound_count(spec)
-        if k > count:
+        if k > spec.bound_count:
             raise SpectrumExhaustedError(
-                f"requested {k} states but the well supports only {count} bound states"
+                f"requested {k} states but the well supports only {spec.bound_count} bound states"
             )
         x_left, x_right, M = _morse_box(spec, k, tol)
         return _refine(spec, k, tol, m_cap, min(M, m_cap), lambda size: uniform_mesh(size, x_left, x_right))

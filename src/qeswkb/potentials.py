@@ -1,9 +1,9 @@
 """Potential families for the one-dimensional Schrodinger problem H = -1/2 d^2/dx^2 + V(x).
 
-Provides immutable specifications of the supported potentials (reduced and
-general sextic oscillators, the exponential Morse well, even polynomial
-oracles, and first-order factorization partners), together with pointwise
-evaluation and ``build_spec``, the one spec parser: it builds a spec from a
+Provides immutable specifications of the supported potentials (the sextic
+oscillator, of which the reduced one is a special case, the exponential
+Morse well, even polynomial oracles, and first-order factorization
+partners), together with pointwise evaluation and ``build_spec``, the one spec parser: it builds a spec from a
 family name and field values, as the CLI's flags and config files give them.
 
 ``GaugeState`` is an exact state u = Gamma(x) p(z) of a sextic or Morse
@@ -12,10 +12,13 @@ are both gauge states.  Its one derivative chain, the family's recurrence
 (``sextic_chain`` or ``morse_chain``), gives both the state's derivatives
 and a seed's log-derivatives.
 
-Every even well (both sextic families and ``EvenPolynomial``) exposes its
-potential as ``coeffs``, the ascending coefficients of V in x^2, and
-``EVEN_WELLS`` names those types once: one evaluator serves all of them,
-as does ``wkb``'s one turning-point rule.
+Each spec derives and checks its constants once, in its constructor.
+Every even well (``SexticGeneral``, which ``SexticReduced`` returns at
+nu = mu = 1, and ``EvenPolynomial``) exposes its potential as ``coeffs``,
+the ascending coefficients of V in x^2, and ``EVEN_WELLS`` names those
+types once: one evaluator serves all of them, as does ``wkb``'s one
+turning-point rule.  A ``Morse`` spec carries its constants and
+``bound_count``, which no other module recomputes.
 
 Units are atomic throughout (hbar = m = 1).
 """
@@ -41,7 +44,6 @@ __all__ = [
     "SusyPartner",
     "PotentialSpec",
     "evaluate",
-    "SEXTICS",
     "EVEN_WELLS",
     "seed_log_derivatives",
     "susy_partner_closed_form",
@@ -62,56 +64,53 @@ def _as_int(value, what):
 # potential specifications
 # ---------------------------------------------------------------------------
 
-def _sextic_coeffs(spec):
-    """Ascending x^2-coefficients (0, c2, c4, c6) of a sextic well."""
-    nu, mu = spec.nu, spec.mu
-    return (0.0, 0.5 * (mu * mu - (4.0 * spec.N + 3.0) * nu), nu * mu, 0.5 * nu * nu)
-
-
-@dataclass(frozen=True)
-class SexticReduced:
-    """Sextic oscillator V(x) = (x^6 + 2 x^4 - 2 (2N+1) x^2) / 2.
-
-    The continuous parameter N controls the depth of the two symmetric
-    wells; at non-negative integer N the lowest N+1 even states are
-    polynomially solvable.
-    """
-
-    N: float
-
-    # Class attributes, not fields: the reduced well is the general one at
-    # nu = mu = 1, and its repr, equality and spec line stay N alone.
-    nu = 1.0
-    mu = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.N):
-            raise DomainError("N must be finite")
-        object.__setattr__(self, "coeffs", _sextic_coeffs(self))
+def _even_coeffs(coeffs):
+    """Ascending x^2-coefficients of an even well, checked: all finite, the leading one positive."""
+    if not all(map(math.isfinite, coeffs)):
+        raise DomainError(f"potential coefficients {coeffs} must be finite")
+    if coeffs[-1] <= 0:
+        raise DomainError("leading coefficient must be positive (confining potential)")
+    return coeffs
 
 
 @dataclass(frozen=True)
 class SexticGeneral:
-    """Two-parameter sextic oscillator V(x) = (nu^2 x^6 + 2 nu mu x^4 + (mu^2 - (4N+3) nu) x^2) / 2."""
+    """Two-parameter sextic oscillator V(x) = (nu^2 x^6 + 2 nu mu x^4 + (mu^2 - (4N+3) nu) x^2) / 2.
+
+    At non-negative integer N the lowest N+1 even states are polynomially
+    solvable.  Its ``coeffs`` are checked as ``EvenPolynomial``'s are.
+    """
 
     nu: float
     mu: float
     N: float
 
     def __post_init__(self):
-        if not 0 < self.nu < math.inf:
-            raise DomainError(f"nu must be positive and finite, got {self.nu}")
-        if not (math.isfinite(self.mu) and math.isfinite(self.N)):
-            raise DomainError("mu and N must be finite")
-        object.__setattr__(self, "coeffs", _sextic_coeffs(self))
+        nu, mu = self.nu, self.mu
+        if not 0 < nu < math.inf:
+            raise DomainError(f"nu must be positive and finite, got {nu}")
+        coeffs = (0.0, 0.5 * (mu * mu - (4.0 * self.N + 3.0) * nu), nu * mu, 0.5 * nu * nu)
+        object.__setattr__(self, "coeffs", _even_coeffs(coeffs))
+
+
+def SexticReduced(N):
+    """Reduced sextic oscillator V(x) = (x^6 + 2 x^4 - 2 (2N+1) x^2) / 2: ``SexticGeneral(1, 1, N)``.
+
+    The continuous parameter N controls the depth of the two symmetric wells.
+    """
+    return SexticGeneral(1.0, 1.0, N)
 
 
 @dataclass(frozen=True)
 class Morse:
-    """Exponential well V(x) = (a^2 z^2 - a z (2b + alpha (2N+1)) + (N alpha + b)^2) / 2, z = exp(-alpha x).
+    """Exponential well V(x) = (a^2 z^2 - a c1 z + beta^2) / 2, z = exp(-alpha x).
 
-    Tends to the finite asymptote (N alpha + b)^2 / 2 as x -> +inf and grows
-    exponentially as x -> -inf, so only finitely many bound states exist.
+    It has beta = N alpha + b and c1 = 2b + alpha (2N+1), tends to
+    ``v_inf`` = beta^2 / 2 as x -> +inf, has its bottom ``v_min`` =
+    (beta^2 - c1^2 / 4) / 2 at z = c1 / (2a), and holds ``bound_count``
+    levels, those with n < beta / alpha.  These attributes are not fields,
+    so repr and equality ignore them; DomainError is raised unless they,
+    a^2, a c1 and beta / alpha are finite.
     """
 
     a: float
@@ -120,32 +119,18 @@ class Morse:
     N: float
 
     def __post_init__(self):
-        if not (0 < self.a < math.inf and 0 < self.alpha < math.inf):
+        a, b, alpha = self.a, self.b, self.alpha
+        if not (0 < a < math.inf and 0 < alpha < math.inf):
             raise DomainError("a and alpha must be positive and finite")
-        if not (math.isfinite(self.b) and math.isfinite(self.N)):
-            raise DomainError("b and N must be finite")
-
-    @property
-    def beta(self):
-        """Plateau parameter beta = N alpha + b, so that V -> beta^2 / 2."""
-        return self.N * self.alpha + self.b
-
-    @property
-    def c1(self):
-        """Linear coefficient over a: V = (a^2 z^2 - a c1 z + beta^2) / 2."""
-        return 2.0 * self.b + self.alpha * (2.0 * self.N + 1.0)
-
-    @property
-    def v_inf(self):
-        """Dissociation plateau beta^2 / 2, the x -> +inf limit."""
-        beta = self.beta
-        return 0.5 * beta * beta
-
-    @property
-    def v_min(self):
-        """Well bottom (beta^2 - c1^2 / 4) / 2, reached at z = c1 / (2a)."""
-        beta, c1 = self.beta, self.c1
-        return 0.5 * (beta * beta - 0.25 * c1 * c1)
+        beta = self.N * alpha + b
+        c1 = 2.0 * b + alpha * (2.0 * self.N + 1.0)
+        v_inf = 0.5 * beta * beta
+        v_min = 0.5 * (beta * beta - 0.25 * c1 * c1)
+        ratio = beta / alpha
+        if not all(map(math.isfinite, (beta, c1, v_inf, v_min, a * a, a * c1, ratio))):
+            raise DomainError(f"{self} has a derived constant that is not finite")
+        count = int(math.floor(ratio - 1e-12)) + 1 if ratio > 0 else 0
+        vars(self).update(beta=beta, c1=c1, v_inf=v_inf, v_min=v_min, bound_count=count)
 
 
 @dataclass(frozen=True)
@@ -158,11 +143,7 @@ class EvenPolynomial:
         coeffs = tuple(float(c) for c in coeffs)
         if not coeffs:
             raise DomainError("coeffs must be non-empty")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise DomainError("coeffs must be finite")
-        if coeffs[-1] <= 0:
-            raise DomainError("leading coefficient must be positive (confining potential)")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _even_coeffs(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +164,7 @@ class GaugeState:
     poly: tuple
 
     def __post_init__(self):
-        if not isinstance(self.well, SEXTICS + (Morse,)):
+        if not isinstance(self.well, (SexticGeneral, Morse)):
             raise DomainError(f"no gauge factor for potential family {type(self.well).__name__!r}")
         if not self.poly or self.poly[-1] == 0.0:
             raise SeedError("state polynomial must have a nonzero leading coefficient")
@@ -238,10 +219,9 @@ class SusyPartner:
         return self.seed.well
 
 
-PotentialSpec = Union[SexticReduced, SexticGeneral, Morse, EvenPolynomial, SusyPartner]
+PotentialSpec = Union[SexticGeneral, Morse, EvenPolynomial, SusyPartner]
 
-SEXTICS = (SexticReduced, SexticGeneral)
-EVEN_WELLS = SEXTICS + (EvenPolynomial,)
+EVEN_WELLS = (SexticGeneral, EvenPolynomial)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +357,7 @@ def susy_partner_closed_form(spec):
     if not isinstance(spec, Morse):
         raise UnsupportedParameterError("susy_partner_closed_form requires a Morse spec")
     n_int = _as_int(spec.N, "Morse N")
-    beta = Morse(spec.a, spec.b, spec.alpha, float(n_int)).beta
-    shift = spec.alpha * beta - 0.5 * spec.alpha**2
+    shift = spec.alpha * spec.beta - 0.5 * spec.alpha**2
     return Morse(spec.a, spec.b, spec.alpha, float(n_int - 1)), shift
 
 

@@ -26,11 +26,12 @@ from .errors import (
     DomainError,
     SeedError,
     SpectrumExhaustedError,
+    UnsupportedParameterError,
 )
 from .potentials import (
-    SEXTICS,
     GaugeState,
     Morse,
+    SexticGeneral,
     SusyPartner,
     _as_int,
     evaluate,
@@ -38,6 +39,8 @@ from .potentials import (
 )
 
 _SQRT2 = math.sqrt(2.0)
+# Largest N whose block is built: the CLI's own cap on n_max.
+_BLOCK_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,17 @@ def qes_block(spec):
     the Morse well, -(alpha^2/2) z^2 d^2 - alpha (b + alpha/2) z d
     + a alpha z^2 d - a alpha N z + (beta^2 - b^2)/2, with beta = N alpha + b,
     maps z^k to (beta^2 - (alpha k + b)^2)/2 z^k + a alpha (k - N) z^{k+1}.
-    The raising coefficient vanishes at k = N, so the block closes.
+    The raising coefficient vanishes at k = N, so the block closes.  An N
+    above 200, the CLI's cap on n_max, raises UnsupportedParameterError.
     """
-    if not isinstance(spec, SEXTICS + (Morse,)):
+    if not isinstance(spec, (SexticGeneral, Morse)):
         raise DomainError("no finite algebraic block for potential family %r" % type(spec).__name__)
     n_index = _as_int(spec.N, "N")
+    if n_index > _BLOCK_CAP:
+        raise UnsupportedParameterError("N = %g exceeds the block cap %d" % (spec.N, _BLOCK_CAP))
     k = np.arange(n_index + 1)
     if isinstance(spec, Morse):
-        beta = n_index * spec.alpha + spec.b
+        beta = spec.beta
         diagonal = 0.5 * (beta * beta - (spec.alpha * k + spec.b) ** 2)
         raising = spec.a * spec.alpha * (k[:-1] - n_index)
         lowering = np.zeros(n_index)
@@ -107,19 +113,20 @@ def morse_lie_form_check(spec):
     where D is the plain degree operator (diag k), i.e. the weight generator
     with its -N/2 offset removed.  Returns the max absolute entry difference.
     """
-    n_index = _as_int(spec.N, "N")
+    block = qes_block(spec)
     a, b, alpha = spec.a, spec.b, spec.alpha
-    dim = n_index + 1
+    dim = len(block)
+    n_index = dim - 1
     raising, weight, lowering = sl2_generators(n_index, dim)
     degree = weight + 0.5 * n_index * np.eye(dim)
-    c = Morse(a, b, alpha, n_index).v_inf
+    c = spec.v_inf
     bilinear = (
         -0.5 * alpha * alpha * (raising @ lowering)
         + a * alpha * raising
         - 0.5 * alpha * (2.0 * b + alpha * (n_index + 1)) * degree
         + 0.5 * (2.0 * c - b * b) * np.eye(dim)
     )
-    return float(np.max(np.abs(bilinear - qes_block(spec))))
+    return float(np.max(np.abs(bilinear - block)))
 
 
 def _monic(vector):
@@ -136,13 +143,13 @@ def qes_states(spec):
 
     A Morse level Gamma p(z) decays as x -> +inf only when b + alpha j > 0,
     z^j the lowest power of z in p; that is level n = N - j of the well, so
-    the bound ones are j > N - morse_bound_count.  The Morse block maps
+    the bound ones are j > N - ``bound_count``.  The Morse block maps
     z^j..z^N into themselves, so only that part of it is solved.  Below it
     lie the levels that do not decay, and, at b < 0, diagonal entries that
     coincide and leave the whole block defective.
     """
     block = qes_block(spec)
-    low = max(0, len(block) - morse_bound_count(spec)) if isinstance(spec, Morse) else 0
+    low = max(0, len(block) - spec.bound_count) if isinstance(spec, Morse) else 0
     if low == len(block):
         raise SpectrumExhaustedError("the well supports no bound states")
     values, vectors = np.linalg.eig(block[low:, low:])
@@ -267,22 +274,14 @@ def intertwining_residual(seed, state, grid):
     return _scaled_residual(partner, state.energy, grid, phi, scale)
 
 
-def morse_bound_count(spec):
-    """Number of bound states of a Morse spec (levels below the asymptote)."""
-    ratio = spec.beta / spec.alpha
-    if ratio <= 0:
-        return 0
-    return int(math.floor(ratio - 1e-12)) + 1
-
-
 def morse_exact_spectrum(spec, n_max):
-    """Bound energies E_n = alpha n (2 beta - alpha n) / 2 of a Morse well, n = 0..n_max."""
+    """Bound energies E_n = alpha n (2 beta - alpha n) / 2 of a Morse well, n = 0..n_max < bound_count."""
     n_max = _as_int(n_max, "n_max")
     alpha, beta = spec.alpha, spec.beta
-    if n_max >= beta / alpha:
+    if n_max >= spec.bound_count:
         raise SpectrumExhaustedError(
-            "level %d lies beyond the bound band (need n < beta/alpha = %.6g)"
-            % (n_max, beta / alpha)
+            "level %d lies beyond the bound band: the well has %d bound states"
+            % (n_max, spec.bound_count)
         )
     n = np.arange(n_max + 1, dtype=float)
     return [float(v) for v in 0.5 * alpha * n * (2.0 * beta - alpha * n)]

@@ -39,7 +39,7 @@ from .errors import (
     SearchError,
     SpectrumExhaustedError,
 )
-from .potentials import EVEN_WELLS, SEXTICS, Morse, _as_int, evaluate
+from .potentials import EVEN_WELLS, Morse, SexticGeneral, _as_int, evaluate
 
 _NODE_CAP = 8000
 _GROWTH = 1.45
@@ -319,40 +319,32 @@ def action(spec, energy, tol=1e-10):
     return _quadrature(spec, energy, tol)[2]
 
 
-def morse_action_closed(a, b, alpha, energy):
-    """Closed-form action of the well ``Morse(a, b, alpha, 0)``.
+def morse_action_closed(spec, energy):
+    """Closed-form action of a Morse well at any index N.
 
-    That well is (a^2 z^2 - a (2b + alpha) z + b^2) / 2 with z = e^{-alpha x},
-    and its action is S(E) = pi (2b + alpha - 2 sqrt(b^2 - 2E)) / (2 alpha),
+    It is S(E) = pi (alpha (2N+1) - 2 sqrt(beta^2 - 2E) + 2b) / (2 alpha),
     so S(E) / pi - 1/2 is the level index of the exact levels
-    E_n = alpha n (2b - alpha n) / 2.  Valid for energies from the well
-    bottom v_min = -(b alpha + alpha^2 / 4) / 2, where S = 0, up to (not
-    including) the dissociation plateau b^2/2; below v_min it raises
-    NoClassicalRegionError, as ``action`` does.  The parameter ``a`` shifts
-    the allowed interval rigidly and drops out of the loop integral; it is
-    validated but does not enter the value.
+    E_n = alpha n (2 beta - alpha n) / 2.  Valid for energies from the well
+    bottom ``v_min``, where S = 0, up to (not including) the dissociation
+    plateau ``v_inf``; below v_min it raises NoClassicalRegionError, as
+    ``action`` does.  A well with beta <= 0 raises DomainError.  The
+    parameter ``a`` shifts the allowed interval rigidly and drops out.
     """
-    a = float(a)
-    b = float(b)
-    alpha = float(alpha)
+    if not (isinstance(spec, Morse) and spec.beta > 0.0):
+        raise DomainError("the closed-form action needs a Morse well with beta > 0")
     energy = float(energy)
-    if a <= 0.0 or alpha <= 0.0 or b <= 0.0:
-        raise DomainError("well parameters a, b, alpha must all be positive")
     if not math.isfinite(energy):
         raise DomainError("energy must be finite")
-    v_min = Morse(a, b, alpha, 0.0).v_min
-    if energy < v_min:
+    if energy < spec.v_min:
         raise NoClassicalRegionError(
-            "energy %.6g is below the potential minimum %.6g" % (energy, v_min)
+            "energy %.6g is below the potential minimum %.6g" % (energy, spec.v_min)
         )
-    if energy >= 0.5 * b * b:
+    if energy >= spec.v_inf:
         raise AboveAsymptoteError(
-            "energy %.6g is not below the dissociation plateau %.6g"
-            % (energy, 0.5 * b * b)
+            "energy %.6g is not below the dissociation plateau %.6g" % (energy, spec.v_inf)
         )
-    return math.pi * (alpha - 2.0 * math.sqrt(b * b - 2.0 * energy) + 2.0 * b) / (
-        2.0 * alpha
-    )
+    root = math.sqrt(spec.beta * spec.beta - 2.0 * energy)
+    return math.pi * (spec.alpha * (2.0 * spec.N + 1.0) - 2.0 * root + 2.0 * spec.b) / (2.0 * spec.alpha)
 
 
 def gamma(spec, n, energy, tol=1e-11):
@@ -432,7 +424,7 @@ def bohr_sommerfeld_invert(spec, n, gamma0=0.0, tol=1e-12):
     else:
         base = float(evaluate(spec, 0.0))
         guess = (target / math.pi) ** 1.5
-        if isinstance(spec, SEXTICS):
+        if isinstance(spec, SexticGeneral):
             guess *= 1.2
         lo, hi, energy = base, math.inf, base + guess
         # Just above a barrier top the kink of sqrt(2 (E - V)) at x = 0 is

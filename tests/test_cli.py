@@ -1,5 +1,7 @@
 import math
 import os
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -276,7 +278,7 @@ def test_family_fields_are_flags_and_config_keys(tmp_path, family):
         "family=%s\n" % family + "".join("%s=%s\n" % (key, _FIELD_TEXT[key]) for key in keys)
     )
     from_file = build_config(["spectrum", "--config", str(config_path)])
-    assert type(flags.potential) is kind
+    assert flags.potential == kind(**{key: getattr(flags.potential, key) for key in keys})
     assert flags.potential == from_file.potential
     for key in keys:
         value = getattr(flags.potential, key)
@@ -330,11 +332,10 @@ def test_unusable_out_path_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--family", "morse", "--a", "2.5", "--b", "1e300", "--alpha", "3", "--N", "2.5"],
     ["fit-gamma", "--family", "morse", "--a", "1", "--b", "40", "--alpha", "1e-300", "--N", "0.7"],
-], ids=["spectrum", "fit-gamma"])
+], ids=["fit-gamma"])
 def test_morse_box_out_of_range_exits_2(tmp_path, capsys, argv):
-    # a plateau that overflows, and a box too wide for its spacing to be squared
+    # a box too wide for its spacing to be squared
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error\tMeshError\t")
@@ -345,10 +346,72 @@ def test_morse_box_out_of_range_exits_2(tmp_path, capsys, argv):
     ["qes", "--family", "morse", "--a", "inf", "--b", "3", "--alpha", "1e-300", "--N", "1"],
     ["qes", "--family", "morse", "--a", "0.5", "--b", "40", "--alpha", "inf", "--N", "0"],
     ["susy", "--family", "morse", "--a", "7", "--b", "0", "--alpha", "1e-3", "--N", "1"],
-], ids=["infinite-a", "infinite-alpha", "vanishing-seed"])
+    ["spectrum", "--family", "morse", "--a", "2.5", "--b", "1e300", "--alpha", "3", "--N", "2.5"],
+], ids=["infinite-a", "infinite-alpha", "vanishing-seed", "overflowing-plateau"])
 def test_degenerate_morse_wells_exit_2(tmp_path, capsys, argv):
-    # infinite fields, and a seed that underflows to zero on the pair's grid
+    # infinite fields, a seed that underflows to zero on the pair's grid, and
+    # a plateau beta^2 / 2 that overflows, which the constructor refuses
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error\tDomainError\t")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["qes", "--family", "sextic_reduced", "--N", "1e300"], "UnsupportedParameterError"),
+    (["qes", "--family", "sextic_reduced", "--N", "201"], "UnsupportedParameterError"),
+    (["qes", "--family", "morse", "--a", "1", "--b", "1", "--alpha", "1", "--N", "1000"],
+     "UnsupportedParameterError"),
+    (["qes", "--family", "morse", "--a", "40", "--b", "40", "--alpha", "40", "--N", "1e300"], "DomainError"),
+    (["wkb", "--family", "sextic_general", "--nu", "1e-300", "--mu", "-1", "--N", "40"], "DomainError"),
+    (["susy", "--family", "sextic_general", "--nu", "1e300", "--mu", "1e300", "--N", "-0.0"], "DomainError"),
+], ids=["block-cap", "block-cap-edge", "morse-block-cap", "morse-plateau", "nu-underflow", "nu-overflow"])
+def test_out_of_range_wells_exit_2(tmp_path, capsys, argv, kind):
+    # an algebraic block above its cap of N = 200, and derived constants that
+    # overflow or underflow, each refused with one typed error
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error\t%s\t" % kind)
+    assert len(err.splitlines()) == 1
+
+
+_FUZZ_COMMANDS = ("spectrum", "wkb", "fit-gamma", "fit-energy", "qes", "susy", "morse")
+_FUZZ_VALUES = ("0", "1", "-1", "0.5", "0.7", "2.5", "3", "7", "40", "1e-3",
+                "1e300", "1e-300", "-0.0", "nan", "inf")
+
+
+def _fuzz_argv(rng):
+    """One random single command on a random family with random field values."""
+    family = rng.choice(list(_FAMILY_FIELDS))
+    argv = [rng.choice(_FUZZ_COMMANDS), "--family", family]
+    for key in _FAMILY_FIELDS[family][1]:
+        if key == "coeffs":
+            value = ",".join(rng.choice(_FUZZ_VALUES) for _ in range(rng.randint(1, 4)))
+        else:
+            value = rng.choice(_FUZZ_VALUES)
+        argv.append("--%s=%s" % (key, value))  # "=" keeps a leading "-" a value
+    if rng.random() < 0.5:
+        argv += ["--n-max", str(rng.choice((0, 1, 3, 10, 12, 15, 30, 200, 201)))]
+    if rng.random() < 0.5:
+        argv += ["--tol", rng.choice(("1e-15", "1e-12", "1e-9", "1e-6", "1e-4", "1e-3", "nan"))]
+    return argv
+
+
+def test_fuzzed_commands_exit_0_or_2(tmp_path, capsys):
+    # Every run either succeeds or reports one typed error: no other exit
+    # status, no traceback, no RuntimeWarning from a numerical kernel.
+    rng = random.Random(2)
+    escapes = []
+    for run in range(250):
+        argv = _fuzz_argv(rng)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv + ["--out", str(tmp_path / str(run))])
+        except Exception as exc:
+            escapes.append((" ".join(argv), type(exc).__name__))
+            continue
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+        if code not in (0, 2) or len(errors) > 1:
+            escapes.append((" ".join(argv), "exit %d, %d error lines" % (code, len(errors))))
+    assert escapes == []

@@ -25,7 +25,6 @@ from qeswkb.errors import (
     UnsupportedParameterError,
 )
 from qeswkb.potentials import EvenPolynomial, GaugeState, Morse, SexticReduced, SusyPartner
-from qeswkb.qes_algebra import morse_bound_count
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -168,7 +167,7 @@ def test_certified_spectra_agree_with_a_doubled_mesh():
     wells += [(1.0, 12.0, 2.0, 3.0), (0.5, 6.0, 0.7, 0.0), (0.5, 6.0, 0.7, 3.0)]
     for a, b, alpha, depth in wells:
         spec = Morse(a, b, alpha, depth)
-        count = morse_bound_count(spec)
+        count = spec.bound_count
         for k in sorted({1, min(10, count), count}):
             x_left, x_right, _ = eigensolver._morse_box(spec, k, tol)
             spectrum = lowest_eigen(spec, k, tol=tol)
@@ -194,7 +193,7 @@ def test_certified_spectra_agree_with_a_longer_box():
     wells += [(1.0, 12.0, 2.0, 3.0), (0.5, 6.0, 0.7, 0.0), (0.5, 6.0, 0.7, 3.0)]
     for a, b, alpha, depth in wells:
         spec = Morse(a, b, alpha, depth)
-        count = morse_bound_count(spec)
+        count = spec.bound_count
         for k in sorted({1, min(10, count), count}):
             spectrum = lowest_eigen(spec, k, tol=tol)
             mesh = spectrum.mesh
@@ -214,7 +213,7 @@ def test_too_short_a_box_is_never_certified(monkeypatch):
     tol = 1e-9
     for depth in (0.0, 1.0, 2.0, 3.0):
         spec = Morse(1.0, 8.0, SQRT2, depth)
-        k = morse_bound_count(spec)
+        k = spec.bound_count
         exact = qes_algebra.morse_exact_spectrum(spec, k - 1)
         x_in, x_out, kappa = _morse_turning_points(spec, k - 1)
         x_left, x_right = x_in - 1.0, x_out + 8.0 / kappa
@@ -260,7 +259,7 @@ def test_certificate_bounds_the_error():
             cases.append((spec, oscillator_mesh(M, h), 1, reference, ref_floor))
     for a, b, alpha, depth in ((1.0, 8.0, SQRT2, 0.0), (1.0, 8.0, SQRT2, 3.0), (1.0, 4.0, 1.0, 0.0)):
         spec = Morse(a, b, alpha, depth)
-        k = morse_bound_count(spec)
+        k = spec.bound_count
         x_left, x_right, start = eigensolver._morse_box(spec, k, 1e-9)
         exact = qes_algebra.morse_exact_spectrum(spec, k - 1)
         for M in range(start // 2, start + 1, 8):
@@ -360,7 +359,7 @@ def test_sextic_qes_levels_n2():
 
 def test_morse_spectrum_matches_closed_form():
     spec = Morse(1.0, 8.0, SQRT2, 0.0)
-    assert morse_bound_count(spec) == 6
+    assert spec.bound_count == 6
     spectrum = lowest_eigen(spec, 6, tol=1e-10)
     n = np.arange(6, dtype=float)
     exact = 0.5 * SQRT2 * n * (16.0 - SQRT2 * n)
@@ -373,7 +372,7 @@ def test_morse_spectrum_matches_closed_form():
     for a, b, alpha in ((1.0, 4.0, 1.0), (1.0, 12.0, 2.0), (0.5, 6.0, 0.7)):
         for depth in (0.0, 3.0):
             spec = Morse(a, b, alpha, depth)
-            count = morse_bound_count(spec)
+            count = spec.bound_count
             spectrum = lowest_eigen(spec, count, tol=1e-10)
             exact = qes_algebra.morse_exact_spectrum(spec, count - 1)
             assert np.max(np.abs(spectrum.energies - exact)) < 1e-9, (a, b, alpha, depth)

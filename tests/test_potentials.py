@@ -47,6 +47,7 @@ def test_reduction_identity_exact():
         general = evaluate(SexticGeneral(1.0, 1.0, depth), x)
         reduced = evaluate(SexticReduced(depth), x)
         assert np.array_equal(general, reduced)
+        assert SexticReduced(depth) == SexticGeneral(1.0, 1.0, depth)
 
 
 def test_even_wells_share_one_evaluator():
@@ -205,6 +206,18 @@ def test_constructor_validation():
     for a, alpha in ((math.inf, 1e-300), (0.5, math.inf), (math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(DomainError):
             Morse(a=a, b=3.0, alpha=alpha, N=1.0)
+    # derived coefficients: nu^2 / 2 underflows to 0, nu mu and nu^2 overflow
+    for nu, mu in ((1e-300, -1.0), (1e300, 1e300), (1e200, 1.0)):
+        with pytest.raises(DomainError):
+            SexticGeneral(nu=nu, mu=mu, N=40.0)
+    # derived Morse constants: a^2, beta^2, a c1 and beta / alpha overflow
+    for a, b, alpha, n_index in ((1e200, 3.0, 1.0, 0.0), (40.0, 40.0, 40.0, 1e300),
+                                 (1.3e154, 1e154, 1.0, 0.0), (1.0, 1e10, 1e-300, 0.0)):
+        with pytest.raises(DomainError):
+            Morse(a=a, b=b, alpha=alpha, N=n_index)
+    for field in ("b", "N"):
+        with pytest.raises(DomainError):
+            Morse(**{"a": 1.0, "b": 3.0, "alpha": 1.0, "N": 1.0, field: math.nan})
     with pytest.raises(DomainError):
         EvenPolynomial((1.0, -2.0))  # negative leading coefficient
     with pytest.raises(DomainError):

@@ -16,7 +16,6 @@ from qeswkb.potentials import GaugeState, Morse, SexticGeneral, SexticReduced
 from qeswkb.qes_algebra import (
     darboux,
     intertwining_residual,
-    morse_bound_count,
     morse_exact_spectrum,
     morse_lie_form_check,
     qes_block,
@@ -263,7 +262,7 @@ def test_morse_states_are_bound_and_distinct():
               for n in range(7) for _ in range(4)]
     for a, b, alpha, n_index in wells:
         spec = Morse(a, b, alpha, n_index)
-        count = morse_bound_count(spec)
+        count = spec.bound_count
         if count == 0:
             with pytest.raises(SpectrumExhaustedError):
                 qes_states(spec)
@@ -279,3 +278,26 @@ def test_morse_states_are_bound_and_distinct():
             assert residual_check(state, np.linspace(-2.0, 4.0, 61)) < 1e-8
     levels = qes_states(Morse(1.0, -1.0, 1.0, 3.0))
     assert [state.energy for state in levels] == [0.0, 1.5]
+
+
+def test_exact_spectrum_stops_at_the_bound_count():
+    # one rule for both: at b = 3 + 5e-13 the level n = 3 sits at the plateau
+    wells = [(1.0, 3.0 + 5e-13, 1.0, 0.0), (1.0, 3.0, 1.0, 0.0), (0.5, 6.0, 0.7, 3.0),
+             MORSE_REF + (2.0,), (1.0, -1.0, 1.0, 3.0), (1.0, -3.0, 1.0, 1.0)]
+    for params in wells:
+        spec = Morse(*params)
+        count = spec.bound_count
+        if count:
+            levels = morse_exact_spectrum(spec, count - 1)
+            assert len(levels) == count
+            assert levels[-1] < spec.v_inf
+        with pytest.raises(SpectrumExhaustedError):
+            morse_exact_spectrum(spec, count)
+    assert Morse(1.0, 3.0 + 5e-13, 1.0, 0.0).bound_count == 3
+
+
+def test_block_size_is_capped():
+    assert qes_block(SexticReduced(200.0)).shape == (201, 201)
+    for spec in (SexticReduced(201.0), SexticReduced(1e300), Morse(1.0, 1.0, 1.0, 1e10)):
+        with pytest.raises(UnsupportedParameterError):
+            qes_block(spec)

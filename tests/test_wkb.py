@@ -20,6 +20,7 @@ from qeswkb.errors import (
 )
 from qeswkb import fitmodels
 from qeswkb.potentials import EvenPolynomial, Morse, SexticGeneral, SexticReduced, evaluate
+from qeswkb.qes_algebra import morse_exact_spectrum
 from qeswkb.wkb import (
     action,
     bohr_sommerfeld_invert,
@@ -95,25 +96,26 @@ def test_harmonic_action_linear_in_energy():
 def test_morse_closed_action_quantization():
     # closed form hits the Bohr-Sommerfeld half-integers exactly
     for n in range(6):
-        s = morse_action_closed(1.0, 8.0, SQRT2, morse_exact_level(n))
+        s = morse_action_closed(MORSE_REF, morse_exact_level(n))
         assert s / math.pi == pytest.approx(n + 0.5, abs=1e-12)
 
 
 def test_morse_quadrature_matches_closed_form():
     for energy in (-1.0, 3.0, 14.5, 27.0, 31.0):
         s_quad = action(MORSE_REF, energy, tol=1e-12)
-        s_closed = morse_action_closed(1.0, 8.0, SQRT2, energy)
+        s_closed = morse_action_closed(MORSE_REF, energy)
         assert s_quad == pytest.approx(s_closed, rel=1e-11)
 
 
 def test_morse_quadrature_matches_closed_form_general_index():
-    # raising the well index shifts the effective depth: closed form uses
-    # b -> N alpha + b
+    # the closed form takes the N = 2 spec itself, and quantizes its levels
     spec = Morse(1.0, 8.0, SQRT2, 2.0)
     for energy in (5.0, 20.0):
         s_quad = action(spec, energy, tol=1e-12)
-        s_closed = morse_action_closed(1.0, 2.0 * SQRT2 + 8.0, SQRT2, energy)
+        s_closed = morse_action_closed(spec, energy)
         assert s_quad == pytest.approx(s_closed, rel=1e-11)
+    for n, energy in enumerate(morse_exact_spectrum(spec, spec.bound_count - 1)):
+        assert morse_action_closed(spec, energy) / math.pi == pytest.approx(n + 0.5, abs=1e-12)
 
 
 def test_morse_gamma_vanishes_on_exact_levels():
@@ -194,11 +196,13 @@ def test_negative_qes_ground_level_is_double_well():
 
 def test_closed_action_domain_errors():
     with pytest.raises(NoClassicalRegionError):
-        morse_action_closed(1.0, 8.0, SQRT2, -10.0)
+        morse_action_closed(MORSE_REF, -10.0)
     with pytest.raises(AboveAsymptoteError):
-        morse_action_closed(1.0, 8.0, SQRT2, 32.0)
-    with pytest.raises(DomainError):
-        morse_action_closed(-1.0, 8.0, SQRT2, 3.0)
+        morse_action_closed(MORSE_REF, 32.0)
+    # a well that is not Morse, and one with beta = N alpha + b <= 0
+    for spec in (SexticReduced(0.0), Morse(1.0, -3.0, 1.0, 1.0)):
+        with pytest.raises(DomainError):
+            morse_action_closed(spec, 3.0)
 
 
 def test_accuracy_error_reports_achieved(monkeypatch):
