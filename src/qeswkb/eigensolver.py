@@ -13,12 +13,12 @@ Two discretizations are provided, both yielding dense symmetric matrices:
 
 The oscillator mesh is reflection-symmetric and serves only reflection-even
 wells, so its Hamiltonian splits into an even and an odd block of half the
-size, solved apart (Baye, Phys. Rep. 565 (2015) 1).  Its scale is fixed once
-per spectrum: the mesh at the starting size reaches the outer turning point
-of the top requested level plus the margin over which the WKB decay
-exponent of that level grows to 40.  Each mesh starts at the size its
-states need: 64 oscillator points plus two per requested state, or six
-uniform points per shortest classical wavelength.  Every dense solve is a
+size, solved apart (Baye, Phys. Rep. 565 (2015) 1).  Both meshes end where
+the WKB decay exponent of the top requested level reaches a target: 40 at
+the edge of the starting oscillator mesh, whose scale is fixed once per
+spectrum.  Each mesh starts at the size its states need: 64 oscillator
+points plus two per requested state, or six uniform points per shortest
+classical wavelength.  Every dense solve is a
 full symmetric eigensolve through NumPy's LAPACK, of which the lowest
 eigenpairs are kept.
 
@@ -33,8 +33,8 @@ uniform grid the bound adds a wall term for each hard wall, the shift that
 cutting the decaying tail off there puts on the level, read from the node
 next to the wall.  No bound is taken below the rounding floor
 eps ||H||_inf of the matrices solved.  The Morse box is sized from the
-requested tolerance: each wall sits where the top level's WKB decay
-exponent makes its wall term a few percent of that tolerance.  One
+requested tolerance: the node next to each wall sits where the top level's
+WKB decay exponent makes its wall term a few percent of that tolerance.  One
 refinement loop serves both meshes: it grows the basis size by steps of
 about 5/4 at that fixed scale (or box), never past the size cap, only
 while some state's certificate is not below the requested tolerance, and
@@ -477,22 +477,26 @@ def _wall_terms(spec, mesh, energies, coeffs):
     return _WALL_SAFETY * np.where(kappa > 0.0, terms, np.inf).sum(axis=0)
 
 
-def _edge_extent(spec, energy):
-    """Outer turning point of ``energy`` plus the margin where the WKB
-    exponent, the integral of sqrt(2 (V - energy)) outward, reaches _EDGE_DECAY."""
-    reach = 1.0
+def _edge_extent(spec, energy, decay, origin, reach):
+    """Where the WKB exponent of ``energy``, the integral of sqrt(2 (V -
+    energy)) from the last allowed point of origin + [0, reach] (left for a
+    negative ``reach``), reaches ``decay``; the span doubles until it does.
+    A NaN potential counts as forbidden, with a zero rate."""
     for _ in range(64):
-        x = np.linspace(0.0, reach, 2049)
+        if not math.isfinite(origin + reach):
+            break
+        x = np.linspace(origin, origin + reach, 2049)
         excess = evaluate(spec, x) - energy
         allowed = np.flatnonzero(excess <= 0.0)
-        kappa = np.sqrt(2.0 * np.maximum(excess, 0.0))
+        kappa = np.sqrt(2.0 * np.fmax(excess, 0.0))
         if allowed.size:
             kappa[: allowed[-1] + 1] = 0.0
-        exponent = np.concatenate(([0.0], np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(x))))
-        if exponent[-1] >= _EDGE_DECAY:
-            return float(np.interp(_EDGE_DECAY, exponent, x))
+        step = np.diff(x) if reach > 0 else -np.diff(x)
+        exponent = np.concatenate(([0.0], np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * step)))
+        if exponent[-1] >= decay:
+            return float(np.interp(decay, exponent, x))
         reach *= 2.0
-    raise MeshError(f"no classically forbidden margin found for energy {energy:.6g}")
+    raise MeshError(f"no decay exponent {decay:.3g} found for energy {energy:.6g} from x = {origin:.6g}")
 
 
 def _oscillator_scale(spec, M, k):
@@ -502,7 +506,7 @@ def _oscillator_scale(spec, M, k):
     kinetic cutoff of the basis, V(h t_max) = t_max^2 / (2 h^2), which is
     h = 1 for the harmonic well.  One parity block solved at that scale
     gives the top requested level E_{k-1}; the returned scale stretches the
-    mesh to the outer turning point of E_{k-1} plus its decay margin.
+    mesh to where the decay exponent of E_{k-1} reaches _EDGE_DECAY.
     """
     t_max = _hermite_data(M).t[-1]
     trial = np.geomspace(1e-3, 1e3, 601)
@@ -514,7 +518,7 @@ def _oscillator_scale(spec, M, k):
     top = (k - 1) // 2
     block = _parity_block(spec, mesh, 1.0 if k % 2 else -1.0)
     e_top = float(eigh(block, eigvals_only=True)[top])
-    return _edge_extent(spec, e_top) / t_max
+    return _edge_extent(spec, e_top, _EDGE_DECAY, 0.0, 1.0) / t_max
 
 
 def _fix_signs(vectors):
@@ -536,74 +540,66 @@ def _morse_box(spec, k, tol):
     """Box and starting grid size for the k lowest levels of a Morse well,
     for energies certified to ``tol``.
 
-    Each wall sits past a turning point of the top requested level, n, where
-    its WKB decay exponent reaches D = (ln(1/tol) + _WALL_EXTRA) / 2, so its
-    wall term lands near exp(-_WALL_EXTRA) tol.  In z = exp(-alpha x),
-    2 (V - E_n) = a^2 (z - z_in)(z - z_out), with the turning points
-    z_out < z_in in closed form.  Right of the outer turning point the decay
-    rate climbs to kappa = beta - alpha n, and the right wall sits D / kappa
-    past it.  Left of the inner one the decay rate is at least
-    a (z - z_in), so the exponent is at least (a z_in / alpha)(u - 1 - ln u)
-    >= (a z_in / alpha)(u - 1)^2 / (2u), u = z / z_in; the left wall sits
-    where that last bound reaches D, at u = 1 + r + sqrt(r (r + 2)),
-    r = alpha D / (a z_in).
-
-    The grid starts where its Nyquist momentum pi / dx is three times the
-    largest classical momentum of level n, sqrt(2 (E_n - V_min)): six points
-    per shortest classical wavelength (Colbert & Miller, J. Chem. Phys. 96
-    (1992) 1982).  This sizes the first solve, not the last; the refinement
-    loop grows it while its certificate is too large.
+    _edge_extent walks from the well bottom, x = -ln(c1 / 2a) / alpha, to
+    each side, from a span of D / kappa, to where the WKB decay exponent of
+    the top requested level n, E_n = v_inf - kappa^2 / 2 with kappa = beta -
+    alpha n, reaches D = (ln(1/tol) + _WALL_EXTRA) / 2.  There sits the node
+    next to each wall, where the wall term is read, and the wall one starting
+    spacing further out: that term lands near exp(-_WALL_EXTRA) tol.  Between
+    those nodes the grid starts at six points per shortest classical
+    wavelength of level n, a Nyquist momentum pi / dx three times its largest
+    classical momentum sqrt(2 (E_n - V_min)) (Colbert & Miller, J. Chem.
+    Phys. 96 (1992) 1982).  This sizes the first solve, not the last.
 
     Box and grid are sized for at least the four lowest levels (all of them
     in a shallower well): the lowest levels carry momentum well beyond
     their classical maximum, and a ground level certifies to 1e-9 only at
     about 2.5 times its own six-points-per-wavelength size.  The grid
-    starts at no fewer than _MORSE_MIN_SIZE points.
+    starts at no fewer than _MORSE_MIN_SIZE points between the D points.
 
-    Raises MeshError when the walls, the width or the starting size are not
-    finite, or when the square of the width or of the starting spacing
-    overflows or underflows.
+    Raises MeshError when the walks or the starting size are not finite, or
+    when the square of the width or of the starting spacing overflows or
+    underflows.
     """
     n = max(k, min(_MORSE_MIN_LEVELS, spec.bound_count)) - 1
     decay = 0.5 * (math.log(1.0 / tol) + _WALL_EXTRA)
-    # NumPy scalars turn an overflow, a log of zero or a division by an
-    # underflowed product into inf or nan, which the check below rejects,
-    # where Python floats would raise
+    # The potential overflows far out on the walks, and NumPy scalars turn
+    # an overflow, a log of zero or a division by an underflowed product into
+    # inf or nan, which the checks below reject, where Python floats would raise
     a, alpha, c1 = np.float64(spec.a), np.float64(spec.alpha), np.float64(spec.c1)
     with np.errstate(all="ignore"):
         kappa = spec.beta - alpha * n
         # sqrt(c1^2 - 4 kappa^2), with c1 - 2 kappa = alpha (2n + 1); it is
         # also twice the largest classical momentum of level n
         disc = np.sqrt(alpha * (2 * n + 1) * (c1 + 2.0 * kappa))
-        z_in = (c1 + disc) / (2.0 * a)
-        z_out = 2.0 * kappa * kappa / (a * (c1 + disc))
-        r = alpha * decay / (a * z_in)
-        x_left = -np.log(z_in * (1.0 + r + np.sqrt(r * (r + 2.0)))) / alpha
-        x_right = decay / kappa - np.log(z_out) / alpha
+        bottom, reach = float(-np.log(c1 / (2.0 * a)) / alpha), float(decay / kappa)
+        energy = spec.v_inf - 0.5 * kappa * kappa
+        x_left, x_right = (_edge_extent(spec, energy, decay, bottom, side * reach) for side in (-1.0, 1.0))
         width = x_right - x_left
         size = 3.0 * width * disc / (2.0 * math.pi)
-        spacing = width / (max(size, _MORSE_MIN_SIZE) + 1.0)
-        finite = np.isfinite([x_left, x_right, size, width * width, 1.0 / (spacing * spacing)]).all()
+        spacing = width / (np.maximum(size, _MORSE_MIN_SIZE) + 1.0)
+        walls = (x_left - spacing, x_right + spacing)
+        finite = np.isfinite([*walls, size, width * width, 1.0 / (spacing * spacing)]).all()
     if not (finite and width > 0.0):
         raise MeshError(
-            f"no usable Morse box for {k} levels at tol {tol:.1e}: walls {x_left:.6g}, {x_right:.6g}, "
+            f"no usable Morse box for {k} levels at tol {tol:.1e}: walls {walls[0]:.6g}, {walls[1]:.6g}, "
             f"starting size {size:.6g}"
         )
-    return float(x_left), float(x_right), max(math.ceil(size), _MORSE_MIN_SIZE)
+    return float(walls[0]), float(walls[1]), max(math.ceil(size), _MORSE_MIN_SIZE) + 2
 
 
 def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     """Converged k lowest eigenpairs of the potential.
 
     Morse wells are solved on a uniform grid in a box sized from ``tol``:
-    each wall sits where the top requested level's WKB decay exponent
-    reaches (ln(1/tol) + 3) / 2.  The grid starts at six points per shortest
-    classical wavelength of that level.  Reflection-even wells (reduced and
-    general sextic, even polynomials, and partners of those built from a
-    sextic seed) are solved on an oscillator mesh in parity blocks, starting
-    at 64 mesh points plus two per requested state (166 for a 51-level
-    spectrum), at a scale chosen once, at the starting size, from the
-    turning point of the top requested level.  Any other spec raises
+    the node next to each wall sits where the top requested level's WKB
+    decay exponent reaches (ln(1/tol) + 3) / 2.  The grid starts at six
+    points per shortest classical wavelength of that level.  Reflection-even
+    wells (reduced and general sextic, even polynomials, and partners of
+    those built from a sextic seed) are solved on an oscillator mesh in
+    parity blocks, starting at 64 mesh points plus two per requested state
+    (166 for a 51-level spectrum), at a scale chosen once, at the starting
+    size, from the decay of the top requested level.  Any other spec raises
     :class:`UnsupportedParameterError`.  Both starting sizes are clamped to
     ``m_cap`` (the oscillator mesh to an even size, for its parity blocks),
     and a ``k`` above that even size raises :class:`MeshError`, as does a

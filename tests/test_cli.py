@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qeswkb import fitmodels
+from qeswkb import fitmodels, qes_algebra
 from qeswkb.acceptance import CHECKS
 from qeswkb.cli import build_config, main
-from qeswkb.potentials import _FAMILY_FIELDS
+from qeswkb.potentials import _FAMILY_FIELDS, Morse
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,6 +36,23 @@ def test_morse_command_matches_closed_form(tmp_path):
     assert len(lines) == 7  # six bound levels
     deltas = [float(line.split(",")[3]) for line in lines[1:]]
     assert max(deltas) < 1e-8
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-9, 1e-10, 1e-12])
+def test_shallow_plateau_morse_spectrum_certifies(tmp_path, tol):
+    # the top level of this well decays slowly just past its outer turning
+    # point, so D / kappa past that point is too short a right margin at
+    # every tol: the wall must sit where the exponent itself reaches D
+    out = tmp_path / "spectrum"
+    code = main([
+        "spectrum", "--family", "morse", "--a", "0.5", "--b", "6", "--alpha", "0.7",
+        "--N", "3", "--n-max", "5", "--tol", repr(tol), "--out", str(out),
+    ])
+    assert code == 0
+    energies = [float(line.split(",")[1]) for line in read_lines(out / "spectrum.csv")[1:]]
+    exact = qes_algebra.morse_exact_spectrum(Morse(0.5, 6.0, 0.7, 3.0), 5)
+    assert len(energies) == 6
+    assert np.max(np.abs(np.subtract(energies, exact))) < tol
 
 
 def test_wkb_command_sextic_corrections(tmp_path):

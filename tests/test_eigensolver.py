@@ -1,10 +1,13 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from qeswkb import eigensolver, qes_algebra
@@ -18,13 +21,14 @@ from qeswkb.eigensolver import (
 )
 from qeswkb.errors import (
     ConvergenceError,
+    DomainError,
     MeshError,
     NodePlacementError,
     SearchError,
     SpectrumExhaustedError,
     UnsupportedParameterError,
 )
-from qeswkb.potentials import EvenPolynomial, GaugeState, Morse, SexticReduced, SusyPartner
+from qeswkb.potentials import EvenPolynomial, GaugeState, Morse, SexticReduced, SusyPartner, evaluate
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -205,6 +209,66 @@ def test_certified_spectra_agree_with_a_longer_box():
             assert np.max(np.abs(spectrum.energies - reference)) < tol, (spec, k)
 
 
+def _decay_exponent(spec, energy, lo, hi):
+    """WKB decay exponent of ``energy`` across the forbidden interval [lo, hi]."""
+    return quad(lambda x: math.sqrt(max(2.0 * (evaluate(spec, x) - energy), 0.0)), lo, hi, limit=200)[0]
+
+
+def test_wall_nodes_sit_at_the_decay_target():
+    # the node next to each wall is where the top sized level's WKB decay
+    # exponent, integrated from its turning point, reaches D = (ln(1/tol) +
+    # _WALL_EXTRA) / 2: not short of it, and not far past it
+    wells = [(1.0, 8.0, SQRT2, 0.0), (1.0, 4.0, 1.0, 0.0), (1.0, 4.0, 1.0, 3.0), (1.0, 12.0, 2.0, 0.0)]
+    wells += [(1.0, 12.0, 2.0, 3.0), (0.5, 6.0, 0.7, 0.0), (0.5, 6.0, 0.7, 3.0)]
+    for a, b, alpha, depth in wells:
+        spec = Morse(a, b, alpha, depth)
+        count = spec.bound_count
+        for k, tol in itertools.product(sorted({1, min(10, count), count}), (1e-9, 1e-10)):
+            decay = 0.5 * (math.log(1.0 / tol) + eigensolver._WALL_EXTRA)
+            top = max(k, min(eigensolver._MORSE_MIN_LEVELS, count)) - 1
+            x_in, x_out, kappa = _morse_turning_points(spec, top)
+            energy = spec.v_inf - 0.5 * kappa * kappa
+            x_left, x_right, size = eigensolver._morse_box(spec, k, tol)
+            nodes = uniform_mesh(size, x_left, x_right).nodes
+            for lo, hi in ((nodes[0], x_in), (x_out, nodes[-1])):
+                exponent = _decay_exponent(spec, energy, lo, hi)
+                assert 1.0 - 1e-3 <= exponent / decay <= 1.01, (spec, k, tol, lo, hi, exponent / decay)
+
+
+def test_wide_well_top_level_certifies():
+    # a top level that decays slowly just past its outer turning point, where
+    # D / kappa leaves the exponent short of D and the box too short
+    spec = Morse(1.0, 10.0, 0.3, 0.0)
+    spectrum = lowest_eigen(spec, 1, tol=1e-9)
+    assert spectrum.refinement_deltas[-1] < 1e-9
+    exact = qes_algebra.morse_exact_spectrum(spec, 0)
+    assert np.max(np.abs(spectrum.energies - exact)) < 1e-9
+
+
+def test_morse_box_is_finite_or_refused():
+    # every well the constructor accepts gets a finite box or a MeshError,
+    # with no floating-point warning: an overflowing potential far left, a
+    # well bottom at -inf and walks that never leave the allowed region
+    extremes = (1e-300, 1.0, 1e300)
+    calls = 0
+    for a, b, alpha, depth in itertools.product(extremes, extremes, extremes + (1e8,), (0.0, 3.0)):
+        try:
+            spec = Morse(a, b, alpha, depth)
+        except DomainError:
+            continue
+        for tol in (1e-300, 1e-9, 10.0):
+            calls += 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    x_left, x_right, size = eigensolver._morse_box(spec, 1, tol)
+                except MeshError:
+                    continue
+            assert math.isfinite(x_left) and math.isfinite(x_right) and x_left < x_right, (spec, tol)
+            assert size >= eigensolver._MORSE_MIN_SIZE
+    assert calls == 72
+
+
 def test_too_short_a_box_is_never_certified(monkeypatch):
     # The four wells of the spectra workload in a box whose right wall is
     # only 8 decay lengths past the top level's outer turning point, on a
@@ -233,7 +297,7 @@ def test_too_short_a_box_is_never_certified(monkeypatch):
 def test_certificate_rejects_an_under_resolved_start():
     spec = Morse(1.0, 4.0, 1.0, 0.0)
     x_left, x_right, start = eigensolver._morse_box(spec, 4, 1e-10)
-    assert start == 80
+    assert start == 83
     exact = qes_algebra.morse_exact_spectrum(spec, 3)
     energies, _, tail, wall, floor = eigensolver._bounded_solve(spec, uniform_mesh(start, x_left, x_right), 4)
     bounds = tail + wall
@@ -302,7 +366,7 @@ def test_solve_counts(monkeypatch):
     sizes.clear()
     # six grid points per shortest classical wavelength of the top level
     spectrum = lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9)
-    assert sizes == [225]
+    assert sizes == [230]
     assert spectrum.mesh.size < 1024
 
 
@@ -451,11 +515,11 @@ def test_convergence_error_carries_best_spectrum():
     assert best.mesh.size <= 512
     assert "refinement stalled" in str(excinfo.value)
     assert "no room" not in str(excinfo.value)
-    # the Morse grid starts at 225 here; its first step, to 282, would pass
+    # the Morse grid starts at 230 here; its first step, to 288, would pass
     # the cap, but the first solve certifies itself
     spec = Morse(1.0, 8.0, SQRT2, 3.0)
     spectrum = lowest_eigen(spec, 9, tol=1e-9, m_cap=250)
-    assert spectrum.mesh.size == 225
+    assert spectrum.mesh.size == 230
     exact = qes_algebra.morse_exact_spectrum(spec, 8)
     assert np.max(np.abs(spectrum.energies - exact)) < 1e-9
     # a tol below the rounding floor eps ||H||, about 6e-13 here, stops the
@@ -464,7 +528,7 @@ def test_convergence_error_carries_best_spectrum():
     with pytest.raises(ConvergenceError) as excinfo:
         lowest_eigen(spec, 9, tol=1e-13)
     best = excinfo.value.best
-    assert best.mesh.size == 288
+    assert best.mesh.size == 292
     assert len(best.refinement_deltas) == 1 and best.refinement_deltas[0] >= 1e-13
     assert "refinement stalled" in str(excinfo.value)
     assert np.max(np.abs(best.energies - exact)) < 1e-9
