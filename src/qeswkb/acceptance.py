@@ -183,7 +183,7 @@ class Study:
 
     @_part(3)
     def harmonic(self):
-        """Eleven lowest levels of the harmonic oscillator at tol 1e-12."""
+        """Eleven lowest levels of the harmonic well at tol 1e-12."""
         return lowest_eigen(_HARMONIC, 11, tol=1e-12).energies
 
     @_part(10)

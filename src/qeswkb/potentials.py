@@ -1,7 +1,7 @@
 """Potential families for the one-dimensional Schrodinger problem H = -1/2 d^2/dx^2 + V(x).
 
 Provides immutable specifications of the supported potentials (the sextic
-oscillator, of which the reduced one is a special case, the exponential
+well, of which the reduced one is a special case, the exponential
 Morse well, even polynomial oracles, and first-order factorization
 partners), together with pointwise evaluation and ``build_spec``, the one spec parser: it builds a spec from a
 family name and field values, as the CLI's flags and config files give them.
@@ -75,7 +75,7 @@ def _even_coeffs(coeffs):
 
 @dataclass(frozen=True)
 class SexticGeneral:
-    """Two-parameter sextic oscillator V(x) = (nu^2 x^6 + 2 nu mu x^4 + (mu^2 - (4N+3) nu) x^2) / 2.
+    """Two-parameter sextic well V(x) = (nu^2 x^6 + 2 nu mu x^4 + (mu^2 - (4N+3) nu) x^2) / 2.
 
     At non-negative integer N the lowest N+1 even states are polynomially
     solvable.  Its ``coeffs`` are checked as ``EvenPolynomial``'s are.
@@ -94,7 +94,7 @@ class SexticGeneral:
 
 
 def SexticReduced(N):
-    """Reduced sextic oscillator V(x) = (x^6 + 2 x^4 - 2 (2N+1) x^2) / 2: ``SexticGeneral(1, 1, N)``.
+    """Reduced sextic well V(x) = (x^6 + 2 x^4 - 2 (2N+1) x^2) / 2: ``SexticGeneral(1, 1, N)``.
 
     The continuous parameter N controls the depth of the two symmetric wells.
     """
