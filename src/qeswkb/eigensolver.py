@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view as _windows
 
 from .errors import (
     ConvergenceError,
@@ -112,6 +113,8 @@ _WALL_SAFETY = 2.0
 # like exp(-2 exponent), lands near exp(-_WALL_EXTRA) tol.
 _WALL_EXTRA = 3.0
 _EPS = np.finfo(float).eps
+_TRIAL_WIDTHS = np.geomspace(1e-3, 1e3, 601)  # half-widths tried for an even well's provisional box
+_TRIAL_WIDTHS.flags.writeable = False
 
 
 def _tail_count(M):
@@ -182,22 +185,19 @@ def _unit_sine_kinetic(M):
     """Kinetic matrix of the sine basis on M interior points, in units of
     pi^2 / (4 L^2), L the width of the box; built once per size, read-only.
 
-    Entry (i, j) depends on i - j and i + j only, so 1/sin^2(pi d / 2n) is
-    tabulated once, for d = 1 - M .. 2M, and gathered by those two indices:
-    O(M) sine calls instead of 2 M^2.
+    Off the diagonal, entry (i, j), counted from 0, is t[i - j] - t[i + j +
+    2], with t[d] = (-1)^d / sin^2(pi d / 2n) tabulated once for d = 1 - M ..
+    2M: one subtraction of a Toeplitz and a Hankel strided view of t builds
+    it, from O(M) sine calls.
     """
     n = M + 1
     i = np.arange(1, M + 1)
     d = np.arange(1 - M, 2 * M + 1)
     with np.errstate(divide="ignore"):
-        inv = 1.0 / np.sin(np.pi * d / (2 * n)) ** 2
-    signed = np.where(d % 2 == 0, 1.0, -1.0)
-    # table index M - 1 holds d = 0; with 0-based rows and columns the
-    # difference part reads d = i - j and the sum part d = i + j + 2
-    index = np.arange(M)
-    diff = np.subtract.outer(index, index) + (M - 1)
-    kin = signed[diff] * (inv[diff] - inv[np.add.outer(index, index) + (M + 1)])
-    kin[np.arange(M), np.arange(M)] = (2.0 * n**2 + 1.0) / 3.0 - 1.0 / np.sin(np.pi * i / n) ** 2
+        table = np.where(d % 2 == 0, 1.0, -1.0) / np.sin(np.pi * d / (2 * n)) ** 2
+    # table index M - 1 holds d = 0
+    kin = _windows(table[: 2 * M - 1], M)[:, ::-1] - _windows(table[M + 1 :], M)
+    kin[np.diag_indices(M)] = (2.0 * n**2 + 1.0) / 3.0 - 1.0 / np.sin(np.pi * i / n) ** 2
     kin.flags.writeable = False
     return kin
 
@@ -228,9 +228,10 @@ def _potential_at_nodes(spec, mesh):
 
 
 def build_hamiltonian(spec, mesh):
-    """Dense symmetric Hamiltonian T + diag(V(x_i)) for the given mesh."""
-    ham = _sine_kinetic(mesh.size, mesh.h) + np.diag(_potential_at_nodes(spec, mesh))
-    return 0.5 * (ham + ham.T)
+    """Dense symmetric Hamiltonian T + diag(V(x_i)) for the given mesh, V added to a fresh T in place."""
+    ham = _sine_kinetic(mesh.size, mesh.h)
+    ham[np.diag_indices(mesh.size)] += _potential_at_nodes(spec, mesh)
+    return ham
 
 
 def _is_even(spec):
@@ -360,12 +361,11 @@ def _even_box(spec, M, k, tol):
     there sits the node next to the wall, and the wall one spacing further
     out, as in the Morse box.
     """
-    trial = np.geomspace(1e-3, 1e3, 601)
     with np.errstate(over="ignore", invalid="ignore"):
-        balance = evaluate(spec, trial) - 0.5 * (0.5 * np.pi * (M + 1) / trial) ** 2
+        balance = evaluate(spec, _TRIAL_WIDTHS) - 0.5 * (0.5 * np.pi * (M + 1) / _TRIAL_WIDTHS) ** 2
     if not np.any(balance > 0):
         raise MeshError("no box balances the potential against the kinetic cutoff")
-    L = trial[np.argmax(balance > 0)]
+    L = _TRIAL_WIDTHS[np.argmax(balance > 0)]
     block = _parity_block(spec, uniform_mesh(M, -L, L), 1.0 if k % 2 else -1.0)
     e_top = float(eigh(block, eigvals_only=True)[(k - 1) // 2])
     x = _edge_extent(spec, e_top, _wall_decay(tol), 0.0, 1.0)
@@ -373,12 +373,10 @@ def _even_box(spec, M, k, tol):
 
 
 def _fix_signs(vectors):
-    for col in range(vectors.shape[1]):
-        v = vectors[:, col]
-        big = np.abs(v) > 1e-8 * np.max(np.abs(v))
-        first = int(np.argmax(big))
-        if v[first] < 0:
-            vectors[:, col] = -v
+    """Flip each column whose first entry above 1e-8 of its largest is negative."""
+    size = np.abs(vectors)
+    first = np.argmax(size > 1e-8 * size.max(axis=0), axis=0)
+    vectors[:, vectors[first, np.arange(vectors.shape[1])] < 0] *= -1.0
     return vectors
 
 

@@ -57,15 +57,21 @@ class WkbRecord:
     gamma: float
 
 
+@lru_cache(maxsize=None)
+def _legendre(m):
+    """Nodes on (-1, 1) and weights of the m-point Gauss-Legendre rule, built once for every map."""
+    return np.polynomial.legendre.leggauss(m)
+
+
 @lru_cache(maxsize=64)
 def _leggauss(rules, width, shift):
     """Weights, cos(phase) and sin(phase) of Gauss-Legendre rules laid end to end.
 
-    ``rules`` is a tuple of node counts; each rule's nodes t on (-1, 1) are
-    mapped to the phase width (t + shift).  Built on first use of each
-    group of rules and map, and read-only, since every caller shares it.
+    ``rules`` is a tuple of node counts; each rule's nodes t on (-1, 1), from
+    ``_legendre``, are mapped to the phase width (t + shift).  Built on first
+    use of each group of rules and map; read-only, since every caller shares it.
     """
-    nodes, weights = zip(*(np.polynomial.legendre.leggauss(m) for m in rules))
+    nodes, weights = zip(*map(_legendre, rules))
     phase = width * (np.concatenate(nodes) + shift)
     tables = np.concatenate(weights), np.cos(phase), np.sin(phase)
     for table in tables:
@@ -127,7 +133,8 @@ def _piece_root(coeffs, energy, lo, hi, rising):
 
     Newton steps from the leading-term estimate ((E - c_0) / c_top)^(1/top),
     bisecting (or doubling, while hi is inf) whenever a step leaves the
-    bracket; stops at 1e-10 relative, since the caller refines in x.
+    bracket; stops once a step is below 1e-10 relative (the caller refines in
+    x) or is zero, even where u then sits on the bracket end it has just set.
     """
     top = len(coeffs) - 1
     u = ((energy - coeffs[0]) / coeffs[top]) ** (1.0 / top)
@@ -143,7 +150,7 @@ def _piece_root(coeffs, energy, lo, hi, rising):
         else:
             hi = u
         new = u - f / df if df != 0.0 else math.nan
-        if not lo < new < hi:
+        if new != u and not lo < new < hi:
             new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * u
         if abs(new - u) <= 1e-10 * new:
             return new
@@ -261,11 +268,11 @@ def _quadrature(spec, energy, tol):
     (relative for actions above one); failure to stabilise within the node
     budget raises AccuracyError carrying the best achieved delta.
 
-    The weights and the cos and sin of each rule's phases are cached per
-    rule and map (``_leggauss``).  Two refinements need three rules, so
-    the first three (24, 35 and 51 nodes) share one potential evaluation,
-    and each rule's S is summed over its own slice of it; later rules are
-    evaluated one at a time.
+    Each rule is built once for both maps (``_legendre``), and its weights
+    and the cos and sin of its phases are cached per map (``_leggauss``).
+    Two refinements need three rules, so the first three (24, 35 and 51
+    nodes) share one potential evaluation, and each rule's S is summed over
+    its own slice of it; later rules are evaluated one at a time.
 
     T = integral of dx / sqrt(2 (E - V)) is summed on the final nodes.  The
     map makes its integrand cos(phi) / sqrt(2 (E - V)) finite at the

@@ -493,7 +493,7 @@ def test_morse_spectrum_matches_closed_form():
 
 
 def test_sine_kinetic_matches_direct_formula():
-    for M in (16, 255, 256):
+    for M in (8, 9, 16, 66, 151, 230, 255, 256, 1040):
         spacing = 7.3 / (M + 1)
         L = spacing * (M + 1)
         n = M + 1
@@ -508,7 +508,35 @@ def test_sine_kinetic_matches_direct_formula():
                 - 1.0 / np.sin(np.pi * (ii + jj) / (2 * n)) ** 2
             )
         direct[np.arange(M), np.arange(M)] = pre * ((2.0 * n**2 + 1.0) / 3.0 - 1.0 / np.sin(np.pi * i / n) ** 2)
-        assert np.array_equal(eigensolver._sine_kinetic(M, spacing), direct)
+        kin = eigensolver._sine_kinetic(M, spacing)
+        assert np.array_equal(kin, direct)
+        assert np.array_equal(kin, kin.T)
+
+
+def test_hamiltonian_is_the_symmetrized_sum():
+    # V goes onto the diagonal of an exactly symmetric kinetic matrix, so
+    # the Hamiltonian equals the symmetrized T + diag(V) bit for bit
+    morse = Morse(1.0, 8.0, SQRT2, 0.0)
+    partner = SusyPartner(GaugeState(Morse(1.0, 8.0, SQRT2, 1.0), (0.0, 1.0)))
+    for spec in (morse, partner):
+        mesh = uniform_mesh(230, -4.5, 12.0)
+        total = eigensolver._sine_kinetic(mesh.size, mesh.h) + np.diag(evaluate(spec, mesh.nodes))
+        assert np.array_equal(eigensolver.build_hamiltonian(spec, mesh), 0.5 * (total + total.T))
+
+
+def test_fix_signs_matches_a_column_loop():
+    mesh = uniform_mesh(120, -4.5, 12.0)
+    _, vectors = np.linalg.eigh(eigensolver.build_hamiltonian(Morse(1.0, 8.0, SQRT2, 0.0), mesh))
+    # columns of both signs, and a zero column, which keeps its sign
+    vectors = np.hstack((vectors[:, :51] * np.where(np.arange(51) % 3 == 0, -1.0, 1.0), np.zeros((120, 1))))
+    assert np.sum(vectors[0] < 0) >= 10
+    expected = vectors.copy()
+    for col in range(expected.shape[1]):
+        v = expected[:, col]
+        first = int(np.argmax(np.abs(v) > 1e-8 * np.max(np.abs(v))))
+        if v[first] < 0:
+            expected[:, col] = -v
+    assert np.array_equal(eigensolver._fix_signs(vectors.copy()), expected)
 
 
 def test_morse_request_beyond_bound_count():

@@ -444,6 +444,53 @@ def test_quantize_quadratures_evaluate_the_potential_once(monkeypatch):
     assert calls <= 1.25 * len(quadratures), (calls, len(quadratures))
 
 
+def test_turning_radius_stops_once_newton_stalls(monkeypatch):
+    # a Newton step that rounds to zero ends the root search: it must not
+    # bisect away from the root it has reached (the paper's 192 corrected
+    # targets and its four 51-level gamma tables)
+    from qeswkb.eigensolver import lowest_eigen
+
+    horner = []
+    slope = wkb._poly_and_slope
+    monkeypatch.setattr(wkb, "_poly_and_slope", lambda *a: horner.append(a) or slope(*a))
+    counts = []
+    piece_root = wkb._piece_root
+
+    def counted(*args):
+        start = len(horner)
+        root = piece_root(*args)
+        counts.append(len(horner) - start)
+        return root
+
+    monkeypatch.setattr(wkb, "_piece_root", counted)
+    for depth in (0.0, 0.25, 0.5, 0.7):
+        spec = SexticReduced(depth)
+        for n in range(3, 51):
+            gamma0 = fitmodels.gamma_fit_eval(fitmodels.PUBLISHED_GAMMA[depth], n)
+            gamma(spec, n, bohr_sommerfeld_invert(spec, n, gamma0))
+        for n, energy in enumerate(lowest_eigen(spec, 51).energies):
+            gamma(spec, n, energy)
+    assert len(counts) > 1000
+    assert max(counts) <= 10, max(counts)
+
+
+def test_gauss_legendre_rules_are_shared_across_maps(monkeypatch):
+    # the folded even-well map and the Morse map read the same rules, so a
+    # sextic gamma table and a Morse one build each rule once
+    from qeswkb.eigensolver import lowest_eigen
+
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda m: built.append(m) or leggauss(m))
+    wkb._legendre.cache_clear()
+    wkb._leggauss.cache_clear()
+    for spec, count in ((SexticReduced(0.0), 51), (MORSE_REF, 6)):
+        for n, energy in enumerate(lowest_eigen(spec, count).energies):
+            gamma(spec, n, energy)
+    assert {24, 35, 51} <= set(built)
+    assert sorted(built) == sorted(set(built)), built
+
+
 def test_no_module_imports_scipy_optimize():
     # Each module in a fresh process.  The refits run as well, so that an
     # import deferred into a function body would show too.
