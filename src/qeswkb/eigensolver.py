@@ -228,9 +228,14 @@ def _potential_at_nodes(spec, mesh):
 
 
 def build_hamiltonian(spec, mesh):
-    """Dense symmetric Hamiltonian T + diag(V(x_i)) for the given mesh, V added to a fresh T in place."""
+    """Dense symmetric Hamiltonian T + diag(V(x_i)) for the given mesh."""
+    return _hamiltonian(mesh, _potential_at_nodes(spec, mesh))
+
+
+def _hamiltonian(mesh, v):
+    """T + diag(v) on the mesh, v the potential at its nodes, added to a fresh T in place."""
     ham = _sine_kinetic(mesh.size, mesh.h)
-    ham[np.diag_indices(mesh.size)] += _potential_at_nodes(spec, mesh)
+    ham[np.diag_indices(mesh.size)] += v
     return ham
 
 
@@ -241,9 +246,10 @@ def _is_even(spec):
     return isinstance(spec, SusyPartner) and isinstance(spec.base, SexticGeneral)
 
 
-def _parity_block(spec, mesh, sign):
+def _parity_block(mesh, v, sign):
     """Even (sign = +1) or odd (sign = -1) block A + sign B J of the
-    Hamiltonian of an even well on an even-sized grid in a symmetric box.
+    Hamiltonian of an even well on an even-sized grid in a symmetric box,
+    with V = v at its nodes.
 
     The sine kinetic matrix is persymmetric and V is even, so H commutes
     with the reflection J.  With m = M/2, A = H[:m, :m] and B J =
@@ -253,11 +259,11 @@ def _parity_block(spec, mesh, sign):
     kin = _sine_kinetic(mesh.size, mesh.h)
     m = mesh.size // 2
     block = kin[:m, :m] + sign * kin[:m, m:][:, ::-1]
-    block[np.diag_indices(m)] += _potential_at_nodes(spec, mesh)[:m]
+    block[np.diag_indices(m)] += v[:m]
     return block
 
 
-def _solve_parity(spec, mesh, k):
+def _solve_parity(mesh, v, k):
     """k lowest eigenpairs from the two parity blocks, merged by energy,
     and the larger infinity-norm of the blocks solved.
 
@@ -268,7 +274,7 @@ def _solve_parity(spec, mesh, k):
     for sign, count in ((1.0, (k + 1) // 2), (-1.0, k // 2)):
         if count == 0:
             continue
-        block = _parity_block(spec, mesh, sign)
+        block = _parity_block(mesh, v, sign)
         norm = max(norm, np.linalg.norm(block, np.inf))
         e, u = eigh(block)
         energies.append(e[:count])
@@ -292,21 +298,22 @@ def _bounded_solve(spec, mesh, k):
     """k lowest energies on one grid, node values normalized with weight h,
     the per-state tail bounds _TAIL_SAFETY tail^2 max(1, |E|), the per-state
     wall terms, and the rounding floor eps ||H||_inf of the matrices solved.
-    A reflection-even well is solved in its two parity blocks."""
+    A reflection-even well is solved in its two parity blocks; V is read once."""
+    v = _potential_at_nodes(spec, mesh)
     if _is_even(spec):
-        energies, coeffs, norm = _solve_parity(spec, mesh, k)
+        energies, coeffs, norm = _solve_parity(mesh, v, k)
     else:
-        ham = build_hamiltonian(spec, mesh)
+        ham = _hamiltonian(mesh, v)
         energies, coeffs = eigh(ham)
         energies, coeffs = energies[:k], coeffs[:, :k]
         norm = np.linalg.norm(ham, np.inf)
-    wall = _wall_terms(spec, mesh, energies, coeffs)
+    wall = _wall_terms(v[[0, -1]], mesh.h, energies, coeffs)
     tail = np.max(np.abs(_tail_rows(mesh.size) @ coeffs), axis=0)
     bounds = _TAIL_SAFETY * tail**2 * np.maximum(1.0, np.abs(energies))
     return energies, _fix_signs(coeffs / math.sqrt(mesh.h)), bounds, wall, _EPS * float(norm)
 
 
-def _wall_terms(spec, mesh, energies, coeffs):
+def _wall_terms(edge, h, energies, coeffs):
     """Per-state energy shift from the two hard walls of the grid.
 
     Moving a Dirichlet wall at L out by dL lowers a level by psi'(L)^2 dL / 2.
@@ -315,13 +322,12 @@ def _wall_terms(spec, mesh, energies, coeffs):
     lowers the level by about kappa psi_free(L)^2 = psi(L - h)^2 / (4 kappa h^2),
     psi(L - h) the node value next to the wall.  A state that is not
     classically forbidden at a wall gets an infinite term.  Each state's term
-    is _WALL_SAFETY times its sum over both walls; ``coeffs`` are unit node
-    vectors, psi^2 = coeffs^2 / h.
+    is _WALL_SAFETY times its sum over both walls; ``edge`` is V at the two
+    wall nodes, and ``coeffs`` are unit node vectors, psi^2 = coeffs^2 / h.
     """
-    edge = evaluate(spec, mesh.nodes[[0, -1]])
     kappa = np.sqrt(2.0 * np.maximum(edge[:, None] - energies, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = coeffs[[0, -1]] ** 2 / (4.0 * kappa * mesh.h**3)
+        terms = coeffs[[0, -1]] ** 2 / (4.0 * kappa * h**3)
     return _WALL_SAFETY * np.where(kappa > 0.0, terms, np.inf).sum(axis=0)
 
 
@@ -359,16 +365,18 @@ def _even_box(spec, M, k, tol):
     gives the top requested level E_{k-1}.  _edge_extent walks from x = 0 to
     where its WKB decay exponent reaches D = (ln(1/tol) + _WALL_EXTRA) / 2:
     there sits the node next to the wall, and the wall one spacing further
-    out, as in the Morse box.
+    out, as in the Morse box.  The walk starts from the span [0, L], which
+    scales with the well, and doubles it only when it falls short.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         balance = evaluate(spec, _TRIAL_WIDTHS) - 0.5 * (0.5 * np.pi * (M + 1) / _TRIAL_WIDTHS) ** 2
     if not np.any(balance > 0):
         raise MeshError("no box balances the potential against the kinetic cutoff")
     L = _TRIAL_WIDTHS[np.argmax(balance > 0)]
-    block = _parity_block(spec, uniform_mesh(M, -L, L), 1.0 if k % 2 else -1.0)
+    mesh = uniform_mesh(M, -L, L)
+    block = _parity_block(mesh, _potential_at_nodes(spec, mesh), 1.0 if k % 2 else -1.0)
     e_top = float(eigh(block, eigvals_only=True)[(k - 1) // 2])
-    x = _edge_extent(spec, e_top, _wall_decay(tol), 0.0, 1.0)
+    x = _edge_extent(spec, e_top, _wall_decay(tol), 0.0, L)
     return x + 2.0 * x / (M - 1)
 
 
@@ -463,8 +471,8 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     ``m_cap``, until every requested energy is certified to ``tol``.  If the
     cap, the rounding floor or a wall term stops the loop first, a
     :class:`ConvergenceError` carrying the best spectrum so far is raised;
-    the error says when the start was clamped to ``m_cap``, and when a wall
-    term at or above ``tol`` shows the box too short.
+    it names a ``tol`` below the rounding floor, else a start clamped to
+    ``m_cap``, else a wall term at or above ``tol``: a box too short.
     """
     if k < 1:
         raise MeshError("k must be at least 1")
@@ -525,7 +533,9 @@ def _refine(spec, k, tol, m_cap, start, x_left, x_right):
     )
     if certificates[-1] < tol:
         return spectrum
-    if start > M:
+    if floor >= tol:
+        cause = f"tol {tol:.1e} is below what double precision resolves for this matrix"
+    elif start > M:
         # a clamped start is the only solve, and under-resolved states read
         # as a short box too: they are not yet forbidden at the wall nodes
         cause = f"its starting size {start} was clamped to m_cap: certificate {certificates[-1]:.3e} >= tol {tol:.1e}"

@@ -231,6 +231,15 @@ def test_edge_walk_passes_a_central_barrier():
     assert _decay_exponent(spec, energy, 4.1167, x) == pytest.approx(8.4, rel=1e-3)
 
 
+def test_even_box_scales_with_the_well():
+    # the walk starts from the provisional half-width, so the box of
+    # V = w^2 x^2 / 2 scales like 1 / sqrt(w) over ten decades of w
+    scaled = [eigensolver._even_box(EvenPolynomial((0.0, 0.5 * w * w)), 66, 1, 1e-10) * math.sqrt(w)
+              for w in (1e-2, 1.0, 1e2, 1e4, 1e6, 1e8)]
+    assert scaled == pytest.approx([scaled[1]] * len(scaled), rel=1e-9)
+    assert scaled[1] == pytest.approx(5.540938127321, rel=1e-9)
+
+
 # Largest node-value error of a matched algebraic level, relative to the
 # state's largest value, at each tol of the scan (seeds 0-2 of 300
 # requests each read at most 4.7e-6, 1.2e-7 and 2.6e-9).
@@ -419,6 +428,26 @@ def test_solve_counts(monkeypatch):
     assert spectrum.mesh.size < 1024
 
 
+def test_potential_evaluation_counts(monkeypatch):
+    # an even solve reads V on the trial widths, the provisional grid, one
+    # walk span and the final grid; a Morse solve on its two walks (three
+    # spans) and its grid: the wall terms reuse the grid's values
+    sizes = []
+
+    def counted(spec, x):
+        sizes.append(np.size(x))
+        return evaluate(spec, x)
+
+    monkeypatch.setattr(eigensolver, "evaluate", counted)
+    for k, size in ((1, 66), (51, 166)):
+        sizes.clear()
+        lowest_eigen(SexticReduced(0.5), k)
+        assert sizes == [601, size, 2049, size], k
+    sizes.clear()
+    lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9)
+    assert sizes == [2049, 2049, 2049, 230]
+
+
 def test_low_morse_requests_take_at_most_two_solves():
     for depth in (0.0, 1.0, 2.0, 3.0):
         spec = Morse(1.0, 8.0, SQRT2, depth)
@@ -565,7 +594,7 @@ def test_mesh_validation():
         lowest_eigen(Morse(0.5, 6.0, 0.7, 3.0), 12, m_cap=10)
 
 
-def test_oscillator_mesh_shape():
+def test_uniform_mesh_shape():
     # the sextic oscillator's grid is the Morse well's: a uniform grid, here
     # in a box symmetric about x = 0
     uni = uniform_mesh(32, -1.0, 1.0)
@@ -610,6 +639,17 @@ def test_convergence_error_carries_best_spectrum():
     assert len(best.refinement_deltas) == 1 and best.refinement_deltas[0] >= 1e-13
     assert "refinement stalled" in str(excinfo.value)
     assert np.max(np.abs(best.energies - exact)) < 1e-9
+
+
+def test_tolerance_below_the_rounding_floor_is_named():
+    # eps ||H||_inf of this steep well's grid is about 4e-10, so no box and
+    # no grid certifies 1e-10; its wall term is above tol as well, but the
+    # error names the floor, not a short box
+    with pytest.raises(ConvergenceError) as excinfo:
+        lowest_eigen(EvenPolynomial((0.0, 0.5e8)), 1, tol=1e-10)
+    message = str(excinfo.value)
+    assert "below what double precision resolves" in message and "too short" not in message
+    assert len(excinfo.value.best.refinement_deltas) == 1
 
 
 def test_critical_index_bracket():
