@@ -5,13 +5,15 @@ hard-wall box with the sine-basis (particle-in-a-box) kinetic matrix, which
 makes the Hamiltonian a dense symmetric matrix (Colbert & Miller, J. Chem.
 Phys. 96 (1992) 1982; Baye, Phys. Rep. 565 (2015) 1).  A reflection-even
 well sits in a box symmetric about x = 0, so its Hamiltonian splits into an
-even and an odd block of half the size, solved apart.  Every wall is placed
-by one rule: the node next to it sits where the top requested level's WKB
-decay exponent reaches (ln(1/tol) + 3) / 2, and the wall one spacing
-further out.  The grid starts at the size its states need: 64 points plus
-two per requested state for an even well, six points per shortest
-classical wavelength in a Morse box.  Every dense solve is a full
-symmetric eigensolve through NumPy's LAPACK, of which the lowest
+even and an odd block of half the size, solved apart.  Its first solve
+sits in the kinetic-balance box, whose wall is where the potential meets
+the kinetic cutoff of the grid, and is returned when it certifies itself.
+Every other wall is placed by one rule: the node next to it sits where the
+top requested level's WKB decay exponent reaches (ln(1/tol) + 3) / 2, and
+the wall one spacing further out.  The grid starts at the size its states
+need: 64 points plus two per requested state for an even well, six points
+per shortest classical wavelength in a Morse box.  Every dense solve is a
+full symmetric eigensolve through NumPy's LAPACK, of which the lowest
 eigenpairs are kept.
 
 Every solve certifies itself from the tail of its eigenvectors' sine
@@ -23,11 +25,14 @@ max(1, |E|), a map tested on under-resolved solves, plus a wall term for
 each hard wall: the shift that cutting the decaying tail off there puts on
 the level, read from the node next to the wall.  The wall rule puts that
 term near exp(-3) tol.  No bound is taken below the rounding floor
-eps ||H||_inf of the matrices solved.  One refinement loop grows the grid
-by steps of about 5/4 in its fixed box, never past the size cap, only while
-some state's certificate is not below the requested tolerance, and keeps
-the eigenvectors of its last solve.  A wall term at or above the tolerance
-stops it at once, since a finer grid in the same box does not lower it.
+eps ||H||_inf of the matrices solved.  One refinement loop owns the box: an
+even well's first solve that does not certify has its box walked by the
+wall rule from that solve's top level, once.  The loop then grows the grid
+by steps of about 5/4 in that fixed box, never past the size cap, only
+while some state's certificate is not below the requested tolerance, and
+keeps the eigenvectors of its last solve.  A wall term at or above the
+tolerance stops it at once, since a finer grid in the same box does not
+lower it.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ _WALL_SAFETY = 2.0
 # like exp(-2 exponent), lands near exp(-_WALL_EXTRA) tol.
 _WALL_EXTRA = 3.0
 _EPS = np.finfo(float).eps
-_TRIAL_WIDTHS = np.geomspace(1e-3, 1e3, 601)  # half-widths tried for an even well's provisional box
+_TRIAL_WIDTHS = np.geomspace(1e-3, 1e3, 601)  # half-widths tried for an even well's first box
 _TRIAL_WIDTHS.flags.writeable = False
 
 
@@ -156,7 +161,8 @@ class Spectrum:
     ``eigenvectors[:, n]`` holds the values of state n at ``mesh.nodes``,
     normalized with the grid's quadrature weight h, with the sign fixed so
     the first non-negligible node value is positive.  ``refinement_deltas``
-    holds one certificate per solve, in order: the largest per-state energy
+    holds one certificate per solve, in order, an even well's first solve
+    in its kinetic-balance box included: the largest per-state energy
     error bound of that solve, from its eigenvector tails, its wall terms
     and its rounding floor.  ``converged_digits[n]`` is the number of
     significant digits of E_n that the last certificate vouches for,
@@ -208,15 +214,13 @@ def _sine_kinetic(M, spacing):
     return 0.25 * np.pi**2 / L**2 * _unit_sine_kinetic(M)
 
 
-def eigh(matrix, eigvals_only=False):
-    """Ascending eigenvalues of a dense symmetric matrix and, unless
-    ``eigvals_only``, its orthonormal eigenvectors as columns.
+def eigh(matrix):
+    """Ascending eigenvalues of a dense symmetric matrix and its orthonormal
+    eigenvectors as columns.
 
     Every dense solve of the module goes through this one function (LAPACK
     through NumPy), so that a caller can count or time them.
     """
-    if eigvals_only:
-        return np.linalg.eigvalsh(matrix)
     return np.linalg.eigh(matrix)
 
 
@@ -355,29 +359,32 @@ def _edge_extent(spec, energy, decay, origin, reach):
     raise MeshError(f"no decay exponent {decay:.3g} found for energy {energy:.6g} from x = {origin:.6g}")
 
 
-def _even_box(spec, M, k, tol):
-    """Half-width w of the box [-w, w] for the k lowest levels of a
-    reflection-even well on an M-point grid, certified to ``tol``.
-
-    A provisional box balances the potential at its wall against the
-    kinetic cutoff of the grid, V(L) = (pi (M + 1) / 2L)^2 / 2, the square of
-    its Nyquist momentum pi / h over two.  One parity block solved there
-    gives the top requested level E_{k-1}.  _edge_extent walks from x = 0 to
-    where its WKB decay exponent reaches D = (ln(1/tol) + _WALL_EXTRA) / 2:
-    there sits the node next to the wall, and the wall one spacing further
-    out, as in the Morse box.  The walk starts from the span [0, L], which
-    scales with the well, and doubles it only when it falls short.
-    """
+def _balance_width(spec, M):
+    """Half-width L of the first box [-L, L] of a reflection-even well on an
+    M-point grid: the smallest trial width where the potential at the wall
+    meets the kinetic cutoff of the grid, V(L) = (pi (M + 1) / 2L)^2 / 2,
+    the square of its Nyquist momentum pi / h over two."""
     with np.errstate(over="ignore", invalid="ignore"):
         balance = evaluate(spec, _TRIAL_WIDTHS) - 0.5 * (0.5 * np.pi * (M + 1) / _TRIAL_WIDTHS) ** 2
     if not np.any(balance > 0):
         raise MeshError("no box balances the potential against the kinetic cutoff")
-    L = _TRIAL_WIDTHS[np.argmax(balance > 0)]
-    mesh = uniform_mesh(M, -L, L)
-    block = _parity_block(mesh, _potential_at_nodes(spec, mesh), 1.0 if k % 2 else -1.0)
-    e_top = float(eigh(block, eigvals_only=True)[(k - 1) // 2])
-    x = _edge_extent(spec, e_top, _wall_decay(tol), 0.0, L)
-    return x + 2.0 * x / (M - 1)
+    return float(_TRIAL_WIDTHS[np.argmax(balance > 0)])
+
+
+def _even_box(spec, mesh, energy, tol):
+    """Half-width w of the box [-w, w] for a reflection-even well whose top
+    requested level is ``energy``, on a grid of ``mesh.size`` points, for
+    energies certified to ``tol``.
+
+    _edge_extent walks from x = 0 to where the WKB decay exponent of
+    ``energy`` reaches D = (ln(1/tol) + _WALL_EXTRA) / 2: there sits the node
+    next to the wall, and the wall one spacing further out, as in the Morse
+    box.  The walk starts from the span of ``mesh``'s box, the kinetic-balance
+    box of the first solve, which scales with the well, and doubles it only
+    when it falls short.
+    """
+    x = _edge_extent(spec, energy, _wall_decay(tol), 0.0, mesh.nodes[-1] + mesh.h)
+    return x + 2.0 * x / (mesh.size - 1)
 
 
 def _fix_signs(vectors):
@@ -455,8 +462,11 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     wells (reduced and general sextic, even polynomials, and partners of
     those built from a sextic seed) are solved in a box symmetric about
     x = 0, in parity blocks, starting at 64 grid points plus two per
-    requested state (166 for a 51-level spectrum); their box is sized at
-    that size from one provisional block solve.  Any other spec raises
+    requested state (166 for a 51-level spectrum).  Their first solve sits
+    in the kinetic-balance box, where the potential at the wall meets the
+    grid's kinetic cutoff; when it does not certify, the box is walked by
+    the wall rule from its top level and solved again at the same size.
+    Any other spec raises
     :class:`UnsupportedParameterError`.  The starting size is clamped to
     the even size at or below ``m_cap``, and a ``k`` above that size raises
     :class:`MeshError`, as does a box whose walls, width or starting size
@@ -466,8 +476,9 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     top eighth of the sine basis (at least 16 functions), times max(1, |E|),
     plus twice its estimated wall term, but never less than the rounding
     floor eps ||H||_inf.  A first solve whose certificates are all below
-    ``tol`` is returned as it is.  Otherwise the grid grows to the next even
-    size at or above 5/4 of the last one, in the same box and never past
+    ``tol`` is returned as it is.  Otherwise, after the one walk of an even
+    well's box, the grid grows to the next even size at or above 5/4 of
+    the last one, in the same box and never past
     ``m_cap``, until every requested energy is certified to ``tol``.  If the
     cap, the rounding floor or a wall term stops the loop first, a
     :class:`ConvergenceError` carrying the best spectrum so far is raised;
@@ -490,7 +501,7 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
         x_left, x_right, start = _morse_box(spec, k, tol)
     elif _is_even(spec):
         start = _START_BASE + _START_PER_STATE * k
-        x_right = _even_box(spec, min(start, cap), k, tol)
+        x_right = _balance_width(spec, min(start, cap))
         x_left = -x_right
     else:
         raise UnsupportedParameterError(
@@ -502,7 +513,10 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
 def _refine(spec, k, tol, m_cap, start, x_left, x_right):
     """Solve at the starting size, clamped to m_cap, in the box [x_left,
     x_right], and grow the size by steps of about 5/4 while some state's
-    certificate is at or above ``tol``.
+    certificate is at or above ``tol``.  When a reflection-even well's first
+    solve, in its kinetic-balance box, does not certify, _even_box walks the
+    box from that solve's top level, and the loop solves again at the same
+    size in the walked box before it grows the grid.
 
     A state's certificate is the larger of its tail bound, _TAIL_SAFETY
     tail^2 max(1, |E|), plus its wall term, and the rounding floor
@@ -519,6 +533,10 @@ def _refine(spec, k, tol, m_cap, start, x_left, x_right):
         mesh = uniform_mesh(M, x_left, x_right)
         energies, vectors, tail, wall, floor = _bounded_solve(spec, mesh, k)
         certificates.append(max(float((tail + wall).max()), floor))
+        if certificates[-1] >= tol and len(certificates) == 1 and _is_even(spec):
+            x_right = _even_box(spec, mesh, float(energies[-1]), tol)
+            x_left = -x_right
+            continue
         wall_term = float(wall.max())
         grown = 2 * math.ceil(5 * M / 8)
         if certificates[-1] < tol or floor >= tol or wall_term >= tol or grown > m_cap:
@@ -536,8 +554,8 @@ def _refine(spec, k, tol, m_cap, start, x_left, x_right):
     if floor >= tol:
         cause = f"tol {tol:.1e} is below what double precision resolves for this matrix"
     elif start > M:
-        # a clamped start is the only solve, and under-resolved states read
-        # as a short box too: they are not yet forbidden at the wall nodes
+        # a clamped start is the only size solved, and under-resolved states
+        # read as a short box too: they are not yet forbidden at the wall nodes
         cause = f"its starting size {start} was clamped to m_cap: certificate {certificates[-1]:.3e} >= tol {tol:.1e}"
     elif wall_term >= tol:
         cause = (f"the box [{x_left:.6g}, {x_right:.6g}] is too short: "

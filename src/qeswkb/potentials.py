@@ -135,14 +135,15 @@ class Morse:
 
 @dataclass(frozen=True)
 class EvenPolynomial:
-    """Even polynomial potential V(x) = sum_i coeffs[i] * x^(2i), confining (positive leading coefficient)."""
+    """Even polynomial potential V(x) = sum_i coeffs[i] * x^(2i), confining
+    (of degree 2 or more in x, with a positive leading coefficient)."""
 
     coeffs: tuple
 
     def __init__(self, coeffs):
         coeffs = tuple(float(c) for c in coeffs)
-        if not coeffs:
-            raise DomainError("coeffs must be non-empty")
+        if len(coeffs) < 2:
+            raise DomainError(f"coeffs {coeffs} must hold at least two terms: a constant potential does not confine")
         object.__setattr__(self, "coeffs", _even_coeffs(coeffs))
 
 
@@ -246,8 +247,6 @@ def _eval_even_poly(spec, x):
     # multiplies, and its zero constant term keeps the sign of V(0) = -0.
     u = x * x
     *lower, v = spec.coeffs
-    if not lower:
-        return np.full_like(u, v)
     for c in reversed(lower):
         v = v * u + c if c else v * u
     return v

@@ -106,15 +106,14 @@ def _pieces(coeffs):
     The inner edges are the positive real parts of the roots of q'.  That
     set holds every positive critical radius, even one that rounding has
     split into a complex pair; an extra edge only splits a monotone piece
-    in two.  The last edge is u = inf, where q tends to +inf (the leading
-    coefficient of an even well is positive) unless q is constant.
+    in two.  The last edge is u = inf, where q tends to +inf: an even well
+    has degree 1 or more in u and a positive leading coefficient.
     """
     top = len(coeffs) - 1
     slope = [k * coeffs[k] for k in range(top, 0, -1)]
     inner = sorted({r.real for r in np.roots(slope).tolist() if r.real > 0.0})
     edges = (0.0, *inner, math.inf)
-    values = (coeffs[0], *(_poly_and_slope(coeffs, u)[0] for u in inner),
-              math.inf if top else coeffs[0])
+    values = (coeffs[0], *(_poly_and_slope(coeffs, u)[0] for u in inner), math.inf)
     return edges, values
 
 

@@ -382,10 +382,13 @@ def test_degenerate_morse_wells_exit_2(tmp_path, capsys, argv):
     (["qes", "--family", "morse", "--a", "40", "--b", "40", "--alpha", "40", "--N", "1e300"], "DomainError"),
     (["wkb", "--family", "sextic_general", "--nu", "1e-300", "--mu", "-1", "--N", "40"], "DomainError"),
     (["susy", "--family", "sextic_general", "--nu", "1e300", "--mu", "1e300", "--N", "-0.0"], "DomainError"),
-], ids=["block-cap", "block-cap-edge", "morse-block-cap", "morse-plateau", "nu-underflow", "nu-overflow"])
+    (["spectrum", "--family", "even_polynomial", "--coeffs", "0.7"], "DomainError"),
+], ids=["block-cap", "block-cap-edge", "morse-block-cap", "morse-plateau", "nu-underflow", "nu-overflow",
+        "constant-polynomial"])
 def test_out_of_range_wells_exit_2(tmp_path, capsys, argv, kind):
-    # an algebraic block above its cap of N = 200, and derived constants that
-    # overflow or underflow, each refused with one typed error
+    # an algebraic block above its cap of N = 200, derived constants that
+    # overflow or underflow, and a constant potential, which does not
+    # confine, each refused with one typed error
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error\t%s\t" % kind)

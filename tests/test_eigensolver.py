@@ -97,9 +97,19 @@ def _walls(mesh):
     return mesh.nodes[0] - mesh.h, mesh.nodes[-1] + mesh.h
 
 
+def _walked_half_width(spec, M, k, tol):
+    """Half-width of an even well's box walked from the top of k levels
+    solved on M points in its kinetic-balance box, as when that first solve
+    does not certify."""
+    width = eigensolver._balance_width(spec, M)
+    mesh = uniform_mesh(M, -width, width)
+    energy = eigensolver._bounded_solve(spec, mesh, k)[0][-1]
+    return eigensolver._even_box(spec, mesh, energy, tol)
+
+
 def test_parity_blocks_match_full_matrix():
     spec = SexticReduced(0.5)
-    half = eigensolver._even_box(spec, 512, 51, 1e-10)
+    half = _walked_half_width(spec, 512, 51, 1e-10)
     mesh = uniform_mesh(512, -half, half)
     energies, vectors = eigensolver._bounded_solve(spec, mesh, 51)[:2]
     full, full_vectors = eigh(eigensolver.build_hamiltonian(spec, mesh), subset_by_index=(0, 50))
@@ -232,12 +242,50 @@ def test_edge_walk_passes_a_central_barrier():
 
 
 def test_even_box_scales_with_the_well():
-    # the walk starts from the provisional half-width, so the box of
+    # the walk starts from the kinetic-balance half-width, so the box of
     # V = w^2 x^2 / 2 scales like 1 / sqrt(w) over ten decades of w
-    scaled = [eigensolver._even_box(EvenPolynomial((0.0, 0.5 * w * w)), 66, 1, 1e-10) * math.sqrt(w)
+    scaled = [_walked_half_width(EvenPolynomial((0.0, 0.5 * w * w)), 66, 1, 1e-10) * math.sqrt(w)
               for w in (1e-2, 1.0, 1e2, 1e4, 1e6, 1e8)]
     assert scaled == pytest.approx([scaled[1]] * len(scaled), rel=1e-9)
     assert scaled[1] == pytest.approx(5.540938127321, rel=1e-9)
+
+
+def test_steep_harmonic_wells_certify():
+    # The wall term of a box walked to a fixed decay exponent scales with
+    # the well's energy while tol is absolute: such a box is too short for
+    # six of these eight requests.  The kinetic-balance box scales with
+    # the well's own length and certifies all of them.
+    for w, tol in itertools.product((100.0, 1000.0), (1e-4, 1e-6, 1e-8, 1e-10)):
+        spectrum = lowest_eigen(EvenPolynomial((0.0, 0.5 * w * w)), 1, tol=tol)
+        assert spectrum.refinement_deltas[-1] < tol, (w, tol)
+        assert abs(spectrum.energies[0] - 0.5 * w) < tol, (w, tol)
+
+
+def test_uncertified_first_box_is_walked(monkeypatch):
+    # A wide, shallow triple well, whose first solve, in its
+    # kinetic-balance box, does not certify: the box is walked from that
+    # solve's top level, and the walked box certifies.  Every full solve,
+    # the first one included, leaves one certificate.
+    solves = []
+
+    def counted(*args):
+        solves.append(args[1].size)
+        return bounded_solve(*args)
+
+    bounded_solve = eigensolver._bounded_solve
+    monkeypatch.setattr(eigensolver, "_bounded_solve", counted)
+    for N, k, tol in itertools.product((0, 1), (1, 2, 5, 10), (1e-9, 1e-10)):
+        spec = SexticGeneral(0.1, -3.0, N)
+        solves.clear()
+        spectrum = lowest_eigen(spec, k, tol=tol)
+        deltas = spectrum.refinement_deltas
+        assert len(deltas) == len(solves) >= 2, (N, k, tol)
+        assert deltas[0] >= tol > deltas[-1], (N, k, tol)
+        # the walked box is solved first at the starting size
+        assert solves[0] == solves[1] == 64 + 2 * k, (N, k, tol)
+        mesh = uniform_mesh(2 * spectrum.mesh.size, *_walls(spectrum.mesh))
+        reference = bounded_solve(spec, mesh, k)[0]
+        assert np.max(np.abs(spectrum.energies - reference)) < tol, (N, k, tol)
 
 
 # Largest node-value error of a matched algebraic level, relative to the
@@ -375,7 +423,7 @@ def test_certificate_bounds_the_error():
     # certificate is under 1e-4.
     cases = []
     for spec in (SexticReduced(0.0), SexticReduced(0.7)):
-        half = eigensolver._even_box(spec, 66, 1, 1e-9)
+        half = _walked_half_width(spec, 66, 1, 1e-9)
         reference, _, _, _, ref_floor = eigensolver._bounded_solve(spec, uniform_mesh(512, -half, half), 1)
         for M in range(16, 65, 4):
             cases.append((spec, uniform_mesh(M, -half, half), 1, reference, ref_floor))
@@ -417,9 +465,9 @@ def test_solve_counts(monkeypatch):
     monkeypatch.setattr(eigensolver, "eigh", counted)
     spectrum = lowest_eigen(SexticReduced(0.25), 51, tol=1e-10)
     # 64 points plus two per state start the mesh at 166, where the first
-    # solve, one even and one odd block, certifies itself
-    assert len(sizes) <= 6
-    assert all(2 * m <= spectrum.mesh.size for m in sizes)
+    # solve, one even and one odd block in the kinetic-balance box,
+    # certifies itself
+    assert sizes == [83, 83]
     assert spectrum.mesh.size == 166
     sizes.clear()
     # six grid points per shortest classical wavelength of the top level
@@ -429,9 +477,11 @@ def test_solve_counts(monkeypatch):
 
 
 def test_potential_evaluation_counts(monkeypatch):
-    # an even solve reads V on the trial widths, the provisional grid, one
-    # walk span and the final grid; a Morse solve on its two walks (three
-    # spans) and its grid: the wall terms reuse the grid's values
+    # an even solve that certifies in its kinetic-balance box reads V on the
+    # trial widths and that grid; one that does not, also on its walk's
+    # spans and on each grid of the walked box (this wide well's walk
+    # doubles its span once); a Morse solve on its two walks (three spans)
+    # and its grid: the wall terms reuse the grid's values
     sizes = []
 
     def counted(spec, x):
@@ -442,7 +492,10 @@ def test_potential_evaluation_counts(monkeypatch):
     for k, size in ((1, 66), (51, 166)):
         sizes.clear()
         lowest_eigen(SexticReduced(0.5), k)
-        assert sizes == [601, size, 2049, size], k
+        assert sizes == [601, size], k
+    sizes.clear()
+    lowest_eigen(SexticGeneral(0.1, -3.0, 0), 1, tol=1e-9)
+    assert sizes == [601, 66, 2049, 2049, 66, 84]
     sizes.clear()
     lowest_eigen(Morse(1.0, 8.0, SQRT2, 3.0), 9, tol=1e-9)
     assert sizes == [2049, 2049, 2049, 230]
@@ -642,14 +695,16 @@ def test_convergence_error_carries_best_spectrum():
 
 
 def test_tolerance_below_the_rounding_floor_is_named():
-    # eps ||H||_inf of this steep well's grid is about 4e-10, so no box and
-    # no grid certifies 1e-10; its wall term is above tol as well, but the
-    # error names the floor, not a short box
+    # eps ||H||_inf of this steep well's grid is about 2e-10 in its
+    # kinetic-balance box and 4e-10 in its walked box, so no box and no
+    # grid certifies 1e-10; the walked box's wall term is above tol as
+    # well, but the error names the floor, not a short box
     with pytest.raises(ConvergenceError) as excinfo:
         lowest_eigen(EvenPolynomial((0.0, 0.5e8)), 1, tol=1e-10)
     message = str(excinfo.value)
     assert "below what double precision resolves" in message and "too short" not in message
-    assert len(excinfo.value.best.refinement_deltas) == 1
+    # one solve in each box, at the starting size
+    assert len(excinfo.value.best.refinement_deltas) == 2
 
 
 def test_critical_index_bracket():

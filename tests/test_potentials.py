@@ -220,6 +220,9 @@ def test_constructor_validation():
             Morse(**{"a": 1.0, "b": 3.0, "alpha": 1.0, "N": 1.0, field: math.nan})
     with pytest.raises(DomainError):
         EvenPolynomial((1.0, -2.0))  # negative leading coefficient
+    for coeffs in ((), (0.7,)):
+        with pytest.raises(DomainError):
+            EvenPolynomial(coeffs)  # a constant does not confine
     with pytest.raises(DomainError):
         GaugeState(EvenPolynomial((0.0, 0.5)), (1.0,))  # no gauge factor
     with pytest.raises(SeedError):
