@@ -40,7 +40,7 @@ _HARMONIC = EvenPolynomial((0.0, 0.5))
 _QES_PAIR = (1.5 - math.sqrt(3.0), 1.5 + math.sqrt(3.0))  # exact levels of SexticReduced(1)
 _TAIL_RATIOS = {0.0: 1.13424, 0.25: 1.14224, 0.5: 1.15169, 0.7: 1.1596}
 
-SusyPair = namedtuple("SusyPair", "spec grid states partner operator")
+SusyPair = namedtuple("SusyPair", "spec states factorization")
 
 
 def _worst(values):
@@ -59,22 +59,22 @@ def residual_rows(samples, model):
 
 
 def susy_pair(spec):
-    """Factorization of ``spec`` by its lowest algebraic state, on a 241-point
-    grid: [-3, 6] for the exponential well, [-3, 3] for the even ones."""
+    """The algebraic states of ``spec`` and its factorization by the lowest
+    of them, sampled on a 241-point grid: [-3, 6] for the exponential well,
+    [-3, 3] for the even ones."""
     grid = np.linspace(-3.0, 6.0 if isinstance(spec, Morse) else 3.0, 241)
     states = qes_algebra.qes_states(spec)
-    partner, operator = qes_algebra.darboux(states[0])
-    return SusyPair(spec, grid, states, partner, operator)
+    return SusyPair(spec, states, qes_algebra.factorize(states[0], grid))
 
 
 def annihilation_ratio(pair):
     """max |A u0| / max |u0| on the pair's grid, u0 the seed and A its operator."""
-    seed = pair.states[0]
-    psi = seed.derivatives(pair.grid, 0)[0]
-    scale = float(np.max(np.abs(psi)))
+    factorization = pair.factorization
+    values = pair.states[0].derivatives(factorization.grid, 1)
+    scale = float(np.max(np.abs(values[0])))
     if scale == 0.0:
         raise DomainError("seed vanishes identically on the pair's grid")
-    image = pair.operator.apply_state(seed, pair.grid, order=0)[0]
+    image = factorization.image(values)[0]
     return float(np.max(np.abs(image))) / scale
 
 
@@ -193,7 +193,8 @@ class Study:
         for n_index in (1, 2, 3):
             pair = susy_pair(Morse(*MORSE_REF, n_index))
             lowered, shift = susy_partner_closed_form(pair.spec)
-            deviation = evaluate(pair.partner, pair.grid) - evaluate(lowered, pair.grid) - shift
+            factorization = pair.factorization
+            deviation = factorization.v1 - evaluate(lowered, factorization.grid) - shift
             rows.append((n_index, float(np.max(np.abs(deviation))), shift))
         return rows
 
@@ -328,9 +329,7 @@ CHECKS = (
     Check("morse_shape_invariance", 10, 1e-10,
           lambda s: _worst(row[1] for row in s.shape_invariance)),
     Check("intertwining_residual", 10, 1e-8,
-          lambda s: _worst(
-              qes_algebra.intertwining_residual(p.states[0], p.states[1], p.grid)
-              for p in s.susy_pairs)),
+          lambda s: _worst(p.factorization.residual(p.states[1]) for p in s.susy_pairs)),
     Check("seed_annihilation", 10, 1e-12,
           lambda s: _worst(annihilation_ratio(p) for p in s.susy_pairs)),
 )

@@ -26,8 +26,8 @@ the reference well at N = 1 ``partner_morse_N1``.
 """
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 import argparse
-import math
 import os
 import sys
 import time
@@ -38,7 +38,7 @@ from . import fitmodels, qes_algebra, wkb
 from .acceptance import CHECKS, DEPTHS, Study, annihilation_ratio, residual_rows, susy_pair
 from .eigensolver import lowest_eigen
 from .errors import DomainError, QeswkbError, SpectrumExhaustedError
-from .potentials import _FAMILY_FIELDS, Morse, SexticReduced, build_spec, evaluate
+from .potentials import _FAMILY_FIELDS, Morse, SexticReduced, build_spec
 
 _DEPTH_TAGS = {0.0: "0", 0.25: "1q", 0.5: "1h", 0.7: "7t"}
 # Every key but ``family`` of a config file, with its type: the family
@@ -72,10 +72,7 @@ class RunConfig:
 def _fmt(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return "%.15g" % v
+    return "%.15g" % float(value)
 
 
 def _write_lines(config, name, lines):
@@ -122,7 +119,9 @@ def _cast(key, raw):
         raise DomainError("config key %s: cannot parse %r" % (key, raw)) from None
 
 
-def build_config(argv):
+@lru_cache(maxsize=1)
+def _parser():
+    """The parser of every command line, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="qeswkb",
         description="Spectra, semiclassical corrections, and algebraic levels "
@@ -133,7 +132,11 @@ def build_config(argv):
     for key, kind in _TYPES.items():
         parser.add_argument("--" + key.replace("_", "-"), type=kind, **_FLAG_OPTIONS.get(key, {}))
     parser.add_argument("--config", help="flat key=value file; command-line flags win")
-    args = vars(parser.parse_args(argv))
+    return parser
+
+
+def build_config(argv):
+    args = vars(_parser().parse_args(argv))
     command, path = args.pop("command"), args.pop("config")
 
     raw = _parse_config_file(path) if path else {}
@@ -165,9 +168,9 @@ def _prepare_output(config):
 
 
 def _write_partner(config, name, pair):
-    """The table x, V0, V1 of a factorization on its grid."""
-    grid = pair.grid
-    rows = zip(grid, evaluate(pair.spec, grid), evaluate(pair.partner, grid))
+    """The table x, V0, V1 of a pair's factorization on its grid."""
+    factorization = pair.factorization
+    rows = zip(factorization.grid, factorization.v0, factorization.v1)
     _write_table(config, name, ("x", "V0", "V1"), rows)
 
 
@@ -253,7 +256,7 @@ def _cmd_susy(config):
     _write_partner(config, "susy_partner", pair)
     lines = ["quantity value", "annihilation_ratio %s" % _fmt(annihilation_ratio(pair))]
     for idx, state in enumerate(pair.states[1:], start=1):
-        residual = qes_algebra.intertwining_residual(pair.states[0], state, pair.grid)
+        residual = pair.factorization.residual(state)
         lines.append("intertwining_residual_state_%d %s" % (idx, _fmt(residual)))
     _write_lines(config, "susy_report.txt", lines)
     return 0

@@ -31,8 +31,10 @@ wall rule from that solve's top level, once.  The loop then grows the grid
 by steps of about 5/4 in that fixed box, never past the size cap, only
 while some state's certificate is not below the requested tolerance, and
 keeps the eigenvectors of its last solve.  A wall term at or above the
-tolerance stops it at once, since a finer grid in the same box does not
-lower it.
+tolerance stops it once every tail bound is below the tolerance, since a
+finer grid in the same box does not lower the wall term of resolved
+states; an under-resolved state is not yet forbidden at the wall nodes,
+and its grid grows first.
 """
 
 from __future__ import annotations
@@ -81,12 +83,11 @@ _MIN_SIZE = 8
 # for one level, 106 to 118 for 51 levels and 210 to 244 for 130.
 _START_BASE = 64
 _START_PER_STATE = 2
-# A Morse grid is never started smaller than for this many levels, nor at
-# fewer than _MORSE_MIN_SIZE points.  Below that size the 16 tail modes are
-# over a quarter of the basis, and the tail bound of a resolved state sits far
-# above its error: 1.4e-5 against 2.5e-10 for the three lowest levels of the
-# Morse (1, 8, sqrt 2, 0) well at the 47 points of their box at tol 1e-9.
-_MORSE_MIN_LEVELS = 4
+# A Morse grid is never started at fewer than this many points.  Below that
+# size the 16 tail modes are over a quarter of the basis, and the tail bound
+# of a resolved state sits far above its error: 1.4e-5 against 2.5e-10 for
+# the three lowest levels of the Morse (1, 8, sqrt 2, 0) well at the 47
+# points of their box at tol 1e-9.
 _MORSE_MIN_SIZE = 64
 
 _SEARCH_STEPS = 60
@@ -413,19 +414,15 @@ def _morse_box(spec, k, tol):
     those nodes the grid starts at six points per shortest classical
     wavelength of level n, a Nyquist momentum pi / dx three times its largest
     classical momentum sqrt(2 (E_n - V_min)) (Colbert & Miller, J. Chem.
-    Phys. 96 (1992) 1982).  This sizes the first solve, not the last.
-
-    Box and grid are sized for at least the four lowest levels (all of them
-    in a shallower well): the lowest levels carry momentum well beyond
-    their classical maximum, and a ground level certifies to 1e-9 only at
-    about 2.5 times its own six-points-per-wavelength size.  The grid
-    starts at no fewer than _MORSE_MIN_SIZE points between the D points.
+    Phys. 96 (1992) 1982).  This sizes the first solve, not the last.  The
+    grid starts at no fewer than _MORSE_MIN_SIZE points between the D
+    points.
 
     Raises MeshError when the walks or the starting size are not finite, or
     when the square of the width or of the starting spacing overflows or
     underflows.
     """
-    n = max(k, min(_MORSE_MIN_LEVELS, spec.bound_count)) - 1
+    n = k - 1
     decay = _wall_decay(tol)
     # The potential overflows far out on the walks, and NumPy scalars turn
     # an overflow, a log of zero or a division by an underflowed product into
@@ -480,10 +477,11 @@ def lowest_eigen(spec, k, tol=1e-10, m_cap=_M_CAP_DEFAULT):
     well's box, the grid grows to the next even size at or above 5/4 of
     the last one, in the same box and never past
     ``m_cap``, until every requested energy is certified to ``tol``.  If the
-    cap, the rounding floor or a wall term stops the loop first, a
-    :class:`ConvergenceError` carrying the best spectrum so far is raised;
-    it names a ``tol`` below the rounding floor, else a start clamped to
-    ``m_cap``, else a wall term at or above ``tol``: a box too short.
+    cap, the rounding floor or a wall term of resolved states stops the
+    loop first, a :class:`ConvergenceError` carrying the best spectrum so
+    far is raised; it names a ``tol`` below the rounding floor, else a start
+    clamped to ``m_cap``, else a wall term at or above ``tol`` with every
+    tail bound below it: a box too short.
     """
     if k < 1:
         raise MeshError("k must be at least 1")
@@ -523,9 +521,12 @@ def _refine(spec, k, tol, m_cap, start, x_left, x_right):
     eps ||H||_inf of the solve.  Each step goes to the next even size at or
     above 5 M / 4, in the fixed box, where the grid energies converge
     exponentially in M (Baye, Phys. Rep. 565 (2015) 1).  The loop stops with
-    a ConvergenceError when the next size would pass ``m_cap``, or as soon as
-    the rounding floor or a state's wall term reaches ``tol``: the floor only
-    rises with M, and the wall term of a fixed box does not fall.
+    a ConvergenceError when the next size would pass ``m_cap``, as soon as
+    the rounding floor reaches ``tol``, since it only rises with M, or when
+    a state's wall term reaches ``tol`` while every tail bound is below it:
+    the wall term of resolved states in a fixed box does not fall.  A wall
+    term read from an under-resolved state, not yet forbidden at the node
+    next to the wall, does not stop the loop.
     """
     M = min(start, m_cap - m_cap % 2)
     certificates = []
@@ -538,8 +539,9 @@ def _refine(spec, k, tol, m_cap, start, x_left, x_right):
             x_left = -x_right
             continue
         wall_term = float(wall.max())
+        short_box = wall_term >= tol and float(tail.max()) < tol
         grown = 2 * math.ceil(5 * M / 8)
-        if certificates[-1] < tol or floor >= tol or wall_term >= tol or grown > m_cap:
+        if certificates[-1] < tol or floor >= tol or short_box or grown > m_cap:
             break
         M = grown
     spectrum = Spectrum(
@@ -557,7 +559,7 @@ def _refine(spec, k, tol, m_cap, start, x_left, x_right):
         # a clamped start is the only size solved, and under-resolved states
         # read as a short box too: they are not yet forbidden at the wall nodes
         cause = f"its starting size {start} was clamped to m_cap: certificate {certificates[-1]:.3e} >= tol {tol:.1e}"
-    elif wall_term >= tol:
+    elif short_box:
         cause = (f"the box [{x_left:.6g}, {x_right:.6g}] is too short: "
                  f"its wall term {wall_term:.3e} >= tol {tol:.1e}")
     else:

@@ -252,10 +252,15 @@ def _eval_even_poly(spec, x):
     return v
 
 
+def _partner_values(seed, x):
+    """V0, the seed chain (W, W', W'') and the partner V1 = V0 - W' at the points x."""
+    base_v = evaluate(seed.well, x)
+    chain = seed_log_derivatives(seed, x, check_positive=True)
+    return base_v, chain, base_v - chain[1]
+
+
 def _eval_partner(spec, x):
-    base_v = evaluate(spec.base, x)
-    _, w1, _ = seed_log_derivatives(spec.seed, x, check_positive=True)
-    return base_v - w1
+    return _partner_values(spec.seed, x)[2]
 
 
 _EVALUATORS = {kind: _eval_even_poly for kind in EVEN_WELLS}

@@ -14,6 +14,9 @@ maps eigenstates of the original well onto eigenstates of the partner
 well V - W', and annihilates the seed itself.  Every x-derivative is
 exact: ``GaugeState`` gives a state's derivatives and a seed's W, W' and
 W'' from one derivative chain.  No finite differences appear anywhere.
+``factorize`` samples one factorization on a grid once, the seed's chain
+and both wells there, and the image and residual of every state on that
+grid read them.
 """
 
 from dataclasses import dataclass
@@ -34,6 +37,7 @@ from .potentials import (
     SexticGeneral,
     SusyPartner,
     _as_int,
+    _partner_values,
     evaluate,
     seed_log_derivatives,
 )
@@ -163,10 +167,10 @@ def qes_states(spec):
     ]
 
 
-def _scaled_residual(well, energy, grid, values, scale):
-    """max |(-1/2) f'' + (V - E) f| / scale on the grid, for values (f, f', f'')."""
+def _scaled_residual(potential, energy, values, scale):
+    """max |(-1/2) f'' + (V - E) f| / scale, for V and the values (f, f', f'') on one grid."""
     f, _, d2f = values
-    residual = -0.5 * d2f + (evaluate(well, grid) - energy) * f
+    residual = -0.5 * d2f + (potential - energy) * f
     return float(np.max(np.abs(residual))) / scale
 
 
@@ -180,7 +184,7 @@ def residual_check(state, grid):
     scale = float(np.max(np.abs(values[0])))
     if scale == 0.0:
         raise DomainError("state vanishes identically on the supplied grid")
-    return _scaled_residual(state.well, state.energy, grid, values, scale)
+    return _scaled_residual(evaluate(state.well, grid), state.energy, values, scale)
 
 
 def _nodeless_or_raise(poly):
@@ -192,6 +196,22 @@ def _nodeless_or_raise(poly):
                 "seed polynomial has a node at z = %.6g inside the physical "
                 "half-line; only nodeless seeds factorize the well" % r.real
             )
+
+
+def _compose(chain, values):
+    """Push (f, f', [f'', [f''']]) through A1+ with the seed chain (W, W', W'')."""
+    if len(values) < 2:
+        raise DomainError("need at least the value and first derivative")
+    w, w1, w2 = chain
+    out = [(-values[1] + w * values[0]) / _SQRT2]
+    if len(values) >= 3:
+        out.append((-values[2] + w1 * values[0] + w * values[1]) / _SQRT2)
+    if len(values) >= 4:
+        out.append(
+            (-values[3] + w2 * values[0] + 2.0 * w1 * values[1] + w * values[2])
+            / _SQRT2
+        )
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -210,18 +230,7 @@ class A1Plus:
 
     def apply_values(self, x, values):
         """Map (f, f', f'', [f''']) to (phi, [phi', [phi'']])."""
-        if len(values) < 2:
-            raise DomainError("need at least the value and first derivative")
-        w, w1, w2 = seed_log_derivatives(self.seed, np.asarray(x, dtype=float))
-        out = [(-values[1] + w * values[0]) / _SQRT2]
-        if len(values) >= 3:
-            out.append((-values[2] + w1 * values[0] + w * values[1]) / _SQRT2)
-        if len(values) >= 4:
-            out.append(
-                (-values[3] + w2 * values[0] + 2.0 * w1 * values[1] + w * values[2])
-                / _SQRT2
-            )
-        return tuple(out)
+        return _compose(seed_log_derivatives(self.seed, np.asarray(x, dtype=float)), values)
 
     def apply_state(self, state, x, order=2):
         x = np.asarray(x, dtype=float)
@@ -254,24 +263,55 @@ def darboux(seed):
     return SusyPartner(seed), A1Plus(seed)
 
 
-def intertwining_residual(seed, state, grid):
-    """Partner-well Schrodinger residual of a mapped state.
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """A factorization sampled on one grid.
 
-    Applies the factorization operator of ``seed`` to ``state``, an exact
-    level of the same well, and checks that the image solves the partner
-    well at the same energy: max |(-1/2) phi'' + (V1 - E) phi| / max |phi|.
-    A seed image that is annihilated (max |phi| < 1e-12 max |psi|) returns
-    NaN as the degenerate-image signal rather than raising.
+    ``v0`` and ``v1`` hold the well and its partner at the points ``grid``,
+    and ``chain`` the seed's (W, W', W'') there, each evaluated once.
     """
-    if state.well != seed.well:
-        raise DomainError("the state and the seed solve different wells")
-    partner, operator = darboux(seed)
-    psi = state.derivatives(grid, 0)[0]
-    phi = operator.apply_state(state, grid, order=2)
-    scale = float(np.max(np.abs(phi[0])))
-    if scale < 1e-12 * float(np.max(np.abs(psi))):
-        return math.nan
-    return _scaled_residual(partner, state.energy, grid, phi, scale)
+
+    partner: SusyPartner
+    grid: np.ndarray
+    v0: np.ndarray
+    chain: tuple
+    v1: np.ndarray
+
+    def image(self, values):
+        """Map a state's (f, f', [f'', [f''']]) on the grid to (phi, [phi', [phi'']])."""
+        return _compose(self.chain, values)
+
+    def residual(self, state):
+        """Partner-well Schrodinger residual of the image of ``state``.
+
+        ``state`` is an exact level of the seed's well.  The check is that
+        its image solves the partner well at the same energy:
+        max |(-1/2) phi'' + (V1 - E) phi| / max |phi|.  A seed image that is
+        annihilated (max |phi| < 1e-12 max |psi|) returns NaN as the
+        degenerate-image signal rather than raising.
+        """
+        if state.well != self.partner.base:
+            raise DomainError("the state and the seed solve different wells")
+        values = state.derivatives(self.grid, 3)
+        phi = self.image(values)
+        scale = float(np.max(np.abs(phi[0])))
+        if scale < 1e-12 * float(np.max(np.abs(values[0]))):
+            return math.nan
+        return _scaled_residual(self.v1, state.energy, phi, scale)
+
+
+def factorize(seed, grid):
+    """``darboux`` of the seed, sampled on the grid: a :class:`Factorization`."""
+    partner, _ = darboux(seed)
+    grid = np.asarray(grid, dtype=float)
+    return Factorization(partner, grid, *_partner_values(partner.seed, grid))
+
+
+def intertwining_residual(seed, state, grid):
+    """Partner-well residual of the image of ``state``, an exact level of
+    the seed's well, under the factorization of ``seed`` on the grid: see
+    ``Factorization.residual``."""
+    return factorize(seed, grid).residual(state)
 
 
 def morse_exact_spectrum(spec, n_max):

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qeswkb import fitmodels, qes_algebra
+from qeswkb import fitmodels, potentials, qes_algebra
 from qeswkb.acceptance import CHECKS
-from qeswkb.cli import build_config, main
+from qeswkb.cli import _fmt, build_config, main
 from qeswkb.potentials import _FAMILY_FIELDS, Morse
 
 SQRT2 = math.sqrt(2.0)
@@ -151,6 +151,68 @@ def test_susy_command_report(tmp_path):
     )
     assert float(report["annihilation_ratio"]) < 1e-12
     assert float(report["intertwining_residual_state_1"]) < 1e-8
+
+
+def test_susy_command_factorizes_once(tmp_path, monkeypatch):
+    # the partner table, the annihilation ratio and the three intertwining
+    # residuals all read one factorization and one seed chain on the grid
+    calls = {"darboux": 0, "chain": 0}
+    darboux, chain = qes_algebra.darboux, potentials.seed_log_derivatives
+
+    def counted_darboux(seed):
+        calls["darboux"] += 1
+        return darboux(seed)
+
+    def counted_chain(*args, **kwargs):
+        calls["chain"] += 1
+        return chain(*args, **kwargs)
+
+    monkeypatch.setattr(qes_algebra, "darboux", counted_darboux)
+    for module in (potentials, qes_algebra):
+        monkeypatch.setattr(module, "seed_log_derivatives", counted_chain)
+    out = tmp_path / "susy"
+    assert main(["susy", "--family", "sextic_reduced", "--N", "3", "--out", str(out)]) == 0
+    assert calls == {"darboux": 1, "chain": 1}
+    report = dict(line.split() for line in read_lines(out / "susy_report.txt")[1:])
+    assert len(report) == 4
+    assert max(float(report["intertwining_residual_state_%d" % n]) for n in (1, 2, 3)) < 1e-8
+
+
+def test_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    # one parser serves every run of the process: a run that it refuses,
+    # with other values on its command line, leaves the next run as the first
+    args = ["susy", "--family", "sextic_reduced", "--N", "2"]
+    first, last = tmp_path / "first", tmp_path / "last"
+    assert main(args + ["--out", str(first)]) == 0
+    with pytest.raises(SystemExit) as excinfo:
+        main(["susy", "--family", "sextic_reduced", "--N", "3", "--format", "tsv",
+              "--bogus", "1", "--out", str(tmp_path / "bad")])
+    assert excinfo.value.code == 2
+    assert "--bogus" in capsys.readouterr().err
+    assert main(args + ["--out", str(last)]) == 0
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(last)) == ["susy_partner.csv", "susy_report.txt"]
+    for name in names:
+        assert read_bytes(first / name) == read_bytes(last / name)
+    assert not (tmp_path / "bad").exists()
+
+
+def test_fmt_integers_and_special_floats():
+    # integers print every digit; floats print 15 significant digits, and
+    # "%.15g" spells NaN, whatever its sign, as nan
+    cases = [
+        (10**15, "1000000000000000"),
+        (np.int64(2**53 + 1), "9007199254740993"),
+        (np.uint64(2**64 - 1), "18446744073709551615"),
+        (float("nan"), "nan"),
+        (-np.float64("nan"), "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (-0.0, "-0"),
+        (np.float64(1e15), "1e+15"),
+        (1.0 / 3.0, "0.333333333333333"),
+    ]
+    assert [_fmt(value) for value, _ in cases] == [text for _, text in cases]
 
 
 def test_fit_gamma_command(tmp_path, monkeypatch):

@@ -208,7 +208,7 @@ def _decay_exponent(spec, energy, lo, hi):
 
 
 def test_wall_nodes_sit_at_the_decay_target():
-    # the node next to each wall is where the top sized level's WKB decay
+    # the node next to each wall is where the top requested level's WKB decay
     # exponent, integrated from its turning point, reaches D = (ln(1/tol) +
     # _WALL_EXTRA) / 2: not short of it, and not far past it
     wells = [(1.0, 8.0, SQRT2, 0.0), (1.0, 4.0, 1.0, 0.0), (1.0, 4.0, 1.0, 3.0), (1.0, 12.0, 2.0, 0.0)]
@@ -218,8 +218,7 @@ def test_wall_nodes_sit_at_the_decay_target():
         count = spec.bound_count
         for k, tol in itertools.product(sorted({1, min(10, count), count}), (1e-9, 1e-10)):
             decay = 0.5 * (math.log(1.0 / tol) + eigensolver._WALL_EXTRA)
-            top = max(k, min(eigensolver._MORSE_MIN_LEVELS, count)) - 1
-            x_in, x_out, kappa = _morse_turning_points(spec, top)
+            x_in, x_out, kappa = _morse_turning_points(spec, k - 1)
             energy = spec.v_inf - 0.5 * kappa * kappa
             x_left, x_right, size = eigensolver._morse_box(spec, k, tol)
             nodes = uniform_mesh(size, x_left, x_right).nodes
@@ -346,6 +345,32 @@ def test_wide_well_top_level_certifies():
     assert spectrum.refinement_deltas[-1] < 1e-9
     exact = qes_algebra.morse_exact_spectrum(spec, 0)
     assert np.max(np.abs(spectrum.energies - exact)) < 1e-9
+
+
+@pytest.mark.parametrize("well, tol", [((1.0, 2.41, 1.59, 0.5), 1e-9), ((1.0, 2.87, 1.66, 0.5), 1e-6)])
+def test_ground_level_box_is_sized_for_the_ground_level(well, tol):
+    # the top levels of these shallow wells sit near the plateau, where a box
+    # sized for them is hundreds of units long; the ground level alone
+    # certifies in its own box, with an error below its certificate
+    spec = Morse(*well)
+    spectrum = lowest_eigen(spec, 1, tol=tol)
+    error = abs(spectrum.energies[0] - qes_algebra.morse_exact_spectrum(spec, 0)[0])
+    assert spectrum.refinement_deltas[-1] < tol
+    assert error < spectrum.refinement_deltas[-1]
+
+
+def test_under_resolved_wall_term_grows_the_grid():
+    # at its first sizes the top level of this outer-ring well is not yet
+    # forbidden at the wall nodes, and its wall term reads as a box too
+    # short: the grid grows until it resolves the level
+    spec = EvenPolynomial((2.613, -1.376, -2.258, 0.0196))
+    spectrum = lowest_eigen(spec, 33, tol=2e-11)
+    assert spectrum.refinement_deltas[-1] < 2e-11
+    reference = eigensolver._bounded_solve(spec, uniform_mesh(2 * spectrum.mesh.size, *_walls(spectrum.mesh)), 33)[0]
+    assert np.max(np.abs(spectrum.energies - reference)) < 2e-11
+    # the same stop refused this Morse request at 80 points; its error is
+    # not asserted, since its certificate falls below it
+    assert lowest_eigen(Morse(1.0, 1.95, 1.41, 0.0), 2, tol=1e-11).refinement_deltas[-1] < 1e-11
 
 
 def test_morse_box_is_finite_or_refused():
