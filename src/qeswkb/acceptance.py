@@ -40,7 +40,7 @@ _HARMONIC = EvenPolynomial((0.0, 0.5))
 _QES_PAIR = (1.5 - math.sqrt(3.0), 1.5 + math.sqrt(3.0))  # exact levels of SexticReduced(1)
 _TAIL_RATIOS = {0.0: 1.13424, 0.25: 1.14224, 0.5: 1.15169, 0.7: 1.1596}
 
-SusyPair = namedtuple("SusyPair", "spec states factorization")
+SusyPair = namedtuple("SusyPair", "states factorization")
 
 
 def _worst(values):
@@ -64,7 +64,7 @@ def susy_pair(spec):
     [-3, 3] for the even ones."""
     grid = np.linspace(-3.0, 6.0 if isinstance(spec, Morse) else 3.0, 241)
     states = qes_algebra.qes_states(spec)
-    return SusyPair(spec, states, qes_algebra.factorize(states[0], grid))
+    return SusyPair(states, qes_algebra.factorize(states[0], grid))
 
 
 def annihilation_ratio(pair):
@@ -191,9 +191,9 @@ class Study:
         """Rows (N, max deviation, level shift) of the Morse partner from the lowered well."""
         rows = []
         for n_index in (1, 2, 3):
-            pair = susy_pair(Morse(*MORSE_REF, n_index))
-            lowered, shift = susy_partner_closed_form(pair.spec)
-            factorization = pair.factorization
+            spec = Morse(*MORSE_REF, n_index)
+            factorization = susy_pair(spec).factorization
+            lowered, shift = susy_partner_closed_form(spec)
             deviation = factorization.v1 - evaluate(lowered, factorization.grid) - shift
             rows.append((n_index, float(np.max(np.abs(deviation))), shift))
         return rows

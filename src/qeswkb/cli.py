@@ -242,9 +242,10 @@ def _cmd_fit(config):
 
 
 def _cmd_qes(config):
-    label = _fmt(getattr(config.potential, "N", float("nan")))
+    states = qes_algebra.qes_states(config.potential)
+    label = _fmt(config.potential.N)
     lines = ["N index energy poly_coefficients"]
-    for idx, state in enumerate(qes_algebra.qes_states(config.potential)):
+    for idx, state in enumerate(states):
         coeffs = ";".join(_fmt(c) for c in state.poly)
         lines.append("%s %d %s %s" % (label, idx, _fmt(state.energy), coeffs))
     _write_lines(config, "qes_report.txt", lines)

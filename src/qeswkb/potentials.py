@@ -255,7 +255,7 @@ def _eval_even_poly(spec, x):
 def _partner_values(seed, x):
     """V0, the seed chain (W, W', W'') and the partner V1 = V0 - W' at the points x."""
     base_v = evaluate(seed.well, x)
-    chain = seed_log_derivatives(seed, x, check_positive=True)
+    chain = seed_log_derivatives(seed, x)
     return base_v, chain, base_v - chain[1]
 
 
@@ -320,7 +320,7 @@ def morse_chain(poly_z, a, b, alpha, orders=3):
     return chain
 
 
-def seed_log_derivatives(seed, x, check_positive=False):
+def seed_log_derivatives(seed, x):
     """Closed-form chain W = (ln u)', W' and W'' of a seed ``GaugeState`` at the points x.
 
     Computed from ratios of the derivative polynomials of u, which avoids
@@ -328,10 +328,8 @@ def seed_log_derivatives(seed, x, check_positive=False):
     W = u'/u, W' = u''/u - W^2, W'' = u'''/u - 3 (u''/u) W + 2 W^3.
     """
     _, (s0, s1, s2, s3) = seed._chain(x, 3)
-    if check_positive and np.any(s0 <= 0.0):
+    if np.any(s0 <= 0.0):
         raise SeedError("seed function is not positive at the requested points")
-    if np.any(s0 == 0.0):
-        raise SeedError("seed function vanishes at a requested point")
     w = s1 / s0
     r2 = s2 / s0
     w1 = r2 - w * w

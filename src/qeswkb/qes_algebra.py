@@ -8,15 +8,16 @@ monomial basis {1, z, ..., z^N} gives a small tridiagonal matrix
 a ``QesState``: a ``potentials.GaugeState`` u = Gamma(x) p(z) of its well,
 with p the eigen-polynomial, plus the eigenvalue as its energy.
 
-The same states drive first-order Darboux factorization:
-A1+ = (1/sqrt 2)(-d/dx + W) with W the seed's logarithmic derivative
-maps eigenstates of the original well onto eigenstates of the partner
-well V - W', and annihilates the seed itself.  Every x-derivative is
-exact: ``GaugeState`` gives a state's derivatives and a seed's W, W' and
-W'' from one derivative chain.  No finite differences appear anywhere.
-``factorize`` samples one factorization on a grid once, the seed's chain
-and both wells there, and the image and residual of every state on that
-grid read them.
+The same states drive first-order Darboux factorization.  ``darboux``
+validates a nodeless seed and returns its partner well V - W', W the
+seed's logarithmic derivative.  ``factorize`` is the one way to apply
+A1+ = (1/sqrt 2)(-d/dx + W): it samples the seed's W, W', W'' and both
+wells on a grid once, and the image and residual of every state on that
+grid read them.  A1+ maps eigenstates of the original well onto
+eigenstates of the partner and annihilates the seed itself.  Every
+x-derivative is exact: ``GaugeState`` gives a state's derivatives and a
+seed's W, W' and W'' from one derivative chain.  No finite differences
+appear anywhere.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ from .potentials import (
     _as_int,
     _partner_values,
     evaluate,
-    seed_log_derivatives,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -87,19 +87,15 @@ def qes_block(spec):
     return np.diag(diagonal) + np.diag(raising, -1) + np.diag(lowering, 1)
 
 
-def sl2_generators(n_index, dim=None):
-    """Raising, weight, and lowering matrices on monomials.
+def sl2_generators(n_index):
+    """Raising, weight, and lowering matrices on the monomials z^0..z^(N+1).
 
     The action is J+ z^k = (k - N) z^{k+1}, J0 z^k = (k - N/2) z^k,
-    J- z^k = k z^{k-1}; on the first N+1 monomials J+ truncates exactly
-    because its coefficient vanishes at k = N.
+    J- z^k = k z^{k-1}.  The extra monomial z^(N+1) keeps the closure in
+    view: J+ z^N = 0, so the first N+1 monomials span an invariant block.
     """
     n_index = _as_int(n_index, "N")
-    if dim is None:
-        dim = n_index + 2
-    dim = _as_int(dim, "dim")
-    if dim < n_index + 1:
-        raise DomainError("dim must be at least N+1 to hold the invariant block")
+    dim = n_index + 2
     k = np.arange(dim, dtype=float)
     raising = np.zeros((dim, dim))
     raising[np.arange(1, dim), np.arange(dim - 1)] = k[:-1] - n_index
@@ -115,13 +111,14 @@ def morse_lie_form_check(spec):
     The block equals -(alpha^2/2) J+ J- + a alpha J+
     - (alpha/2)(2b + alpha(N+1)) D + (2c - b^2)/2 with c = (N alpha + b)^2 / 2,
     where D is the plain degree operator (diag k), i.e. the weight generator
-    with its -N/2 offset removed.  Returns the max absolute entry difference.
+    with its -N/2 offset removed, all on the invariant block z^0..z^N.
+    Returns the max absolute entry difference.
     """
     block = qes_block(spec)
     a, b, alpha = spec.a, spec.b, spec.alpha
     dim = len(block)
     n_index = dim - 1
-    raising, weight, lowering = sl2_generators(n_index, dim)
+    raising, weight, lowering = (m[:dim, :dim] for m in sl2_generators(n_index))
     degree = weight + 0.5 * n_index * np.eye(dim)
     c = spec.v_inf
     bilinear = (
@@ -199,7 +196,14 @@ def _nodeless_or_raise(poly):
 
 
 def _compose(chain, values):
-    """Push (f, f', [f'', [f''']]) through A1+ with the seed chain (W, W', W'')."""
+    """Push (f, f', [f'', [f''']]) through A1+ with the seed chain (W, W', W'').
+
+    The analytic derivatives pass through the operator as
+
+        phi   = (-f'   + W f) / sqrt 2
+        phi'  = (-f''  + W' f + W f') / sqrt 2
+        phi'' = (-f''' + W'' f + 2 W' f' + W f'') / sqrt 2
+    """
     if len(values) < 2:
         raise DomainError("need at least the value and first derivative")
     w, w1, w2 = chain
@@ -214,39 +218,16 @@ def _compose(chain, values):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class A1Plus:
-    """First-order factorization operator (1/sqrt 2)(-d/dx + W).
-
-    ``W`` is the logarithmic derivative of the nodeless seed.  The
-    composition rules push analytic derivatives through the operator:
-
-        phi   = (-f'   + W f) / sqrt 2
-        phi'  = (-f''  + W' f + W f') / sqrt 2
-        phi'' = (-f''' + W'' f + 2 W' f' + W f'') / sqrt 2
-    """
-
-    seed: GaugeState
-
-    def apply_values(self, x, values):
-        """Map (f, f', f'', [f''']) to (phi, [phi', [phi'']])."""
-        return _compose(seed_log_derivatives(self.seed, np.asarray(x, dtype=float)), values)
-
-    def apply_state(self, state, x, order=2):
-        x = np.asarray(x, dtype=float)
-        return self.apply_values(x, state.derivatives(x, order + 1))
-
-
 def darboux(seed):
-    """Factorize the seed's well through the nodeless exactly known seed.
+    """Validate a nodeless exactly known seed and return its ``SusyPartner``.
 
-    Returns (partner_spec, A1Plus).  The partner potential is
-    V - (ln u)'' for seed wavefunction u; for the exponential family it
-    coincides with the same family at index N-1 shifted up by the first
-    level spacing (see susy_partner_closed_form).  An exponential-family
-    seed must be the ground state z^N at integer N: its polynomial is
-    replaced by exactly z^N, since an eigenvector's lower coefficients
-    are only rounding noise.
+    The partner potential is V - (ln u)'' for seed wavefunction u; for the
+    exponential family it coincides with the same family at index N-1
+    shifted up by the first level spacing (see susy_partner_closed_form).
+    An exponential-family seed must be the ground state z^N at integer N:
+    its polynomial is replaced by exactly z^N, since an eigenvector's lower
+    coefficients are only rounding noise.  ``factorize`` applies the
+    seed's operator.
     """
     _nodeless_or_raise(seed.poly)
     poly = seed.poly
@@ -259,8 +240,7 @@ def darboux(seed):
                 "ground polynomial z^N"
             )
         poly = (0.0,) * n_index + (1.0,)
-    seed = GaugeState(seed.well, poly)
-    return SusyPartner(seed), A1Plus(seed)
+    return SusyPartner(GaugeState(seed.well, poly))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,16 +282,9 @@ class Factorization:
 
 def factorize(seed, grid):
     """``darboux`` of the seed, sampled on the grid: a :class:`Factorization`."""
-    partner, _ = darboux(seed)
+    partner = darboux(seed)
     grid = np.asarray(grid, dtype=float)
     return Factorization(partner, grid, *_partner_values(partner.seed, grid))
-
-
-def intertwining_residual(seed, state, grid):
-    """Partner-well residual of the image of ``state``, an exact level of
-    the seed's well, under the factorization of ``seed`` on the grid: see
-    ``Factorization.residual``."""
-    return factorize(seed, grid).residual(state)
 
 
 def morse_exact_spectrum(spec, n_max):

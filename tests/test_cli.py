@@ -168,8 +168,7 @@ def test_susy_command_factorizes_once(tmp_path, monkeypatch):
         return chain(*args, **kwargs)
 
     monkeypatch.setattr(qes_algebra, "darboux", counted_darboux)
-    for module in (potentials, qes_algebra):
-        monkeypatch.setattr(module, "seed_log_derivatives", counted_chain)
+    monkeypatch.setattr(potentials, "seed_log_derivatives", counted_chain)
     out = tmp_path / "susy"
     assert main(["susy", "--family", "sextic_reduced", "--N", "3", "--out", str(out)]) == 0
     assert calls == {"darboux": 1, "chain": 1}

@@ -181,7 +181,7 @@ def test_morse_seed_log_derivative_closed_form():
 def test_seed_with_node_raises():
     seed = GaugeState(SexticReduced(1.0), (-0.36602540378443865, 1.0))
     with pytest.raises(SeedError):
-        seed_log_derivatives(seed, np.linspace(-2.0, 2.0, 21), check_positive=True)
+        seed_log_derivatives(seed, np.linspace(-2.0, 2.0, 21))
 
 
 def test_build_spec_errors():

@@ -4,6 +4,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 import pytest
 
+from qeswkb.acceptance import CHECKS, annihilation_ratio, susy_pair
 from qeswkb.eigensolver import lowest_eigen
 from qeswkb.errors import (
     DomainError,
@@ -12,10 +13,18 @@ from qeswkb.errors import (
     SpectrumExhaustedError,
     UnsupportedParameterError,
 )
-from qeswkb.potentials import GaugeState, Morse, SexticGeneral, SexticReduced
+from qeswkb.potentials import (
+    GaugeState,
+    Morse,
+    SexticGeneral,
+    SexticReduced,
+    SusyPartner,
+    evaluate,
+    susy_partner_closed_form,
+)
 from qeswkb.qes_algebra import (
     darboux,
-    intertwining_residual,
+    factorize,
     morse_exact_spectrum,
     morse_lie_form_check,
     qes_block,
@@ -144,31 +153,57 @@ def test_darboux_intertwining_morse():
     spec = Morse(*MORSE_REF, 1.0)
     states = qes_states(spec)
     seed = states[0]
-    grid = np.linspace(-2.0, 6.0, 81)
-    assert math.isnan(intertwining_residual(seed, seed, grid))
-    assert intertwining_residual(seed, states[1], grid) < 1e-8
+    factorization = factorize(seed, np.linspace(-2.0, 6.0, 81))
+    assert math.isnan(factorization.residual(seed))
+    assert factorization.residual(states[1]) < 1e-8
 
 
 def test_darboux_intertwining_sextic():
     spec = SexticReduced(1.0)
     states = qes_states(spec)
     seed = states[0]
-    grid = np.linspace(-3.0, 3.0, 61)
-    assert math.isnan(intertwining_residual(seed, seed, grid))
-    assert intertwining_residual(seed, states[1], grid) < 1e-8
+    factorization = factorize(seed, np.linspace(-3.0, 3.0, 61))
+    assert math.isnan(factorization.residual(seed))
+    assert factorization.residual(states[1]) < 1e-8
 
 
 def test_operator_annihilates_seed_pointwise():
     seed = qes_states(Morse(*MORSE_REF, 1.0))[0]
-    _, operator = darboux(seed)
     x = np.linspace(-2.0, 6.0, 81)
     values = seed.derivatives(x, 1)
-    (image,) = operator.apply_values(x, values)
+    (image,) = factorize(seed, x).image(values)
     assert np.max(np.abs(image)) / np.max(np.abs(values[0])) < 1e-12
+
+
+def test_factorizations_of_random_wells_meet_criterion_10():
+    # every pair that criterion 10 would build for a random sextic or Morse
+    # well meets its thresholds: the seed is annihilated, each excited image
+    # solves the partner, and a Morse partner is the lowered well shifted
+    threshold = {check.name: check.threshold for check in CHECKS if check.criterion == 10}
+    rng = np.random.default_rng(32)
+    for idx in range(200):
+        if idx % 2 == 0:
+            nu = float(np.exp(rng.uniform(math.log(0.2), math.log(5.0))))
+            spec = SexticGeneral(nu, rng.uniform(-2.0, 3.0), float(rng.integers(1, 6)))
+        else:
+            spec = Morse(1.0, rng.uniform(0.5, 8.0), rng.uniform(0.3, 1.5), float(rng.integers(1, 5)))
+        pair = susy_pair(spec)
+        factorization = pair.factorization
+        assert annihilation_ratio(pair) < threshold["seed_annihilation"], spec
+        for state in pair.states[1:]:
+            assert factorization.residual(state) < threshold["intertwining_residual"], (spec, state.energy)
+        if isinstance(spec, Morse):
+            lowered, shift = susy_partner_closed_form(spec)
+            deviation = factorization.v1 - evaluate(lowered, factorization.grid) - shift
+            assert np.max(np.abs(deviation)) < threshold["morse_shape_invariance"], spec
 
 
 def test_darboux_seed_validation():
     states = qes_states(SexticReduced(1.0))
+    # a valid seed gives its partner alone; a Morse seed is snapped to exactly z^N
+    assert darboux(states[0]) == SusyPartner(GaugeState(SexticReduced(1.0), states[0].poly))
+    morse_seed = qes_states(Morse(*MORSE_REF, 2.0))[0]
+    assert darboux(morse_seed).seed.poly == (0.0, 0.0, 1.0)
     with pytest.raises(SeedError):
         darboux(states[1])  # excited seed has a node at z ~ +0.366
     morse = Morse(*MORSE_REF, 1.0)
@@ -176,9 +211,9 @@ def test_darboux_seed_validation():
         darboux(GaugeState(morse, (0.5, 1.0)))  # nodeless, but not the pure power z^N
     with pytest.raises(UnsupportedParameterError):
         darboux(GaugeState(Morse(*MORSE_REF, 1.5), (0.0, 1.0)))
-    grid = np.linspace(-2.0, 2.0, 21)
+    factorization = factorize(qes_states(morse)[0], np.linspace(-2.0, 2.0, 21))
     with pytest.raises(DomainError):
-        intertwining_residual(qes_states(morse)[0], states[1], grid)  # different wells
+        factorization.residual(states[1])  # different wells
 
 
 def test_wronskian_route_matches_pointwise_operator():
@@ -193,9 +228,8 @@ def test_wronskian_route_matches_pointwise_operator():
     assert len(w) == 1
     assert w[0] == pytest.approx(-SQRT3, rel=1e-10)
     # assemble pointwise: sqrt2 * x * Gamma(x) * w(x^2) / p(x^2)
-    _, operator = darboux(ground)
     x = np.linspace(-2.5, 2.5, 41)
-    phi_direct = operator.apply_state(excited, x, order=0)[0]
+    phi_direct = factorize(ground, x).image(excited.derivatives(x, 1))[0]
     gauge = np.exp(-0.25 * x**4 - 0.5 * x * x)
     assembled = (
         SQRT2

@@ -122,6 +122,13 @@ def test_morse_gamma_vanishes_on_exact_levels():
     for n in range(1, 6):
         record = gamma(MORSE_REF, n, morse_exact_level(n), tol=1e-13)
         assert abs(record.gamma) < 1e-8
+    # the paper's gamma = 0 claim, at every bound level of 300 seeded Morse wells
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        b, alpha = rng.uniform(0.3, 12.0), rng.uniform(0.2, 2.0)
+        spec = Morse(1.0, b, alpha, float(rng.choice((0.0, 0.5, 1.0, 2.0, 4.0))))
+        for n, energy in enumerate(morse_exact_spectrum(spec, spec.bound_count - 1)):
+            assert abs(gamma(spec, n, energy).gamma) < 1e-11, (spec, n)
 
 
 def test_morse_first_level_turning_points():
