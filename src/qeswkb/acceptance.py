@@ -58,6 +58,18 @@ def residual_rows(samples, model):
     return rows
 
 
+def refit(kind, energies, gamma, n_label):
+    """Samples (n, y) and report of one depth's refit ``fitmodels.fit_<kind>``:
+    y = gamma(n) at n >= 3 for the correction model, y = E_n at every level
+    for the energy model, whose refit holds E_0 = energies[0]."""
+    model = fitmodels.MODELS[kind]
+    sample = {"gamma": gamma, "energy": lambda n: energies[n]}[kind]
+    data = [(n, sample(n)) for n in range(model.lowest, len(energies))]
+    held = energies[:len(model.held)]  # E_0 for the energy model, else nothing
+    fit = getattr(fitmodels, "fit_" + kind)
+    return data, fit(data, *held, n_label=n_label)
+
+
 def susy_pair(spec):
     """The algebraic states of ``spec`` and its factorization by the lowest
     of them, sampled on a 241-point grid: [-3, 6] for the exponential well,
@@ -155,12 +167,10 @@ class Study:
         """(correction refit, energy refit) reports, by depth."""
         reports = {}
         for d, spectrum in self.spectra.items():
-            gamma_data = [(n, r.gamma) for n, r in enumerate(self.gamma_tables[d]) if n >= 3]
-            energy_data = [(n, float(e)) for n, e in enumerate(spectrum.energies)]
-            reports[d] = (
-                fitmodels.fit_gamma(gamma_data, n_label=d),
-                fitmodels.fit_energy(energy_data, energy_data[0][1], n_label=d),
-            )
+            energies = [float(e) for e in spectrum.energies]
+            records = self.gamma_tables[d]
+            reports[d] = tuple(refit(kind, energies, lambda n: records[n].gamma, d)[1]
+                               for kind in ("gamma", "energy"))
         return reports
 
     @_part(1)

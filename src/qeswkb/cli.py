@@ -17,12 +17,18 @@ value that does not parse and an output path that cannot be written each
 exit with status 2 and one ``error<TAB><Type><TAB>...`` line on stderr.
 
 The single commands build their tables with the code ``reproduce`` uses,
-so these runs write files byte-identical to ``reproduce`` files:
-``morse`` on the reference well (a = 1, b = 8, alpha = sqrt 2, N = 0,
-``--n-max 5 --tol 1e-9``) writes ``morse_energies``; ``spectrum`` on
-``sextic_reduced`` at N = 0.5, ``--n-max 50``, writes ``energies_N1h``;
-``susy`` on ``sextic_reduced`` at N = 0 writes ``partner_sextic_N0``, and on
-the reference well at N = 1 ``partner_morse_N1``.
+so these six runs write files byte-identical to ``reproduce`` files, as a
+test checks: ``morse`` on the reference well (a = 1, b = 8, alpha =
+sqrt 2, N = 0, ``--n-max 5 --tol 1e-9``) writes ``morse_energies``;
+``spectrum`` on ``sextic_reduced`` at N = 0.5, ``--n-max 50``, writes
+``energies_N1h``; ``susy`` on ``sextic_reduced`` at N = 0 writes
+``partner_sextic_N0``, and on the reference well at N = 1
+``partner_morse_N1``; ``fit-gamma`` on ``sextic_reduced`` at N = 0 and
+``fit-energy`` at N = 0.7, both ``--n-max 50``, write
+``gamma_refit_params_N0.txt`` and ``energy_refit_params_N7t.txt`` as
+``gamma_fit_params.txt`` and ``energy_fit_params.txt``.  ``fit-gamma``
+needs ``--n-max`` >= 10 and ``fit-energy`` >= 15, to constrain six and
+twelve parameters.
 """
 
 from dataclasses import dataclass, fields
@@ -35,7 +41,7 @@ import time
 import numpy as np
 
 from . import fitmodels, qes_algebra, wkb
-from .acceptance import CHECKS, DEPTHS, Study, annihilation_ratio, residual_rows, susy_pair
+from .acceptance import CHECKS, DEPTHS, Study, annihilation_ratio, refit, residual_rows, susy_pair
 from .eigensolver import lowest_eigen
 from .errors import DomainError, QeswkbError, SpectrumExhaustedError
 from .potentials import _FAMILY_FIELDS, Morse, SexticReduced, build_spec
@@ -227,16 +233,10 @@ def _cmd_fit(config):
     spec, label = config.potential, getattr(config.potential, "N", None)
     spectrum = lowest_eigen(spec, config.n_max + 1, tol=config.tol)
     energies = [float(e) for e in spectrum.energies]
-    if kind == "gamma":
-        data = [(n, wkb.gamma(spec, n, e).gamma) for n, e in enumerate(energies) if n >= 3]
-        report = fitmodels.fit_gamma(data, n_label=label)
-        model = fitmodels.gamma_fit_eval
-    else:
-        data = list(enumerate(energies))
-        report = fitmodels.fit_energy(data, energies[0], n_label=label)
-        model = fitmodels.energy_fit_eval
+    data, report = refit(kind, energies, lambda n: wkb.gamma(spec, n, energies[n]).gamma, label)
+    model = fitmodels.MODELS[kind]
     _write_fit_report(config, "%s_fit_params.txt" % kind, report)
-    rows = residual_rows(data, lambda n: model(report.params, n))
+    rows = residual_rows(data, lambda n: model.value(report.params, n))
     _write_table(config, "%s_fit_residuals" % kind, _RESIDUAL_HEADER, rows)
     return 0
 

@@ -1,6 +1,8 @@
 """Rational interpolation models for spectra and quantization corrections.
 
-Two fixed model shapes are implemented:
+Two model shapes, each declared once as a ``_Model`` record of ``MODELS``
+that the one evaluator, the one refit routine and the parameter-file
+format read:
 
 * a correction model for the deviation gamma_n of exact levels from
   lowest-order quantization, valid for n >= 3,
@@ -32,23 +34,16 @@ Mathematics 630 (1978) 105) written in NumPy, with its steps taken from an
 SVD of the scaled Jacobian; the module imports nothing from SciPy.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 import math
 import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ModelDomainError, UnsupportedParameterError
+from .errors import DomainError, ModelDomainError
 from .potentials import _as_int
-
-
-def _level_index(n):
-    """Coerce an integer level index, leaving range checks to the model."""
-    v = float(n)
-    if not math.isfinite(v) or abs(v - round(v)) > 1e-12:
-        raise UnsupportedParameterError(f"level index must be an integer, got {n!r}")
-    return int(round(v))
 
 _MAX_NFEV = 20000
 _TOL = 1e-14  # MINPACK's ftol, xtol and gtol
@@ -98,6 +93,86 @@ class FitReport:
     jacobian_cond: float
 
 
+@dataclass(frozen=True)
+class _Model:
+    """One rational model: at levels n >= lowest, with m = n + shift,
+    offset + w (c0 + c1 m + ...) / (1 + b1^2 m + b2^2 m^2 + ...)^power, c and
+    b the ``numer`` and ``denom`` fields of ``params``; offset 0 and w = 1,
+    or, with the ground energy E0 ``held``, E0 m and sqrt(m - 1)."""
+
+    kind: str  # the `model` line of a parameter file
+    params: type
+    shift: int
+    lowest: int
+    held: tuple
+    numer: tuple
+    denom: tuple
+    power: float  # 1/2 or 1
+    positive: bool  # whether refit samples must be positive
+
+    @cached_property
+    def formula(self):
+        """The model in (params, m), compiled once with its terms written out
+        and summed left to right: it rounds and costs as if hand-expanded."""
+        def term(name, j):
+            return name if j == 0 else "%s * m" % name if j == 1 else "%s * m**%d" % (name, j)
+
+        numer = " + ".join(term("p." + c, j) for j, c in enumerate(self.numer))
+        denom = " + ".join(term("p.%s**2" % b, j) for j, b in enumerate(self.denom, 1))
+        root = "math.sqrt" if self.power == 0.5 else ""
+        value = "(%s) / %s(1.0 + (%s))" % (numer, root, denom)
+        if self.held:
+            value = "p.%s * m + math.sqrt(m - 1.0) * %s" % (self.held[0], value)
+        return eval("lambda p, m: " + value, {"math": math})
+
+    def index(self, n):
+        """Shifted index m, a float, of level n: a non-integer level is an
+        UnsupportedParameterError, one below ``lowest`` a ModelDomainError."""
+        v = float(n)
+        k = _as_int(abs(v), "level index")
+        if (k if v >= 0.0 else -k) < self.lowest:
+            raise ModelDomainError("%s model is defined for n >= %d" % (self.kind, self.lowest))
+        return float(k + self.shift)
+
+    def value(self, params, n):
+        return self.formula(params, self.index(n))
+
+    def refit(self, data, held, init, n_label):
+        """Refit to (n, y) samples from ``init``, the ``held`` values fixed;
+        one sample per free parameter at least."""
+        pairs = sorted((self.index(n), float(y)) for n, y in data)
+        count = len(self.numer) + len(self.denom)
+        if len(pairs) < count:
+            raise DomainError("need at least %d samples for %d parameters" % (count, count))
+        if self.positive and any(y <= 0.0 for _, y in pairs):
+            raise DomainError("%s samples must be positive" % self.kind)
+        if self.held:  # exact at the lowest level, which is left out
+            pairs = [(m, y) for m, y in pairs if m > self.lowest + self.shift]
+        m, y = np.array(pairs).T
+        basis = m[:, None] ** np.arange(float(len(self.numer)))
+        offset = 0.0
+        if self.held:
+            basis = np.sqrt(m - 1.0)[:, None] * basis
+            offset = held[0] * m
+        b0 = [getattr(init, name) for name in self.denom]
+        x, result = _fit_rational(y, m, basis, offset, self.power, b0)
+        label = float(n_label) if n_label is not None else init.N_label
+        params = self.params(*held, *x, N_label=label)
+        # the errors reported are those of params themselves, as evaluated
+        rel = np.abs(np.array([self.formula(params, mi) for mi in m.tolist()]) - y) / np.abs(y)
+        return FitReport(params, max_rel_error=float(np.max(rel)),
+                         rms_rel_error=float(np.sqrt(np.mean(rel**2))), iterations=result.nfev,
+                         converged=result.status > 0, jacobian_cond=_scaled_cond(result.jac))
+
+
+_GAMMA = _Model("gamma", GammaFitParams, shift=-2, lowest=3, held=(), numer=("a0", "a1"),
+                denom=("b1", "b2", "b3", "b4"), power=0.5, positive=True)
+_ENERGY = _Model("energy", EnergyFitParams, shift=1, lowest=0, held=("E0",),
+                 numer=("A0", "A1", "A2", "A3", "A4", "A5", "A6"),
+                 denom=("B1", "B2", "B3", "B4", "B5"), power=1.0, positive=False)
+MODELS = {model.kind: model for model in (_GAMMA, _ENERGY)}
+
+
 PUBLISHED_GAMMA = {
     0.0: GammaFitParams(0.019202, 0.0038722, 1.09402, 0.672026, 0.291328, 0.068666, 0.0),
     0.25: GammaFitParams(0.0332512, 0.0419986, 3.70908, 2.96296, 2.23779, 0.749137, 0.25),
@@ -105,26 +180,17 @@ PUBLISHED_GAMMA = {
     0.7: GammaFitParams(0.041918, 0.0622568, 5.08444, 4.17168, 3.26907, 1.11086, 0.7),
 }
 
-# Numerator/denominator columns of the published energy interpolations.
-# The exact ground energy is not part of the published tables; it must be
-# supplied from the eigensolver when constructing usable parameters.
+# The published energy interpolations.  Their ground energy E0 is not
+# published: published_energy_params takes it from the eigensolver.
 _PUBLISHED_ENERGY_AB = {
-    0.0: (
-        (-303.678, -13.8988, 185.841, 22.0053, 13.4821, 0.777246, 1.06539),
-        (16.0303, 4.22639, 3.82635, 1.17858, 0.969174),
-    ),
-    0.25: (
-        (-2961.78, 407.572, 687.568, 684.966, -1.90414, 0.755926, 1.06975),
-        (40.1137, 22.2057, 3.02188, 0.936421, 0.967749),
-    ),
-    0.5: (
-        (-4024.34, 1776.87, 553.412, 210.095, 13.202, 1.7131, 1.07253),
-        (37.9358, 5.64541, 5.36947, 1.09358, 0.965024),
-    ),
-    0.7: (
-        (-6563.79, 3617.77, 25.2448, 443.209, 20.7142, 2.55102, 1.07404),
-        (40.0919, 11.9183, 6.51999, 1.18494, 0.962401),
-    ),
+    0.0: EnergyFitParams(math.nan, -303.678, -13.8988, 185.841, 22.0053, 13.4821, 0.777246,
+                         1.06539, 16.0303, 4.22639, 3.82635, 1.17858, 0.969174, 0.0),
+    0.25: EnergyFitParams(math.nan, -2961.78, 407.572, 687.568, 684.966, -1.90414, 0.755926,
+                          1.06975, 40.1137, 22.2057, 3.02188, 0.936421, 0.967749, 0.25),
+    0.5: EnergyFitParams(math.nan, -4024.34, 1776.87, 553.412, 210.095, 13.202, 1.7131,
+                         1.07253, 37.9358, 5.64541, 5.36947, 1.09358, 0.965024, 0.5),
+    0.7: EnergyFitParams(math.nan, -6563.79, 3617.77, 25.2448, 443.209, 20.7142, 2.55102,
+                         1.07404, 40.0919, 11.9183, 6.51999, 1.18494, 0.962401, 0.7),
 }
 
 
@@ -134,8 +200,7 @@ def published_energy_params(n_label, ground_energy):
         raise DomainError(
             "no published energy parameters for depth index %r" % (n_label,)
         )
-    numer, denom = _PUBLISHED_ENERGY_AB[n_label]
-    return EnergyFitParams(float(ground_energy), *numer, *denom, N_label=float(n_label))
+    return replace(_PUBLISHED_ENERGY_AB[n_label], E0=float(ground_energy), N_label=float(n_label))
 
 
 def _nearest_published(n_label, table):
@@ -147,45 +212,12 @@ def _nearest_published(n_label, table):
 
 def gamma_fit_eval(params, n):
     """Correction model value at integer level n >= 3."""
-    n = _level_index(n)
-    if n < 3:
-        raise ModelDomainError(
-            "correction model is defined for n >= 3 (shifted index must be positive)"
-        )
-    m = float(n - 2)
-    numer = params.a0 + params.a1 * m
-    denom = 1.0 + (
-        params.b1**2 * m
-        + params.b2**2 * m**2
-        + params.b3**2 * m**3
-        + params.b4**2 * m**4
-    )
-    return numer / math.sqrt(denom)
+    return _GAMMA.value(params, n)
 
 
 def energy_fit_eval(params, n):
     """Energy model value at integer level n >= 0; exact E0 at n = 0."""
-    n = _level_index(n)
-    if n < 0:
-        raise ModelDomainError("energy model is defined for n >= 0")
-    m = float(n + 1)
-    numer = (
-        params.A0
-        + params.A1 * m
-        + params.A2 * m**2
-        + params.A3 * m**3
-        + params.A4 * m**4
-        + params.A5 * m**5
-        + params.A6 * m**6
-    )
-    denom = 1.0 + (
-        params.B1**2 * m
-        + params.B2**2 * m**2
-        + params.B3**2 * m**3
-        + params.B4**2 * m**4
-        + params.B5**2 * m**5
-    )
-    return params.E0 * m + math.sqrt(m - 1.0) * numer / denom
+    return _ENERGY.value(params, n)
 
 
 def asymptotic_coefficient():
@@ -325,16 +357,16 @@ def least_squares(evaluate, jacobian, x0):
     return _LMResult(x, state, jac, nfev, status)
 
 
-def _fit_rational(y, m, basis, offset, degree, exponent, x0):
+def _fit_rational(y, m, basis, offset, exponent, b0):
     """Separable least squares for the rational shape
 
-        y ~ offset + (basis @ c) / (1 + b1^2 m + ... + bk^2 m^k)^exponent,
+        y ~ offset + (basis @ c) / (1 + b1^2 m + ... + bk^2 m^k)^exponent
 
-    k = degree, on the relative residuals (model - y) / y, with c projected
-    out.  One Levenberg-Marquardt run (``least_squares``) from the b part of
-    x0 = (c, b).  Returns (c, |b|) as one array and the run's result.
+    on the relative residuals (model - y) / y, with c projected out.  One
+    Levenberg-Marquardt run (``least_squares``) from b = b0.  Returns
+    (c, |b|) as one array and the run's result.
     """
-    powers = m[:, None] ** np.arange(1.0, degree + 1.0)
+    powers = m[:, None] ** np.arange(1.0, len(b0) + 1.0)
     weighted = basis / y[:, None]
     target = 1.0 - offset / y
 
@@ -356,8 +388,7 @@ def _fit_rational(y, m, basis, offset, degree, exponent, x0):
         g = (-2.0 * exponent * b) * powers / denom[:, None]
         return g * fit[:, None] - u @ (u.T @ (g * (fit + fit - target)[:, None]))
 
-    x0 = np.asarray(x0, dtype=float)
-    result = least_squares(evaluate, jacobian, x0[basis.shape[1]:])
+    result = least_squares(evaluate, jacobian, b0)
     _, _, _, s, vt, ut, _ = result.state
     return np.concatenate([vt.T @ (ut / s), np.abs(result.x)]), result
 
@@ -368,21 +399,6 @@ def _scaled_cond(jac):
     return float(np.linalg.cond(jac / np.where(norms > 0.0, norms, 1.0)))
 
 
-def _report(params, model, n_fit, y, result):
-    """FitReport whose errors are those of ``params`` themselves: the model
-    evaluated at them over the fitted levels ``n_fit``, against ``y``."""
-    fitted = np.array([model(params, n) for n in n_fit])
-    rel = np.abs(fitted - y) / np.abs(y)
-    return FitReport(
-        params=params,
-        max_rel_error=float(np.max(rel)),
-        rms_rel_error=float(np.sqrt(np.mean(rel**2))),
-        iterations=result.nfev,
-        converged=result.status > 0,
-        jacobian_cond=_scaled_cond(result.jac),
-    )
-
-
 def fit_gamma(data, init=None, n_label=None):
     """Refit the correction model to (n, gamma) samples.
 
@@ -390,24 +406,9 @@ def fit_gamma(data, init=None, n_label=None):
     out, in one start from the published parameters (or ``init``); see
     _fit_rational.
     """
-    pairs = sorted((_as_int(n, "level index"), float(g)) for n, g in data)
-    if len(pairs) < 6:
-        raise DomainError("need at least six samples to determine six parameters")
-    if pairs[0][0] < 3:
-        raise ModelDomainError("correction samples must have n >= 3")
-    if any(g <= 0.0 for _, g in pairs):
-        raise DomainError("correction samples must be positive")
-    n_arr = np.array([n for n, _ in pairs], dtype=float)
-    g_arr = np.array([g for _, g in pairs])
-    m = n_arr - 2.0
     if init is None:
         init = PUBLISHED_GAMMA[_nearest_published(n_label, PUBLISHED_GAMMA)]
-    x0 = [getattr(init, name) for name in _GAMMA_FIELDS[:-1]]
-    basis = np.stack([np.ones_like(m), m], axis=1)
-    x, result = _fit_rational(g_arr, m, basis, 0.0, 4, 0.5, x0)
-    label = float(n_label) if n_label is not None else init.N_label
-    params = GammaFitParams(*x, N_label=label)
-    return _report(params, gamma_fit_eval, n_arr, g_arr, result)
+    return _GAMMA.refit(data, (), init, n_label)
 
 
 def fit_energy(data, ground_energy, init=None, n_label=None):
@@ -420,39 +421,21 @@ def fit_energy(data, ground_energy, init=None, n_label=None):
     parameters, only their errors: the projected Jacobian's condition
     number is about 1e10.
     """
-    pairs = sorted((_as_int(n, "level index"), float(e)) for n, e in data)
-    if len(pairs) < 12:
-        raise DomainError("need at least twelve samples to determine twelve parameters")
     e0 = float(ground_energy)
-    n_arr = np.array([n for n, _ in pairs], dtype=float)
-    e_arr = np.array([e for _, e in pairs])
-    keep = n_arr >= 1.0
-    m = n_arr[keep] + 1.0
     if init is None:
         init = published_energy_params(_nearest_published(n_label, _PUBLISHED_ENERGY_AB), e0)
-    x0 = [getattr(init, name) for name in _ENERGY_FIELDS[1:-1]]
-    basis = np.sqrt(m - 1.0)[:, None] * m[:, None] ** np.arange(7.0)
-    x, result = _fit_rational(e_arr[keep], m, basis, e0 * m, 5, 1.0, x0)
-    label = float(n_label) if n_label is not None else init.N_label
-    params = EnergyFitParams(e0, *x, N_label=label)
-    return _report(params, energy_fit_eval, n_arr[keep], e_arr[keep], result)
-
-
-_GAMMA_FIELDS = tuple(f.name for f in fields(GammaFitParams))
-_ENERGY_FIELDS = tuple(f.name for f in fields(EnergyFitParams))
-# Model kind -> (parameter type, field names), as the `model` line names it.
-_MODELS = {"gamma": (GammaFitParams, _GAMMA_FIELDS), "energy": (EnergyFitParams, _ENERGY_FIELDS)}
+    return _ENERGY.refit(data, (e0,), init, n_label)
 
 
 def format_fit_params(params):
     """Flat text rendering of a parameter set, one `name value` pair per line."""
-    for kind, (cls, names) in _MODELS.items():
-        if isinstance(params, cls):
+    for kind, model in MODELS.items():
+        if isinstance(params, model.params):
             break
     else:
         raise DomainError("unknown parameter set type %r" % type(params).__name__)
     lines = ["model %s" % kind]
-    lines.extend("%s %.17g" % (name, getattr(params, name)) for name in names)
+    lines.extend("%s %.17g" % (f.name, getattr(params, f.name)) for f in fields(params))
     return "\n".join(lines) + "\n"
 
 
@@ -476,13 +459,13 @@ def parse_fit_params(text):
             raise DomainError(
                 "parameter %s has non-numeric value %r" % (name, value.strip())
             ) from None
-    if kind not in _MODELS:
+    if kind not in MODELS:
         raise DomainError("parameter text must declare `model gamma` or `model energy`")
-    cls, names = _MODELS[kind]
+    names = [f.name for f in fields(MODELS[kind].params)]
     missing = [name for name in names if name not in entries]
     if missing:
         raise DomainError("missing parameter fields: %s" % ", ".join(missing))
     extra = [name for name in entries if name not in names]
     if extra:
         raise DomainError("unknown parameter fields: %s" % ", ".join(extra))
-    return cls(**{name: entries[name] for name in names})
+    return MODELS[kind].params(**{name: entries[name] for name in names})

@@ -184,11 +184,14 @@ def residual_check(state, grid):
     return _scaled_residual(evaluate(state.well, grid), state.energy, values, scale)
 
 
-def _nodeless_or_raise(poly):
+def _nodeless_or_raise(poly, well):
+    """Refuse a seed polynomial with a real root at a physical z: z > 0, and
+    for an even well also z = x^2 = 0; the exponential well's z = 0 is x = +inf."""
     coeffs = np.asarray(poly, dtype=float)
     roots = np.roots(coeffs[::-1])
+    floor = 1e-12 if isinstance(well, Morse) else -1e-12
     for r in roots:
-        if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)) and r.real > 1e-12:
+        if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)) and r.real > floor:
             raise SeedError(
                 "seed polynomial has a node at z = %.6g inside the physical "
                 "half-line; only nodeless seeds factorize the well" % r.real
@@ -229,7 +232,7 @@ def darboux(seed):
     coefficients are only rounding noise.  ``factorize`` applies the
     seed's operator.
     """
-    _nodeless_or_raise(seed.poly)
+    _nodeless_or_raise(seed.poly, seed.well)
     poly = seed.poly
     if isinstance(seed.well, Morse):
         n_index = _as_int(seed.well.N, "seed N")

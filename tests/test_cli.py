@@ -333,6 +333,10 @@ def test_reproduce_fails_on_nan_measurement(tmp_path, monkeypatch):
      "susy_partner.csv", "partner_sextic_N0.csv"),
     (["susy", "--family", "morse", "--a", "1", "--b", "8", "--alpha", repr(SQRT2),
       "--N", "1"], "susy_partner.csv", "partner_morse_N1.csv"),
+    (["fit-gamma", "--family", "sextic_reduced", "--N", "0", "--n-max", "50"],
+     "gamma_fit_params.txt", "gamma_refit_params_N0.txt"),
+    (["fit-energy", "--family", "sextic_reduced", "--N", "0.7", "--n-max", "50"],
+     "energy_fit_params.txt", "energy_refit_params_N7t.txt"),
 ])
 def test_single_commands_match_reproduce(tmp_path, reproduced, argv, written, expected):
     _, repro = reproduced

@@ -65,6 +65,27 @@ def test_gamma_model_domain():
         gamma_fit_eval(PUBLISHED_GAMMA[0.0], 2)
 
 
+def test_evaluators_match_the_formulas_bit_for_bit():
+    # Each formula written out term by term and summed left to right: the
+    # evaluators must round exactly as this does, at every published set.
+    for label, p in PUBLISHED_GAMMA.items():
+        for n in range(3, 201):
+            m = float(n - 2)
+            numer = p.a0 + p.a1 * m
+            denom = 1.0 + (p.b1**2 * m + p.b2**2 * m**2 + p.b3**2 * m**3 + p.b4**2 * m**4)
+            assert gamma_fit_eval(p, n) == numer / math.sqrt(denom), (label, n)
+    for label, e0 in GROUND_ENERGIES.items():
+        p = published_energy_params(label, e0)
+        for n in range(0, 201):
+            m = float(n + 1)
+            numer = (p.A0 + p.A1 * m + p.A2 * m**2 + p.A3 * m**3 + p.A4 * m**4
+                     + p.A5 * m**5 + p.A6 * m**6)
+            denom = 1.0 + (p.B1**2 * m + p.B2**2 * m**2 + p.B3**2 * m**3
+                           + p.B4**2 * m**4 + p.B5**2 * m**5)
+            expected = p.E0 * m + math.sqrt(m - 1.0) * numer / denom
+            assert energy_fit_eval(p, n) == expected, (label, n)
+
+
 def test_energy_model_pins_ground_level():
     for label, e0 in GROUND_ENERGIES.items():
         params = published_energy_params(label, e0)
@@ -141,11 +162,15 @@ def test_fit_preconditions():
         fit_gamma(good[:5])
     with pytest.raises(ModelDomainError):
         fit_gamma([(2, 0.02)] + good[:5])
+    with pytest.raises(ModelDomainError):
+        fit_gamma([(-4, 0.02)] + good)
     with pytest.raises(DomainError):
         fit_gamma([(n, -g) for n, g in good])
     energy_samples = [(n, float(n) + 0.5) for n in range(10)]
     with pytest.raises(DomainError):
         fit_energy(energy_samples, ground_energy=0.5)
+    with pytest.raises(ModelDomainError):
+        fit_energy([(-1, 0.3)] + energy_samples + [(10, 10.5), (11, 11.5)], ground_energy=0.5)
 
 
 def test_params_io_round_trip():

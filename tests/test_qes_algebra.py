@@ -206,6 +206,8 @@ def test_darboux_seed_validation():
     assert darboux(morse_seed).seed.poly == (0.0, 0.0, 1.0)
     with pytest.raises(SeedError):
         darboux(states[1])  # excited seed has a node at z ~ +0.366
+    with pytest.raises(SeedError):
+        darboux(GaugeState(SexticReduced(1.0), (0.0, 1.0)))  # u = Gamma x^2: a node at x = 0
     morse = Morse(*MORSE_REF, 1.0)
     with pytest.raises(SeedError):
         darboux(GaugeState(morse, (0.5, 1.0)))  # nodeless, but not the pure power z^N
