@@ -2,6 +2,9 @@
 
 Each ``Check`` in ``CHECKS`` measures one quantity on a shared ``Study`` and
 passes when ``measure(study) < threshold``, so a NaN measurement fails.
+The study reads each fit model from its record in ``fitmodels.MODELS``:
+the levels it is sampled on, its published parameters and its residual
+rows, so that a published-model table and a refit read the same levels.
 ``qeswkb reproduce`` writes one ``summary.txt`` row per check, and the
 acceptance tests run the same checks grouped by ``CRITERIA``, each criterion
 under its own runtime budget; both report the same measured value.
@@ -48,26 +51,20 @@ def _worst(values):
     return float(np.max(np.abs(np.concatenate([np.ravel(v) for v in values]))))
 
 
-def residual_rows(samples, model):
-    """Rows (n, value, model value, relative error) for (n, value) samples;
-    the relative error of a zero value reads 0."""
-    rows = []
-    for n, value in samples:
-        fit = model(n)
-        rows.append((n, value, fit, abs(fit - value) / abs(value) if value else 0.0))
-    return rows
+def samples(kind, energies, gamma):
+    """The (n, y) samples of ``kind``'s model on a spectrum's levels
+    ``energies``, from the model's lowest level: y = gamma(n) for the
+    correction model, y = E_n for the energy model."""
+    value = gamma if kind == "gamma" else energies.__getitem__
+    return fitmodels.MODELS[kind].samples(value, len(energies))
 
 
 def refit(kind, energies, gamma, n_label):
-    """Samples (n, y) and report of one depth's refit ``fitmodels.fit_<kind>``:
-    y = gamma(n) at n >= 3 for the correction model, y = E_n at every level
-    for the energy model, whose refit holds E_0 = energies[0]."""
+    """Samples and report of one depth's refit of ``kind``'s model, whose
+    energy refit holds E_0 = energies[0]."""
     model = fitmodels.MODELS[kind]
-    sample = {"gamma": gamma, "energy": lambda n: energies[n]}[kind]
-    data = [(n, sample(n)) for n in range(model.lowest, len(energies))]
-    held = energies[:len(model.held)]  # E_0 for the energy model, else nothing
-    fit = getattr(fitmodels, "fit_" + kind)
-    return data, fit(data, *held, n_label=n_label)
+    data = samples(kind, energies, gamma)
+    return data, model.refit(data, energies[:len(model.held)], None, n_label)
 
 
 def susy_pair(spec):
@@ -98,19 +95,14 @@ def _part(criterion):
     """
 
     def wrap(build):
-        name = build.__name__
-
-        def get(self):
-            if name not in self._parts:
-                built, started = self._built(), time.perf_counter()
-                self._parts[name] = build(self)
-                nested = self._built() - built
-                self.build_seconds[criterion] += time.perf_counter() - started - nested
-            return self._parts[name]
-
-        return property(get, doc=build.__doc__)
+        return property(lambda self: self._cached(build.__name__, criterion, build),
+                        doc=build.__doc__)
 
     return wrap
+
+
+# The criterion that each model's published-residual table is charged to
+_PUBLISHED_CRITERION = {"gamma": 5, "energy": 6}
 
 
 class Study:
@@ -122,6 +114,20 @@ class Study:
 
     def _built(self):
         return sum(self.build_seconds.values())
+
+    def _cached(self, name, criterion, build):
+        """Part ``name``, built by ``build(self)`` on first use; see _part."""
+        if name not in self._parts:
+            built, started = self._built(), time.perf_counter()
+            self._parts[name] = build(self)
+            nested = self._built() - built
+            self.build_seconds[criterion] += time.perf_counter() - started - nested
+        return self._parts[name]
+
+    def _levels(self, d):
+        """Energies of depth d's spectrum and the correction gamma(n) of its levels."""
+        energies = [float(e) for e in self.spectra[d].energies]
+        return energies, lambda n: self.gamma_tables[d][n].gamma
 
     @_part(5)
     def spectra(self):
@@ -139,39 +145,25 @@ class Study:
             for d, spectrum in self.spectra.items()
         }
 
-    @_part(5)
-    def published_gamma(self):
-        """Published correction model against ``gamma_tables``, n >= 3, by depth."""
-        return {
-            d: residual_rows(
-                [(n, r.gamma) for n, r in enumerate(records) if n >= 3],
-                lambda n: fitmodels.gamma_fit_eval(fitmodels.PUBLISHED_GAMMA[d], n),
-            )
-            for d, records in self.gamma_tables.items()
-        }
+    def published(self, kind):
+        """Rows (n, value, model value, relative error) of the published
+        ``kind`` model at its samples, by depth; the correction rows are
+        charged to criterion 5, the energy rows to criterion 6."""
+        def build(study):
+            model, rows = fitmodels.MODELS[kind], {}
+            for d in DEPTHS:
+                energies, gamma = study._levels(d)
+                params = model.published_params(d, energies[:len(model.held)])
+                rows[d] = model.residual_rows(params, samples(kind, energies, gamma))
+            return rows
 
-    @_part(6)
-    def published_energy(self):
-        """Published energy model against ``spectra``, every level, by depth."""
-        rows = {}
-        for d, spectrum in self.spectra.items():
-            energies = [float(e) for e in spectrum.energies]
-            params = fitmodels.published_energy_params(d, energies[0])
-            rows[d] = residual_rows(
-                enumerate(energies), lambda n: fitmodels.energy_fit_eval(params, n)
-            )
-        return rows
+        return self._cached("published_" + kind, _PUBLISHED_CRITERION[kind], build)
 
     @_part(7)
     def refits(self):
-        """(correction refit, energy refit) reports, by depth."""
-        reports = {}
-        for d, spectrum in self.spectra.items():
-            energies = [float(e) for e in spectrum.energies]
-            records = self.gamma_tables[d]
-            reports[d] = tuple(refit(kind, energies, lambda n: records[n].gamma, d)[1]
-                               for kind in ("gamma", "energy"))
-        return reports
+        """Refit reports, by kind and then depth."""
+        return {kind: {d: refit(kind, *self._levels(d), d)[1] for d in DEPTHS}
+                for kind in fitmodels.MODELS}
 
     @_part(1)
     def morse_levels(self):
@@ -248,18 +240,14 @@ def _qes_match(study):
 
 
 def _published_energy(study, depths):
-    return _worst(
-        fit / value - 1.0
-        for d in depths
-        for n, value, fit, _ in study.published_energy[d]
-        if n >= 3
-    )
+    return _worst(fit / value - 1.0
+                  for d in depths for _, value, fit, _ in study.published("energy")[d])
 
 
 def _tail_ratios(study, depths):
     deviations = []
     for d in depths:
-        params = fitmodels.published_energy_params(d, 0.0)
+        params = fitmodels.MODELS["energy"].published[d]
         deviations.append(params.A6 / params.B5**2 - _TAIL_RATIOS[d])
     return _worst(deviations)
 
@@ -315,17 +303,17 @@ CHECKS = (
     Check("sextic_N1_qes_block", 4, 1e-12, _qes_block),
     Check("sextic_N1_qes_match", 4, 1e-8, _qes_match),
     Check("published_gamma_envelope", 5, 5e-3,
-          lambda s: _worst(row[3] for d in DEPTHS for row in s.published_gamma[d])),
+          lambda s: _worst(row[3] for d in DEPTHS for row in s.published("gamma")[d])),
     Check("published_energy_envelope_N0", 6, 5e-4,
           lambda s: _published_energy(s, DEPTHS[:1])),
     Check("published_energy_envelope_rest", 6, 5e-3,
           lambda s: _published_energy(s, DEPTHS[1:])),
     Check("refit_gamma", 7, 2e-3,
-          lambda s: _worst(g.max_rel_error for g, _ in s.refits.values())),
+          lambda s: _worst(r.max_rel_error for r in s.refits["gamma"].values())),
     Check("refit_energy_N0", 7, 1e-4,
-          lambda s: s.refits[0.0][1].max_rel_error),
+          lambda s: s.refits["energy"][0.0].max_rel_error),
     Check("refit_energy_rest", 7, 1e-3,
-          lambda s: _worst(s.refits[d][1].max_rel_error for d in DEPTHS[1:])),
+          lambda s: _worst(s.refits["energy"][d].max_rel_error for d in DEPTHS[1:])),
     Check("asymptotic_coefficient", 8, 5e-5,
           lambda s: abs(fitmodels.asymptotic_coefficient() - 1.13254)),
     Check("published_ratio_N0", 8, 1e-4,

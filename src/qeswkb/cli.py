@@ -41,7 +41,7 @@ import time
 import numpy as np
 
 from . import fitmodels, qes_algebra, wkb
-from .acceptance import CHECKS, DEPTHS, Study, annihilation_ratio, refit, residual_rows, susy_pair
+from .acceptance import CHECKS, DEPTHS, Study, annihilation_ratio, refit, susy_pair
 from .eigensolver import lowest_eigen
 from .errors import DomainError, QeswkbError, SpectrumExhaustedError
 from .potentials import _FAMILY_FIELDS, Morse, SexticReduced, build_spec
@@ -234,9 +234,8 @@ def _cmd_fit(config):
     spectrum = lowest_eigen(spec, config.n_max + 1, tol=config.tol)
     energies = [float(e) for e in spectrum.energies]
     data, report = refit(kind, energies, lambda n: wkb.gamma(spec, n, energies[n]).gamma, label)
-    model = fitmodels.MODELS[kind]
     _write_fit_report(config, "%s_fit_params.txt" % kind, report)
-    rows = residual_rows(data, lambda n: model.value(report.params, n))
+    rows = fitmodels.MODELS[kind].residual_rows(report.params, data)
     _write_table(config, "%s_fit_residuals" % kind, _RESIDUAL_HEADER, rows)
     return 0
 
@@ -282,14 +281,14 @@ def _write_sextic_files(config, study):
         rows = [(n, e, r.action, r.gamma)
                 for (n, e), r in zip(enumerate(energies), study.gamma_tables[depth])]
         _write_table(config, "gamma_N" + tag, ("n", "energy", "action", "gamma"), rows)
-        for kind, table in (("gamma", study.published_gamma), ("energy", study.published_energy)):
+        for kind in fitmodels.MODELS:
             name = "%s_published_residuals_N%s" % (kind, tag)
-            _write_table(config, name, _RESIDUAL_HEADER, table[depth])
-        for kind, report in zip(("gamma", "energy"), study.refits[depth]):
-            _write_fit_report(config, "%s_refit_params_N%s.txt" % (kind, tag), report)
+            _write_table(config, name, _RESIDUAL_HEADER, study.published(kind)[depth])
+            _write_fit_report(config, "%s_refit_params_N%s.txt" % (kind, tag),
+                              study.refits[kind][depth])
 
-    for index, kind in enumerate(("gamma", "energy")):
-        params = [study.refits[depth][index].params for depth in DEPTHS]
+    for kind, reports in study.refits.items():
+        params = [reports[depth].params for depth in DEPTHS]
         lines = ["parameter\t" + "\t".join("N=%s" % _fmt(d) for d in DEPTHS)]
         for name in (f.name for f in fields(params[0]) if f.name != "N_label"):
             values = [_fmt(getattr(p, name)) for p in params]

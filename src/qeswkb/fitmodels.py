@@ -1,8 +1,8 @@
 """Rational interpolation models for spectra and quantization corrections.
 
 Two model shapes, each declared once as a ``_Model`` record of ``MODELS``
-that the one evaluator, the one refit routine and the parameter-file
-format read:
+that the evaluator, the refit, the parameter-file format, the sample rule
+(levels n >= ``lowest``), the residual rows and the published sets read:
 
 * a correction model for the deviation gamma_n of exact levels from
   lowest-order quantization, valid for n >= 3,
@@ -19,8 +19,8 @@ format read:
   whose large-n behaviour is (A6/B5^2) n^{3/2}.
 
 Denominator coefficients enter squared, which keeps both denominators
-positive for every m > 0.  Reference parameter sets for the reduced
-sextic well at four depth indices are bundled.
+positive for every m > 0.  The published sets for the reduced sextic well
+at four depth indices are bundled; E0 is not published (NaN).
 
 Refits minimise the squared relative residuals.  Both models are linear
 in their numerator coefficients once the denominator is fixed, so one
@@ -28,7 +28,7 @@ separable fitter serves both (variable projection; Golub & Pereyra,
 SIAM J. Numer. Anal. 10 (1973) 413): at each trial denominator an SVD
 of the weighted basis removes a0, a1 or A0..A6, and Levenberg-Marquardt
 with the analytic projected Jacobian searches only the four or five
-denominator coefficients, in one start from the published parameters.
+denominator coefficients, in one start from the nearest published set.
 The Levenberg-Marquardt loop is MINPACK's lmder (Moré, Lecture Notes in
 Mathematics 630 (1978) 105) written in NumPy, with its steps taken from an
 SVD of the scaled Jacobian; the module imports nothing from SciPy.
@@ -98,7 +98,9 @@ class _Model:
     """One rational model: at levels n >= lowest, with m = n + shift,
     offset + w (c0 + c1 m + ...) / (1 + b1^2 m + b2^2 m^2 + ...)^power, c and
     b the ``numer`` and ``denom`` fields of ``params``; offset 0 and w = 1,
-    or, with the ground energy E0 ``held``, E0 m and sqrt(m - 1)."""
+    or, with the ground energy E0 ``held``, E0 m and sqrt(m - 1).
+    ``published`` maps a depth index to its published parameters, the
+    ``held`` fields NaN."""
 
     kind: str  # the `model` line of a parameter file
     params: type
@@ -109,6 +111,7 @@ class _Model:
     denom: tuple
     power: float  # 1/2 or 1
     positive: bool  # whether refit samples must be positive
+    published: dict
 
     @cached_property
     def formula(self):
@@ -137,15 +140,44 @@ class _Model:
     def value(self, params, n):
         return self.formula(params, self.index(n))
 
+    def published_params(self, n_label, held):
+        """Published parameters at depth index n_label, with the ``held``
+        values filled in; an unpublished depth is a DomainError."""
+        if n_label not in self.published:
+            raise DomainError("no published %s parameters for depth index %r"
+                              % (self.kind, n_label))
+        return replace(self.published[n_label], **dict(zip(self.held, map(float, held))))
+
+    def samples(self, value, count):
+        """Samples (n, value(n)) at the levels lowest..count - 1 of a
+        count-level spectrum: the levels a refit and its residuals read."""
+        return [(n, value(n)) for n in range(self.lowest, count)]
+
+    def residual_rows(self, params, data):
+        """Rows (n, y, model value, relative error) for (n, y) samples; the
+        relative error of a zero y reads 0."""
+        rows = []
+        for n, y in data:
+            fit = self.value(params, n)
+            rows.append((n, y, fit, abs(fit - y) / abs(y) if y else 0.0))
+        return rows
+
     def refit(self, data, held, init, n_label):
         """Refit to (n, y) samples from ``init``, the ``held`` values fixed;
-        one sample per free parameter at least."""
+        one sample per free parameter at least.  Without ``init`` the start
+        is the published set of the depth nearest n_label, depth 0 without
+        a finite label."""
         pairs = sorted((self.index(n), float(y)) for n, y in data)
         count = len(self.numer) + len(self.denom)
         if len(pairs) < count:
             raise DomainError("need at least %d samples for %d parameters" % (count, count))
         if self.positive and any(y <= 0.0 for _, y in pairs):
             raise DomainError("%s samples must be positive" % self.kind)
+        if init is None:
+            depth = 0.0
+            if n_label is not None and math.isfinite(n_label):
+                depth = min(self.published, key=lambda key: abs(key - n_label))
+            init = self.published_params(depth, held)
         if self.held:  # exact at the lowest level, which is left out
             pairs = [(m, y) for m, y in pairs if m > self.lowest + self.shift]
         m, y = np.array(pairs).T
@@ -166,23 +198,15 @@ class _Model:
 
 
 _GAMMA = _Model("gamma", GammaFitParams, shift=-2, lowest=3, held=(), numer=("a0", "a1"),
-                denom=("b1", "b2", "b3", "b4"), power=0.5, positive=True)
-_ENERGY = _Model("energy", EnergyFitParams, shift=1, lowest=0, held=("E0",),
-                 numer=("A0", "A1", "A2", "A3", "A4", "A5", "A6"),
-                 denom=("B1", "B2", "B3", "B4", "B5"), power=1.0, positive=False)
-MODELS = {model.kind: model for model in (_GAMMA, _ENERGY)}
-
-
-PUBLISHED_GAMMA = {
+                denom=("b1", "b2", "b3", "b4"), power=0.5, positive=True, published={
     0.0: GammaFitParams(0.019202, 0.0038722, 1.09402, 0.672026, 0.291328, 0.068666, 0.0),
     0.25: GammaFitParams(0.0332512, 0.0419986, 3.70908, 2.96296, 2.23779, 0.749137, 0.25),
     0.5: GammaFitParams(0.0469388, 0.0656, 5.57123, 4.45283, 3.46547, 1.17011, 0.5),
     0.7: GammaFitParams(0.041918, 0.0622568, 5.08444, 4.17168, 3.26907, 1.11086, 0.7),
-}
-
-# The published energy interpolations.  Their ground energy E0 is not
-# published: published_energy_params takes it from the eigensolver.
-_PUBLISHED_ENERGY_AB = {
+})
+_ENERGY = _Model("energy", EnergyFitParams, shift=1, lowest=0, held=("E0",),
+                 numer=("A0", "A1", "A2", "A3", "A4", "A5", "A6"),
+                 denom=("B1", "B2", "B3", "B4", "B5"), power=1.0, positive=False, published={
     0.0: EnergyFitParams(math.nan, -303.678, -13.8988, 185.841, 22.0053, 13.4821, 0.777246,
                          1.06539, 16.0303, 4.22639, 3.82635, 1.17858, 0.969174, 0.0),
     0.25: EnergyFitParams(math.nan, -2961.78, 407.572, 687.568, 684.966, -1.90414, 0.755926,
@@ -191,23 +215,14 @@ _PUBLISHED_ENERGY_AB = {
                          1.07253, 37.9358, 5.64541, 5.36947, 1.09358, 0.965024, 0.5),
     0.7: EnergyFitParams(math.nan, -6563.79, 3617.77, 25.2448, 443.209, 20.7142, 2.55102,
                          1.07404, 40.0919, 11.9183, 6.51999, 1.18494, 0.962401, 0.7),
-}
+})
+MODELS = {model.kind: model for model in (_GAMMA, _ENERGY)}
+PUBLISHED_GAMMA = _GAMMA.published
 
 
 def published_energy_params(n_label, ground_energy):
     """Published energy-model columns combined with a computed ground energy."""
-    if n_label not in _PUBLISHED_ENERGY_AB:
-        raise DomainError(
-            "no published energy parameters for depth index %r" % (n_label,)
-        )
-    return replace(_PUBLISHED_ENERGY_AB[n_label], E0=float(ground_energy), N_label=float(n_label))
-
-
-def _nearest_published(n_label, table):
-    """Key of ``table`` nearest to n_label; depth 0 when there is no label."""
-    if n_label is None or not math.isfinite(n_label):
-        return 0.0
-    return min(table, key=lambda key: abs(key - n_label))
+    return _ENERGY.published_params(n_label, (ground_energy,))
 
 
 def gamma_fit_eval(params, n):
@@ -406,8 +421,6 @@ def fit_gamma(data, init=None, n_label=None):
     out, in one start from the published parameters (or ``init``); see
     _fit_rational.
     """
-    if init is None:
-        init = PUBLISHED_GAMMA[_nearest_published(n_label, PUBLISHED_GAMMA)]
     return _GAMMA.refit(data, (), init, n_label)
 
 
@@ -421,10 +434,7 @@ def fit_energy(data, ground_energy, init=None, n_label=None):
     parameters, only their errors: the projected Jacobian's condition
     number is about 1e10.
     """
-    e0 = float(ground_energy)
-    if init is None:
-        init = published_energy_params(_nearest_published(n_label, _PUBLISHED_ENERGY_AB), e0)
-    return _ENERGY.refit(data, (e0,), init, n_label)
+    return _ENERGY.refit(data, (float(ground_energy),), init, n_label)
 
 
 def format_fit_params(params):

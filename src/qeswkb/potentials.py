@@ -284,8 +284,8 @@ def evaluate(spec, x):
 # derivative chains and seed log-derivatives
 # ---------------------------------------------------------------------------
 
-def sextic_chain(poly_z, nu, mu, orders=3):
-    """Ascending x-coefficients of S_0..S_orders, with d^k/dx^k [Gamma P(x^2)] = Gamma S_k.
+def sextic_chain(poly_z, nu, mu):
+    """Ascending x-coefficients of S_0..S_3, with d^k/dx^k [Gamma P(x^2)] = Gamma S_k.
 
     ``poly_z`` holds the ascending coefficients of P in z = x^2, and the
     gauge factor is Gamma = exp(g), g = -nu x^4/4 - mu x^2/2, so that
@@ -295,7 +295,7 @@ def sextic_chain(poly_z, nu, mu, orders=3):
     cur[::2] = poly_z
     gprime = np.array([0.0, -mu, 0.0, -nu])
     chain = [cur]
-    for _ in range(orders):
+    for _ in range(3):
         nxt = np.convolve(gprime, cur)
         nxt[: len(cur) - 1] += cur[1:] * np.arange(1, len(cur))
         cur = nxt
@@ -303,8 +303,8 @@ def sextic_chain(poly_z, nu, mu, orders=3):
     return chain
 
 
-def morse_chain(poly_z, a, b, alpha, orders=3):
-    """Ascending z-coefficients of S_0..S_orders, with d^k/dx^k [Gamma P(z)] = Gamma S_k.
+def morse_chain(poly_z, a, b, alpha):
+    """Ascending z-coefficients of S_0..S_3, with d^k/dx^k [Gamma P(z)] = Gamma S_k.
 
     Here z = exp(-alpha x) and Gamma = exp(-(a/alpha) z - b x), so
     d/dx (Gamma S) = Gamma ((a z - b) S - alpha z S'): each derivative
@@ -312,7 +312,7 @@ def morse_chain(poly_z, a, b, alpha, orders=3):
     """
     cur = np.asarray(poly_z, dtype=float)
     chain = [cur]
-    for _ in range(orders):
+    for _ in range(3):
         nxt = np.convolve([-b, a], cur)
         nxt[:-1] += -alpha * (np.arange(len(cur)) * cur)
         cur = nxt

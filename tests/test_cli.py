@@ -216,13 +216,13 @@ def test_fmt_integers_and_special_floats():
 
 def test_fit_gamma_command(tmp_path, monkeypatch):
     reports = []
-    original = fitmodels.fit_gamma
+    original = fitmodels._Model.refit
 
     def recording(*args, **kwargs):
         reports.append(original(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(fitmodels, "fit_gamma", recording)
+    monkeypatch.setattr(fitmodels._Model, "refit", recording)
     out = tmp_path / "fitg"
     code = main([
         "fit-gamma", "--family", "sextic_reduced", "--N", "0",
@@ -312,11 +312,12 @@ def test_reproduce_all_checks_pass(reproduced):
 
 
 def test_reproduce_fails_on_nan_measurement(tmp_path, monkeypatch):
-    original = fitmodels.gamma_fit_eval
+    original = fitmodels._Model.value
     monkeypatch.setattr(
-        fitmodels,
-        "gamma_fit_eval",
-        lambda params, n: math.nan if n == 20 else original(params, n),
+        fitmodels._Model,
+        "value",
+        lambda model, params, n: (math.nan if model.kind == "gamma" and n == 20
+                                  else original(model, params, n)),
     )
     out = tmp_path / "nan"
     assert main(["reproduce", "--out", str(out)]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qeswkb import fitmodels
+from qeswkb.acceptance import DEPTHS, Study, samples
 from qeswkb.errors import DomainError, ModelDomainError, UnsupportedParameterError
 from qeswkb.fitmodels import (
     PUBLISHED_GAMMA,
@@ -46,7 +47,16 @@ def test_asymptotic_coefficient_closed_form():
 
 
 def test_published_depth_indices():
-    assert sorted(PUBLISHED_GAMMA) == sorted(fitmodels._PUBLISHED_ENERGY_AB) == [0.0, 0.25, 0.5, 0.7]
+    assert PUBLISHED_GAMMA is fitmodels.MODELS["gamma"].published
+    for model in fitmodels.MODELS.values():
+        assert sorted(model.published) == [0.0, 0.25, 0.5, 0.7]
+
+
+def test_unpublished_depth_is_a_domain_error():
+    with pytest.raises(DomainError, match="no published gamma parameters"):
+        fitmodels.MODELS["gamma"].published_params(0.33, ())
+    with pytest.raises(DomainError, match="no published energy parameters"):
+        published_energy_params(0.33, 0.5)
 
 
 def test_gamma_model_reference_values():
@@ -277,14 +287,33 @@ def refits(study):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fitmodels, "least_squares", recording)
         for depth, spectrum in study.spectra.items():
+            energies = [float(e) for e in spectrum.energies]
             records = study.gamma_tables[depth]
-            for kind, data in (
-                ("gamma", [(n, r.gamma) for n, r in enumerate(records) if n >= 3]),
-                ("energy", [(n, float(e)) for n, e in enumerate(spectrum.energies)]),
-            ):
+            for kind in fitmodels.MODELS:
+                data = samples(kind, energies, lambda n: records[n].gamma)
                 runs.clear()
                 found[kind, depth] = (data, _refit(kind, data, depth), list(runs))
     return found
+
+
+def test_published_tables_and_refits_read_the_same_levels(monkeypatch):
+    # Each model's published-residual rows and its refit samples are the
+    # levels lowest..50 of the 51-level spectra, for every depth.
+    original = fitmodels._Model.refit
+    seen = {}
+
+    def recording(model, data, held, init, n_label):
+        seen[model.kind, n_label] = [n for n, _ in data]
+        return original(model, data, held, init, n_label)
+
+    monkeypatch.setattr(fitmodels._Model, "refit", recording)
+    fresh = Study()
+    fresh.refits
+    for kind, model in fitmodels.MODELS.items():
+        for depth in DEPTHS:
+            levels = [row[0] for row in fresh.published(kind)[depth]]
+            assert levels == list(range(model.lowest, 51)), (kind, depth)
+            assert seen[kind, depth] == levels, (kind, depth)
 
 
 def test_refit_linear_coefficients_are_least_squares_optimum(refits):
