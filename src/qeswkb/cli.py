@@ -26,9 +26,11 @@ sqrt 2, N = 0, ``--n-max 5 --tol 1e-9``) writes ``morse_energies``;
 ``partner_morse_N1``; ``fit-gamma`` on ``sextic_reduced`` at N = 0 and
 ``fit-energy`` at N = 0.7, both ``--n-max 50``, write
 ``gamma_refit_params_N0.txt`` and ``energy_refit_params_N7t.txt`` as
-``gamma_fit_params.txt`` and ``energy_fit_params.txt``.  ``fit-gamma``
-needs ``--n-max`` >= 10 and ``fit-energy`` >= 15, to constrain six and
-twelve parameters.
+``gamma_fit_params.txt`` and ``energy_fit_params.txt``.  A refit needs
+one sample per free parameter (``fitmodels._Model.refit``): ``fit-gamma``
+reads levels 3..n_max for six parameters, so needs ``--n-max`` >= 8, and
+``fit-energy`` reads levels 1..n_max, the ground level held, for twelve,
+so needs ``--n-max`` >= 12.
 """
 
 from dataclasses import dataclass, fields
@@ -226,10 +228,6 @@ def _cmd_fit(config):
     """Refit the correction model (levels n >= 3) or the energy model (every
     level, the ground level held exact) to a fresh spectrum."""
     kind = config.command[len("fit-"):]
-    least, count = {"gamma": (10, "six"), "energy": (15, "twelve")}[kind]
-    if config.n_max < least:
-        raise DomainError("%s needs n_max >= %d to constrain %s parameters"
-                          % (config.command, least, count))
     spec, label = config.potential, getattr(config.potential, "N", None)
     spectrum = lowest_eigen(spec, config.n_max + 1, tol=config.tol)
     energies = [float(e) for e in spectrum.energies]

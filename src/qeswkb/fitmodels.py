@@ -34,7 +34,7 @@ Mathematics 630 (1978) 105) written in NumPy, with its steps taken from an
 SVD of the scaled Jacobian; the module imports nothing from SciPy.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from functools import cached_property
 import math
 import sys
@@ -55,35 +55,6 @@ _DWARF = sys.float_info.min  # MINPACK's dpmpar(2)
 
 
 @dataclass(frozen=True)
-class GammaFitParams:
-    a0: float
-    a1: float
-    b1: float
-    b2: float
-    b3: float
-    b4: float
-    N_label: float = math.nan
-
-
-@dataclass(frozen=True)
-class EnergyFitParams:
-    E0: float
-    A0: float
-    A1: float
-    A2: float
-    A3: float
-    A4: float
-    A5: float
-    A6: float
-    B1: float
-    B2: float
-    B3: float
-    B4: float
-    B5: float
-    N_label: float = math.nan
-
-
-@dataclass(frozen=True)
 class FitReport:
     params: object
     max_rel_error: float
@@ -99,11 +70,14 @@ class _Model:
     offset + w (c0 + c1 m + ...) / (1 + b1^2 m + b2^2 m^2 + ...)^power, c and
     b the ``numer`` and ``denom`` fields of ``params``; offset 0 and w = 1,
     or, with the ground energy E0 ``held``, E0 m and sqrt(m - 1).
-    ``published`` maps a depth index to its published parameters, the
-    ``held`` fields NaN."""
+
+    ``params`` is made from the record: a frozen dataclass named
+    ``<Kind>FitParams`` with the float fields held + numer + denom and
+    ``N_label`` (NaN by default).  ``published`` is given as plain numbers,
+    the numer and denom values keyed by depth index, and is stored as
+    ``params`` sets with N_label the depth and the ``held`` fields NaN."""
 
     kind: str  # the `model` line of a parameter file
-    params: type
     shift: int
     lowest: int
     held: tuple
@@ -112,6 +86,19 @@ class _Model:
     power: float  # 1/2 or 1
     positive: bool  # whether refit samples must be positive
     published: dict
+    params: type = field(init=False, repr=False)
+
+    def __post_init__(self):
+        names = self.held + self.numer + self.denom
+        params = make_dataclass(
+            self.kind.capitalize() + "FitParams",
+            [(name, float) for name in names] + [("N_label", float, field(default=math.nan))],
+            frozen=True)
+        params.__module__ = __name__
+        nans = (math.nan,) * len(self.held)
+        published = {depth: params(*nans, *values, N_label=depth)
+                     for depth, values in self.published.items()}
+        vars(self).update(params=params, published=published)
 
     @cached_property
     def formula(self):
@@ -164,10 +151,12 @@ class _Model:
 
     def refit(self, data, held, init, n_label):
         """Refit to (n, y) samples from ``init``, the ``held`` values fixed;
-        one sample per free parameter at least.  Without ``init`` the start
-        is the published set of the depth nearest n_label, depth 0 without
-        a finite label."""
+        one sample per free parameter at least, counted after a held model
+        drops its lowest level.  Without ``init`` the start is the published
+        set of the depth nearest n_label, depth 0 without a finite label."""
         pairs = sorted((self.index(n), float(y)) for n, y in data)
+        if self.held:  # exact at the lowest level, which is left out
+            pairs = [(m, y) for m, y in pairs if m > self.lowest + self.shift]
         count = len(self.numer) + len(self.denom)
         if len(pairs) < count:
             raise DomainError("need at least %d samples for %d parameters" % (count, count))
@@ -178,8 +167,6 @@ class _Model:
             if n_label is not None and math.isfinite(n_label):
                 depth = min(self.published, key=lambda key: abs(key - n_label))
             init = self.published_params(depth, held)
-        if self.held:  # exact at the lowest level, which is left out
-            pairs = [(m, y) for m, y in pairs if m > self.lowest + self.shift]
         m, y = np.array(pairs).T
         basis = m[:, None] ** np.arange(float(len(self.numer)))
         offset = 0.0
@@ -197,26 +184,28 @@ class _Model:
                          converged=result.status > 0, jacobian_cond=_scaled_cond(result.jac))
 
 
-_GAMMA = _Model("gamma", GammaFitParams, shift=-2, lowest=3, held=(), numer=("a0", "a1"),
+_GAMMA = _Model("gamma", shift=-2, lowest=3, held=(), numer=("a0", "a1"),
                 denom=("b1", "b2", "b3", "b4"), power=0.5, positive=True, published={
-    0.0: GammaFitParams(0.019202, 0.0038722, 1.09402, 0.672026, 0.291328, 0.068666, 0.0),
-    0.25: GammaFitParams(0.0332512, 0.0419986, 3.70908, 2.96296, 2.23779, 0.749137, 0.25),
-    0.5: GammaFitParams(0.0469388, 0.0656, 5.57123, 4.45283, 3.46547, 1.17011, 0.5),
-    0.7: GammaFitParams(0.041918, 0.0622568, 5.08444, 4.17168, 3.26907, 1.11086, 0.7),
+    0.0: (0.019202, 0.0038722, 1.09402, 0.672026, 0.291328, 0.068666),
+    0.25: (0.0332512, 0.0419986, 3.70908, 2.96296, 2.23779, 0.749137),
+    0.5: (0.0469388, 0.0656, 5.57123, 4.45283, 3.46547, 1.17011),
+    0.7: (0.041918, 0.0622568, 5.08444, 4.17168, 3.26907, 1.11086),
 })
-_ENERGY = _Model("energy", EnergyFitParams, shift=1, lowest=0, held=("E0",),
+_ENERGY = _Model("energy", shift=1, lowest=0, held=("E0",),
                  numer=("A0", "A1", "A2", "A3", "A4", "A5", "A6"),
                  denom=("B1", "B2", "B3", "B4", "B5"), power=1.0, positive=False, published={
-    0.0: EnergyFitParams(math.nan, -303.678, -13.8988, 185.841, 22.0053, 13.4821, 0.777246,
-                         1.06539, 16.0303, 4.22639, 3.82635, 1.17858, 0.969174, 0.0),
-    0.25: EnergyFitParams(math.nan, -2961.78, 407.572, 687.568, 684.966, -1.90414, 0.755926,
-                          1.06975, 40.1137, 22.2057, 3.02188, 0.936421, 0.967749, 0.25),
-    0.5: EnergyFitParams(math.nan, -4024.34, 1776.87, 553.412, 210.095, 13.202, 1.7131,
-                         1.07253, 37.9358, 5.64541, 5.36947, 1.09358, 0.965024, 0.5),
-    0.7: EnergyFitParams(math.nan, -6563.79, 3617.77, 25.2448, 443.209, 20.7142, 2.55102,
-                         1.07404, 40.0919, 11.9183, 6.51999, 1.18494, 0.962401, 0.7),
+    0.0: (-303.678, -13.8988, 185.841, 22.0053, 13.4821, 0.777246,
+          1.06539, 16.0303, 4.22639, 3.82635, 1.17858, 0.969174),
+    0.25: (-2961.78, 407.572, 687.568, 684.966, -1.90414, 0.755926,
+           1.06975, 40.1137, 22.2057, 3.02188, 0.936421, 0.967749),
+    0.5: (-4024.34, 1776.87, 553.412, 210.095, 13.202, 1.7131,
+          1.07253, 37.9358, 5.64541, 5.36947, 1.09358, 0.965024),
+    0.7: (-6563.79, 3617.77, 25.2448, 443.209, 20.7142, 2.55102,
+          1.07404, 40.0919, 11.9183, 6.51999, 1.18494, 0.962401),
 })
 MODELS = {model.kind: model for model in (_GAMMA, _ENERGY)}
+GammaFitParams = _GAMMA.params
+EnergyFitParams = _ENERGY.params
 PUBLISHED_GAMMA = _GAMMA.published
 
 

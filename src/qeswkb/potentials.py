@@ -8,9 +8,9 @@ family name and field values, as the CLI's flags and config files give them.
 
 ``GaugeState`` is an exact state u = Gamma(x) p(z) of a sextic or Morse
 well: the exact levels of ``qes_algebra`` and the seeds of ``SusyPartner``
-are both gauge states.  Its one derivative chain, the family's recurrence
-(``sextic_chain`` or ``morse_chain``), gives both the state's derivatives
-and a seed's log-derivatives.
+are both gauge states.  One derivative recurrence, S_{k+1} = g' S_k +
+t' dS_k/dt in the family's variable t (x or z), gives both the state's
+derivatives and a seed's log-derivatives.
 
 Each spec derives and checks its constants once, in its constructor.
 Every even well (``SexticGeneral``, which ``SexticReduced`` returns at
@@ -172,11 +172,35 @@ class GaugeState:
 
     @functools.cached_property
     def _polys(self):
-        """Coefficients of S_0..S_3 in the chain variable (x or z)."""
+        """Ascending coefficients of S_0..S_3 in the chain variable t, with
+        d^k u/dx^k = Gamma S_k.
+
+        With Gamma = exp(g) and t' = dt/dx a polynomial in t, S_0 = p and
+        S_{k+1} = g' S_k + t' dS_k/dt.  A sextic well has t = x, p(x^2)
+        spread over the even powers, g' = -mu x - nu x^3 and t' = 1; a Morse
+        well has t = z, g' = a z - b and t' = -alpha z.  Each derivative
+        stays a polynomial in t.
+        """
         w = self.well
         if isinstance(w, Morse):
-            return morse_chain(np.asarray(self.poly, dtype=float), w.a, w.b, w.alpha)
-        return sextic_chain(self.poly, w.nu, w.mu)
+            cur = np.asarray(self.poly, dtype=float)
+            gprime, tprime = [-w.b, w.a], [0.0, -w.alpha]
+        else:
+            cur = np.zeros(2 * len(self.poly) - 1)
+            cur[::2] = self.poly
+            gprime, tprime = [0.0, -w.mu, 0.0, -w.nu], [1.0]
+        chain = [cur]
+        for _ in range(3):
+            nxt = np.convolve(gprime, cur)
+            slope = cur[1:] * np.arange(1, len(cur))
+            # t' term by term, its zero coefficients skipped: a constant p
+            # has an empty slope, which np.convolve would reject
+            for power, c in enumerate(tprime):
+                if c:
+                    nxt[power : power + len(slope)] += c * slope
+            cur = nxt
+            chain.append(cur)
+        return chain
 
     def _chain(self, x, order):
         """log Gamma and S_0..S_order at the points x, with d^k u/dx^k = Gamma S_k.
@@ -281,44 +305,8 @@ def evaluate(spec, x):
 
 
 # ---------------------------------------------------------------------------
-# derivative chains and seed log-derivatives
+# seed log-derivatives
 # ---------------------------------------------------------------------------
-
-def sextic_chain(poly_z, nu, mu):
-    """Ascending x-coefficients of S_0..S_3, with d^k/dx^k [Gamma P(x^2)] = Gamma S_k.
-
-    ``poly_z`` holds the ascending coefficients of P in z = x^2, and the
-    gauge factor is Gamma = exp(g), g = -nu x^4/4 - mu x^2/2, so that
-    S_0 = P(x^2) and S_{k+1} = g' S_k + S_k'.
-    """
-    cur = np.zeros(2 * len(poly_z) - 1)
-    cur[::2] = poly_z
-    gprime = np.array([0.0, -mu, 0.0, -nu])
-    chain = [cur]
-    for _ in range(3):
-        nxt = np.convolve(gprime, cur)
-        nxt[: len(cur) - 1] += cur[1:] * np.arange(1, len(cur))
-        cur = nxt
-        chain.append(cur)
-    return chain
-
-
-def morse_chain(poly_z, a, b, alpha):
-    """Ascending z-coefficients of S_0..S_3, with d^k/dx^k [Gamma P(z)] = Gamma S_k.
-
-    Here z = exp(-alpha x) and Gamma = exp(-(a/alpha) z - b x), so
-    d/dx (Gamma S) = Gamma ((a z - b) S - alpha z S'): each derivative
-    stays a polynomial in z, one degree higher.
-    """
-    cur = np.asarray(poly_z, dtype=float)
-    chain = [cur]
-    for _ in range(3):
-        nxt = np.convolve([-b, a], cur)
-        nxt[:-1] += -alpha * (np.arange(len(cur)) * cur)
-        cur = nxt
-        chain.append(cur)
-    return chain
-
 
 def seed_log_derivatives(seed, x):
     """Closed-form chain W = (ln u)', W' and W'' of a seed ``GaugeState`` at the points x.

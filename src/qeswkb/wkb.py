@@ -12,8 +12,9 @@ pi (n + 1/2) yields the correction exponent
 
 which measures how far the level deviates from the lowest-order
 quantization rule.  The inverse problem (find E such that the action
-matches a prescribed phase) is solved by safeguarded Newton steps on
-S(E), whose slope dS/dE is the classical period
+matches a prescribed phase) is solved in closed form on the Morse well,
+whose action is known exactly, and on the even wells by safeguarded
+Newton steps on S(E), whose slope dS/dE is the classical period
 
     T(E) = integral of dx / sqrt(2 (E - V(x))),
 
@@ -373,71 +374,57 @@ def gamma(spec, n, energy, tol=1e-11):
     )
 
 
-def _morse_start(spec, target, tol):
-    """Bracket (lo, hi) and first energy for a Morse inversion."""
-    s_max = math.pi * (spec.alpha + 2.0 * spec.beta) / (2.0 * spec.alpha)
-    if target >= s_max:
-        raise SpectrumExhaustedError(
-            "action target %.6g reaches the dissociation limit %.6g; no "
-            "bound level carries that much phase" % (target, s_max)
-        )
-    v_inf, v_min = spec.v_inf, spec.v_min
-    span = v_inf - v_min
-    lo = v_min + 1e-12 * span
-    hi = v_inf - 1e-12 * span
-    if action(spec, hi, tol=tol) < target:
-        raise SearchError("action target %.6g is not bracketed below the plateau" % target)
-    # The harmonic rule at the well bottom, S = pi (E - v_min) / omega with
-    # omega = alpha c1 / 2, starts the convex S(E) from above.
-    guess = v_min + 0.5 * spec.alpha * spec.c1 * target / math.pi
-    return lo, hi, guess if guess < hi else 0.5 * (lo + hi)
-
-
 def bohr_sommerfeld_invert(spec, n, gamma0=0.0, tol=1e-12):
     """Energy whose action equals pi (n + 1/2 + gamma0).
 
     Setting ``gamma0`` to a modelled correction turns the lowest-order
     quantization rule into a corrected one; gamma0 = 0 recovers the plain
-    rule.  Each action quadrature (to ``tol``) also gives its slope, the
-    classical period T = dS/dE, for a Newton step E <- E - (S - target) / T.
-    The steps keep a bracket [lo, hi] of energies below and above the
-    target, and bisect it (or double the distance to the well bottom while
-    there is no upper end) whenever a step leaves it.  The iteration stops
-    once a step is at most 1e-13 max(1, |E|).  S is concave in E on the
-    sextic wells and convex on the Morse well, so the iterates close in
-    monotonically after at most one overshoot.
+    rule.  On a Morse well the closed-form action (``morse_action_closed``)
+    is solved for E, sqrt(beta^2 - 2E) = (c1 - 2 alpha S / pi) / 2, so the
+    result is exact and ``tol`` is not read; a target at or beyond the
+    dissociation limit pi c1 / (2 alpha) raises SpectrumExhaustedError.
 
-    An even well starts from base + (target / pi)^(3/2), 1.2 times that on
-    the sextics, with base = V(0).  When a step falls to within 1e-15
-    max(1, |base|) of V(0), the action there is computed once: if it
-    already reaches the target, SearchError says that no bracket exists,
-    since a level that carries less phase lies below the barrier top.  A
-    Morse well starts from its harmonic estimate; a target at or beyond
-    the dissociation limit raises SpectrumExhaustedError, and one the
-    action below the plateau cannot reach raises SearchError.
+    On an even well each action quadrature (to ``tol``) also gives its
+    slope, the classical period T = dS/dE, for a Newton step
+    E <- E - (S - target) / T.  The steps keep a bracket [lo, hi] of
+    energies below and above the target, and bisect it (or double the
+    distance to V(0) while there is no upper end) whenever a step leaves
+    it.  The iteration stops once a step is at most 1e-13 max(1, |E|).
+    S is concave in E on the sextic wells, so the iterates close in
+    monotonically after at most one overshoot.  They start from
+    base + (target / pi)^(3/2), 1.2 times that on the sextics, with
+    base = V(0).  When a step falls to within 1e-15 max(1, |base|) of V(0),
+    the action there is computed once: if it already reaches the target,
+    SearchError says that no bracket exists, since a level that carries
+    less phase lies below the barrier top.
     """
     n = _as_int(n, "level index")
-    gamma0 = float(gamma0)
-    target = math.pi * (n + 0.5 + gamma0)
+    phase = n + 0.5 + float(gamma0)
+    target = math.pi * phase
     if target <= 0.0:
         raise DomainError(
             "requested phase %.6g is not positive; no classical orbit matches"
             % target
         )
     if isinstance(spec, Morse):
-        lo, hi, energy = _morse_start(spec, target, tol)
-        base = floor = lo
-    else:
-        base = float(evaluate(spec, 0.0))
-        guess = (target / math.pi) ** 1.5
-        if isinstance(spec, SexticGeneral):
-            guess *= 1.2
-        lo, hi, energy = base, math.inf, base + guess
-        # Just above a barrier top the kink of sqrt(2 (E - V)) at x = 0 is
-        # rounded off over x ~ sqrt(E - V(0)).  This close, that changes S
-        # by about 1e-15 ln(1e15), far below the tolerance, so the folded
-        # rule converges on its first nodes; at 1e-9 it needs thousands.
-        floor = base + 1e-15 * max(1.0, abs(base))
+        # morse_action_closed solved for E: sqrt(beta^2 - 2E) = (c1 - 2 alpha S / pi) / 2
+        root = 0.5 * spec.c1 - spec.alpha * phase
+        if root <= 0.0:
+            raise SpectrumExhaustedError(
+                "action target %.6g reaches the dissociation limit %.6g; no bound level "
+                "carries that much phase" % (target, math.pi * spec.c1 / (2.0 * spec.alpha))
+            )
+        return 0.5 * (spec.beta - root) * (spec.beta + root)
+    base = float(evaluate(spec, 0.0))
+    guess = (target / math.pi) ** 1.5
+    if isinstance(spec, SexticGeneral):
+        guess *= 1.2
+    lo, hi, energy = base, math.inf, base + guess
+    # Just above a barrier top the kink of sqrt(2 (E - V)) at x = 0 is
+    # rounded off over x ~ sqrt(E - V(0)).  This close, that changes S
+    # by about 1e-15 ln(1e15), far below the tolerance, so the folded
+    # rule converges on its first nodes; at 1e-9 it needs thousands.
+    floor = base + 1e-15 * max(1.0, abs(base))
     for _ in range(200):
         s, period = _quadrature(spec, energy, tol)[2:]
         if s < target:

@@ -242,6 +242,17 @@ def test_fit_gamma_command(tmp_path, monkeypatch):
     assert float(trailer["jacobian_cond"]) > 1.0
 
 
+@pytest.mark.parametrize("command, least, count", [("fit-gamma", 8, 6), ("fit-energy", 12, 12)])
+def test_fit_commands_need_one_sample_per_parameter(tmp_path, capsys, command, least, count):
+    # the model record's sample count is the one guard: fit-gamma reads
+    # levels 3..n_max, fit-energy levels 1..n_max with the ground level held
+    argv = [command, "--family", "sextic_reduced", "--N", "0"]
+    assert main([*argv, "--n-max", str(least - 1), "--out", str(tmp_path / "short")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error\tDomainError\tneed at least %d samples for %d parameters" % (count, count)]
+    assert main([*argv, "--n-max", str(least), "--out", str(tmp_path / "enough")]) == 0
+
+
 def test_config_file_merge_and_override(tmp_path):
     config_path = tmp_path / "run.conf"
     config_path.write_text("family=even_polynomial\ncoeffs=0,0.5\nn_max=3\nformat=tsv\n")

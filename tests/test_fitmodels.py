@@ -181,6 +181,10 @@ def test_fit_preconditions():
         fit_energy(energy_samples, ground_energy=0.5)
     with pytest.raises(ModelDomainError):
         fit_energy([(-1, 0.3)] + energy_samples + [(10, 10.5), (11, 11.5)], ground_energy=0.5)
+    # levels 0..11 leave eleven samples for twelve parameters once the held
+    # ground level is dropped
+    with pytest.raises(DomainError):
+        fit_energy(energy_samples + [(10, 10.5), (11, 11.5)], ground_energy=0.5)
 
 
 def test_params_io_round_trip():

@@ -131,6 +131,31 @@ def test_morse_gamma_vanishes_on_exact_levels():
             assert abs(gamma(spec, n, energy).gamma) < 1e-11, (spec, n)
 
 
+def test_morse_inversion_is_exact_on_seeded_wells():
+    # every bound level of 300 seeded Morse wells, inverted at the default
+    # tol, and the same levels moved by gamma0 offsets, whose energies must
+    # meet their targets on the closed-form action
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        b, alpha = rng.uniform(0.3, 12.0), rng.uniform(0.2, 2.0)
+        spec = Morse(1.0, b, alpha, float(rng.choice((0.0, 0.5, 1.0, 2.0, 4.0))))
+        limit = spec.c1 / (2.0 * alpha)  # S / pi at the plateau
+        for n, exact in enumerate(morse_exact_spectrum(spec, spec.bound_count - 1)):
+            energy = bohr_sommerfeld_invert(spec, n)
+            assert abs(energy - exact) <= 1e-12 * max(1.0, abs(exact)), (spec, n)
+            for gamma0 in (-0.25, 0.125, 0.375):
+                phase = n + 0.5 + gamma0
+                if phase >= limit:
+                    with pytest.raises(SpectrumExhaustedError):
+                        bohr_sommerfeld_invert(spec, n, gamma0)
+                    continue
+                energy = bohr_sommerfeld_invert(spec, n, gamma0)
+                # the action's miss as an energy miss, through T = dS/dE
+                period = math.pi / (alpha * math.sqrt(spec.beta**2 - 2.0 * energy))
+                miss = (morse_action_closed(spec, energy) - math.pi * phase) / period
+                assert abs(miss) <= 1e-12 * max(1.0, abs(energy)), (spec, n, gamma0)
+
+
 def test_morse_first_level_turning_points():
     record = gamma(MORSE_REF, 1, morse_exact_level(1), tol=1e-13)
     assert record.x_left == pytest.approx(-1.886153511767041, abs=5e-4)
