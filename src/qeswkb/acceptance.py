@@ -239,9 +239,10 @@ def _qes_match(study):
     return _worst(np.min(np.abs(mesh - level)) for level in _QES_PAIR)
 
 
-def _published_energy(study, depths):
-    return _worst(fit / value - 1.0
-                  for d in depths for _, value, fit, _ in study.published("energy")[d])
+def _published_envelope(kind, depths):
+    """Measure of the largest relative error of the published ``kind`` model
+    at the depths ``depths``: the rel_error column of its residual rows."""
+    return lambda study: _worst(row[3] for d in depths for row in study.published(kind)[d])
 
 
 def _tail_ratios(study, depths):
@@ -302,12 +303,9 @@ CHECKS = (
           lambda s: abs(float(s.spectra[0.0].energies[0]) - 0.5)),
     Check("sextic_N1_qes_block", 4, 1e-12, _qes_block),
     Check("sextic_N1_qes_match", 4, 1e-8, _qes_match),
-    Check("published_gamma_envelope", 5, 5e-3,
-          lambda s: _worst(row[3] for d in DEPTHS for row in s.published("gamma")[d])),
-    Check("published_energy_envelope_N0", 6, 5e-4,
-          lambda s: _published_energy(s, DEPTHS[:1])),
-    Check("published_energy_envelope_rest", 6, 5e-3,
-          lambda s: _published_energy(s, DEPTHS[1:])),
+    Check("published_gamma_envelope", 5, 5e-3, _published_envelope("gamma", DEPTHS)),
+    Check("published_energy_envelope_N0", 6, 5e-4, _published_envelope("energy", DEPTHS[:1])),
+    Check("published_energy_envelope_rest", 6, 5e-3, _published_envelope("energy", DEPTHS[1:])),
     Check("refit_gamma", 7, 2e-3,
           lambda s: _worst(r.max_rel_error for r in s.refits["gamma"].values())),
     Check("refit_energy_N0", 7, 1e-4,

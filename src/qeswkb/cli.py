@@ -30,7 +30,9 @@ sqrt 2, N = 0, ``--n-max 5 --tol 1e-9``) writes ``morse_energies``;
 one sample per free parameter (``fitmodels._Model.refit``): ``fit-gamma``
 reads levels 3..n_max for six parameters, so needs ``--n-max`` >= 8, and
 ``fit-energy`` reads levels 1..n_max, the ground level held, for twelve,
-so needs ``--n-max`` >= 12.
+so needs ``--n-max`` >= 12.  A refit that runs out of evaluations still
+writes both files, then exits with status 2 and a ``ConvergenceError``
+line.
 """
 
 from dataclasses import dataclass, fields
@@ -45,7 +47,7 @@ import numpy as np
 from . import fitmodels, qes_algebra, wkb
 from .acceptance import CHECKS, DEPTHS, Study, annihilation_ratio, refit, susy_pair
 from .eigensolver import lowest_eigen
-from .errors import DomainError, QeswkbError, SpectrumExhaustedError
+from .errors import ConvergenceError, DomainError, QeswkbError, SpectrumExhaustedError
 from .potentials import _FAMILY_FIELDS, Morse, SexticReduced, build_spec
 
 _DEPTH_TAGS = {0.0: "0", 0.25: "1q", 0.5: "1h", 0.7: "7t"}
@@ -226,7 +228,9 @@ def _cmd_wkb(config):
 
 def _cmd_fit(config):
     """Refit the correction model (levels n >= 3) or the energy model (every
-    level, the ground level held exact) to a fresh spectrum."""
+    level, the ground level held exact) to a fresh spectrum.  Both files are
+    written; a refit that ran out of evaluations then raises
+    ConvergenceError, carrying its report."""
     kind = config.command[len("fit-"):]
     spec, label = config.potential, getattr(config.potential, "N", None)
     spectrum = lowest_eigen(spec, config.n_max + 1, tol=config.tol)
@@ -235,6 +239,9 @@ def _cmd_fit(config):
     _write_fit_report(config, "%s_fit_params.txt" % kind, report)
     rows = fitmodels.MODELS[kind].residual_rows(report.params, data)
     _write_table(config, "%s_fit_residuals" % kind, _RESIDUAL_HEADER, rows)
+    if not report.converged:
+        raise ConvergenceError("%s refit did not converge within %d evaluations"
+                               % (kind, report.iterations), best=report)
     return 0
 
 

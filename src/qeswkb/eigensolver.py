@@ -165,15 +165,13 @@ class Spectrum:
     holds one certificate per solve, in order, an even well's first solve
     in its kinetic-balance box included: the largest per-state energy
     error bound of that solve, from its eigenvector tails, its wall terms
-    and its rounding floor.  ``converged_digits[n]`` is the number of
-    significant digits of E_n that the last certificate vouches for,
-    relative to max(1, |E_n|).
+    and its rounding floor.  The last of them bounds the error of every
+    returned energy.
     """
 
     energies: np.ndarray
     eigenvectors: np.ndarray
     mesh: Mesh
-    converged_digits: np.ndarray
     refinement_deltas: tuple = field(default=())
 
 
@@ -396,11 +394,6 @@ def _fix_signs(vectors):
     return vectors
 
 
-def _digits(bound, energies):
-    rel = bound / np.maximum(1.0, np.abs(energies))
-    return np.clip(-np.log10(np.maximum(rel, 1e-16)), 0.0, 16.0)
-
-
 def _morse_box(spec, k, tol):
     """Box and starting grid size for the k lowest levels of a Morse well,
     for energies certified to ``tol``.
@@ -548,7 +541,6 @@ def _refine(spec, k, tol, m_cap, start, x_left, x_right):
         energies=energies,
         eigenvectors=vectors,
         mesh=mesh,
-        converged_digits=_digits(certificates[-1], energies),
         refinement_deltas=tuple(certificates),
     )
     if certificates[-1] < tol:

@@ -71,9 +71,12 @@ class AccuracyError(QeswkbError, RuntimeError):
 
 
 class ConvergenceError(QeswkbError, RuntimeError):
-    """Mesh refinement stagnated before reaching the tolerance.
+    """An iteration stopped before reaching its target: mesh refinement
+    that stagnated above the tolerance, or a refit that ran out of
+    evaluations.
 
-    The best spectrum computed so far is stored in ``best``.
+    The best result so far, the spectrum or the refit's report, is stored
+    in ``best``.
     """
 
     def __init__(self, message, best=None):

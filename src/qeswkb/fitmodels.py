@@ -16,7 +16,9 @@ that the evaluator, the refit, the parameter-file format, the sample rule
                                / (1 + B1^2 m + ... + B5^2 m^5),
       m = n + 1,
 
-  whose large-n behaviour is (A6/B5^2) n^{3/2}.
+  whose large-n behaviour is (A6/B5^2) n^{3/2}.  The 51 levels of a
+  study do not determine its parameters, only their errors: the projected
+  Jacobian's condition number is about 1e10.
 
 Denominator coefficients enter squared, which keeps both denominators
 positive for every m > 0.  The published sets for the reduced sextic well
@@ -204,24 +206,18 @@ _ENERGY = _Model("energy", shift=1, lowest=0, held=("E0",),
           1.07404, 40.0919, 11.9183, 6.51999, 1.18494, 0.962401),
 })
 MODELS = {model.kind: model for model in (_GAMMA, _ENERGY)}
+# The parameter types set their __module__ to this module, so pickle finds
+# them here by name.
 GammaFitParams = _GAMMA.params
 EnergyFitParams = _ENERGY.params
+# Read by the benchmark's quantize workload.
 PUBLISHED_GAMMA = _GAMMA.published
 
 
-def published_energy_params(n_label, ground_energy):
-    """Published energy-model columns combined with a computed ground energy."""
-    return _ENERGY.published_params(n_label, (ground_energy,))
-
-
 def gamma_fit_eval(params, n):
-    """Correction model value at integer level n >= 3."""
+    """Correction model value at integer level n >= 3; ``MODELS["gamma"].value``
+    under the name the benchmark's quantize workload calls."""
     return _GAMMA.value(params, n)
-
-
-def energy_fit_eval(params, n):
-    """Energy model value at integer level n >= 0; exact E0 at n = 0."""
-    return _ENERGY.value(params, n)
 
 
 def asymptotic_coefficient():
@@ -404,26 +400,14 @@ def _scaled_cond(jac):
 
 
 def fit_gamma(data, init=None, n_label=None):
-    """Refit the correction model to (n, gamma) samples.
+    """Refit the correction model to (n, gamma) samples; ``MODELS["gamma"].refit``
+    under the name the benchmark's refit workload calls.
 
     Searches the four denominator coefficients with a0 and a1 projected
     out, in one start from the published parameters (or ``init``); see
     _fit_rational.
     """
     return _GAMMA.refit(data, (), init, n_label)
-
-
-def fit_energy(data, ground_energy, init=None, n_label=None):
-    """Refit the energy model to (n, E) samples with E0 held fixed.
-
-    The ground energy is exact by construction (the model pins n = 0), so
-    the fit runs over the five denominator coefficients with A0..A6
-    projected out, in one start from the published parameters (or
-    ``init``).  The 51 levels of a study do not determine these
-    parameters, only their errors: the projected Jacobian's condition
-    number is about 1e10.
-    """
-    return _ENERGY.refit(data, (float(ground_energy),), init, n_label)
 
 
 def format_fit_params(params):

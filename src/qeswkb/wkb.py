@@ -334,11 +334,12 @@ def morse_action_closed(spec, energy):
     E_n = alpha n (2 beta - alpha n) / 2.  Valid for energies from the well
     bottom ``v_min``, where S = 0, up to (not including) the dissociation
     plateau ``v_inf``; below v_min it raises NoClassicalRegionError, as
-    ``action`` does.  A well with beta <= 0 raises DomainError.  The
-    parameter ``a`` shifts the allowed interval rigidly and drops out.
+    ``action`` does.  A well with c1 <= 0, which has no minimum, raises
+    DomainError; beta may take either sign.  The parameter ``a`` shifts the
+    allowed interval rigidly and drops out.
     """
-    if not (isinstance(spec, Morse) and spec.beta > 0.0):
-        raise DomainError("the closed-form action needs a Morse well with beta > 0")
+    if not (isinstance(spec, Morse) and spec.c1 > 0.0):
+        raise DomainError("the closed-form action needs a Morse well with c1 > 0")
     energy = float(energy)
     if not math.isfinite(energy):
         raise DomainError("energy must be finite")
@@ -374,17 +375,19 @@ def gamma(spec, n, energy, tol=1e-11):
     )
 
 
-def bohr_sommerfeld_invert(spec, n, gamma0=0.0, tol=1e-12):
+def bohr_sommerfeld_invert(spec, n, gamma0=0.0):
     """Energy whose action equals pi (n + 1/2 + gamma0).
 
-    Setting ``gamma0`` to a modelled correction turns the lowest-order
-    quantization rule into a corrected one; gamma0 = 0 recovers the plain
-    rule.  On a Morse well the closed-form action (``morse_action_closed``)
-    is solved for E, sqrt(beta^2 - 2E) = (c1 - 2 alpha S / pi) / 2, so the
-    result is exact and ``tol`` is not read; a target at or beyond the
-    dissociation limit pi c1 / (2 alpha) raises SpectrumExhaustedError.
+    No command or study part calls it; the benchmark's quantize workload
+    does.  Setting ``gamma0`` to a modelled correction turns the
+    lowest-order quantization rule into a corrected one; gamma0 = 0
+    recovers the plain rule.  On a Morse well the closed-form action
+    (``morse_action_closed``) is solved for E, sqrt(beta^2 - 2E) =
+    (c1 - 2 alpha S / pi) / 2, so the result is exact; a target at or
+    beyond the dissociation limit pi c1 / (2 alpha) raises
+    SpectrumExhaustedError.
 
-    On an even well each action quadrature (to ``tol``) also gives its
+    On an even well each action quadrature (to 1e-12) also gives its
     slope, the classical period T = dS/dE, for a Newton step
     E <- E - (S - target) / T.  The steps keep a bracket [lo, hi] of
     energies below and above the target, and bisect it (or double the
@@ -425,6 +428,7 @@ def bohr_sommerfeld_invert(spec, n, gamma0=0.0, tol=1e-12):
     # by about 1e-15 ln(1e15), far below the tolerance, so the folded
     # rule converges on its first nodes; at 1e-9 it needs thousands.
     floor = base + 1e-15 * max(1.0, abs(base))
+    tol = 1e-12
     for _ in range(200):
         s, period = _quadrature(spec, energy, tol)[2:]
         if s < target:

@@ -8,7 +8,8 @@ import pytest
 
 from qeswkb import fitmodels, potentials, qes_algebra
 from qeswkb.acceptance import CHECKS
-from qeswkb.cli import _fmt, build_config, main
+from qeswkb.cli import _cmd_fit, _fmt, build_config, main
+from qeswkb.errors import ConvergenceError
 from qeswkb.potentials import _FAMILY_FIELDS, Morse
 
 SQRT2 = math.sqrt(2.0)
@@ -251,6 +252,25 @@ def test_fit_commands_need_one_sample_per_parameter(tmp_path, capsys, command, l
     assert capsys.readouterr().err.splitlines() == [
         "error\tDomainError\tneed at least %d samples for %d parameters" % (count, count)]
     assert main([*argv, "--n-max", str(least), "--out", str(tmp_path / "enough")]) == 0
+
+
+@pytest.mark.parametrize("kind", ["gamma", "energy"])
+def test_stalled_refit_writes_its_files_and_exits_2(tmp_path, capsys, monkeypatch, kind):
+    # A refit cut off by the evaluation budget keeps both files, marked
+    # unconverged, and then ends as a typed error naming the count, whose
+    # ``best`` is the report written.
+    monkeypatch.setattr(fitmodels, "_MAX_NFEV", 5)
+    argv = ["fit-" + kind, "--family", "sextic_reduced", "--N", "0", "--n-max", "20"]
+    out = tmp_path / "stall"
+    assert main([*argv, "--out", str(out)]) == 2
+    record = "error\tConvergenceError\t%s refit did not converge within 5 evaluations" % kind
+    assert capsys.readouterr().err.splitlines() == [record]
+    assert read_lines(out / "summary.txt") == [record]
+    assert "# converged False" in read_lines(out / ("%s_fit_params.txt" % kind))
+    assert len(read_lines(out / ("%s_fit_residuals.csv" % kind))) > 1
+    with pytest.raises(ConvergenceError) as caught:
+        _cmd_fit(build_config([*argv, "--out", str(out)]))
+    assert caught.value.best.converged is False and caught.value.best.iterations == 5
 
 
 def test_config_file_merge_and_override(tmp_path):

@@ -113,7 +113,7 @@ def test_parity_blocks_match_full_matrix():
     mesh = uniform_mesh(512, -half, half)
     energies, vectors = eigensolver._bounded_solve(spec, mesh, 51)[:2]
     full, full_vectors = eigh(eigensolver.build_hamiltonian(spec, mesh), subset_by_index=(0, 50))
-    # relative to max(1, |E|), as in converged_digits: both solves round at
+    # relative to max(1, |E|), as the tail bound scales: both solves round at
     # eps * ||H||, a few 1e-12 here, which is 2e-11 of E_0 = 0.18
     assert np.max(np.abs(energies - full) / np.maximum(1.0, np.abs(full))) < 1e-11
     # the grid mirrors onto itself only to rounding, so the full solve's
@@ -558,7 +558,7 @@ def test_energies_sorted_and_deltas_cauchy():
     deltas = spectrum.refinement_deltas
     if len(deltas) >= 2:
         assert deltas[-1] <= deltas[-2]
-    assert np.all(spectrum.converged_digits >= 9)
+    assert deltas[-1] < 1e-11
 
 
 def test_sextic_qes_levels_n1():

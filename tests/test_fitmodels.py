@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,18 +8,17 @@ from qeswkb import fitmodels
 from qeswkb.acceptance import DEPTHS, Study, samples
 from qeswkb.errors import DomainError, ModelDomainError, UnsupportedParameterError
 from qeswkb.fitmodels import (
+    MODELS,
     PUBLISHED_GAMMA,
-    EnergyFitParams,
     GammaFitParams,
     asymptotic_coefficient,
-    energy_fit_eval,
-    fit_energy,
     fit_gamma,
     format_fit_params,
     gamma_fit_eval,
     parse_fit_params,
-    published_energy_params,
 )
+
+ENERGY = MODELS["energy"]
 
 GROUND_ENERGIES = {
     0.0: 0.5,
@@ -56,7 +56,7 @@ def test_unpublished_depth_is_a_domain_error():
     with pytest.raises(DomainError, match="no published gamma parameters"):
         fitmodels.MODELS["gamma"].published_params(0.33, ())
     with pytest.raises(DomainError, match="no published energy parameters"):
-        published_energy_params(0.33, 0.5)
+        ENERGY.published_params(0.33, (0.5,))
 
 
 def test_gamma_model_reference_values():
@@ -85,7 +85,7 @@ def test_evaluators_match_the_formulas_bit_for_bit():
             denom = 1.0 + (p.b1**2 * m + p.b2**2 * m**2 + p.b3**2 * m**3 + p.b4**2 * m**4)
             assert gamma_fit_eval(p, n) == numer / math.sqrt(denom), (label, n)
     for label, e0 in GROUND_ENERGIES.items():
-        p = published_energy_params(label, e0)
+        p = ENERGY.published_params(label, (e0,))
         for n in range(0, 201):
             m = float(n + 1)
             numer = (p.A0 + p.A1 * m + p.A2 * m**2 + p.A3 * m**3 + p.A4 * m**4
@@ -93,28 +93,28 @@ def test_evaluators_match_the_formulas_bit_for_bit():
             denom = 1.0 + (p.B1**2 * m + p.B2**2 * m**2 + p.B3**2 * m**3
                            + p.B4**2 * m**4 + p.B5**2 * m**5)
             expected = p.E0 * m + math.sqrt(m - 1.0) * numer / denom
-            assert energy_fit_eval(p, n) == expected, (label, n)
+            assert ENERGY.value(p, n) == expected, (label, n)
 
 
 def test_energy_model_pins_ground_level():
     for label, e0 in GROUND_ENERGIES.items():
-        params = published_energy_params(label, e0)
-        assert energy_fit_eval(params, 0) == e0  # exact, not approximate
+        params = ENERGY.published_params(label, (e0,))
+        assert ENERGY.value(params, 0) == e0  # exact, not approximate
         assert params.N_label == label
 
 
 def test_energy_model_domain():
-    params = published_energy_params(0.0, 0.5)
+    params = ENERGY.published_params(0.0, (0.5,))
     with pytest.raises(ModelDomainError):
-        energy_fit_eval(params, -1)
+        ENERGY.value(params, -1)
     with pytest.raises(DomainError):
-        published_energy_params(0.33, 0.5)
+        ENERGY.published_params(0.33, (0.5,))
 
 
 def test_tail_coefficient_ratios():
     # A6/B5^2 approaches the closed-form growth coefficient
     for label, expected in PUBLISHED_RATIOS.items():
-        params = published_energy_params(label, GROUND_ENERGIES[label])
+        params = ENERGY.published_params(label, (GROUND_ENERGIES[label],))
         ratio = params.A6 / params.B5**2
         assert ratio == pytest.approx(expected, abs=1e-4)
         limit = asymptotic_coefficient()
@@ -123,11 +123,11 @@ def test_tail_coefficient_ratios():
 
 
 def test_energy_model_slope_near_asymptote():
-    params = published_energy_params(0.0, 0.5)
+    params = ENERGY.published_params(0.0, (0.5,))
     n0 = 10_000
     slope = (
-        math.log(energy_fit_eval(params, n0 + 50))
-        - math.log(energy_fit_eval(params, n0 - 50))
+        math.log(ENERGY.value(params, n0 + 50))
+        - math.log(ENERGY.value(params, n0 - 50))
     ) / (math.log(n0 + 50) - math.log(n0 - 50))
     assert abs(slope - 1.5) < 0.01
 
@@ -154,15 +154,15 @@ def test_gamma_refit_round_trip():
 
 
 def test_energy_refit_round_trip():
-    truth = published_energy_params(0.0, 0.5)
-    samples = [(n, energy_fit_eval(truth, n)) for n in range(0, 51)]
-    report = fit_energy(samples, ground_energy=0.5, n_label=0.0)
+    truth = ENERGY.published_params(0.0, (0.5,))
+    samples = [(n, ENERGY.value(truth, n)) for n in range(0, 51)]
+    report = ENERGY.refit(samples, (0.5,), None, 0.0)
     assert report.converged
     assert report.max_rel_error < 1e-10
     assert report.params.E0 == 0.5
     for n in (1, 9, 42):
-        assert energy_fit_eval(report.params, n) == pytest.approx(
-            energy_fit_eval(truth, n), rel=1e-8
+        assert ENERGY.value(report.params, n) == pytest.approx(
+            ENERGY.value(truth, n), rel=1e-8
         )
 
 
@@ -178,13 +178,13 @@ def test_fit_preconditions():
         fit_gamma([(n, -g) for n, g in good])
     energy_samples = [(n, float(n) + 0.5) for n in range(10)]
     with pytest.raises(DomainError):
-        fit_energy(energy_samples, ground_energy=0.5)
+        ENERGY.refit(energy_samples, (0.5,), None, None)
     with pytest.raises(ModelDomainError):
-        fit_energy([(-1, 0.3)] + energy_samples + [(10, 10.5), (11, 11.5)], ground_energy=0.5)
+        ENERGY.refit([(-1, 0.3)] + energy_samples + [(10, 10.5), (11, 11.5)], (0.5,), None, None)
     # levels 0..11 leave eleven samples for twelve parameters once the held
     # ground level is dropped
     with pytest.raises(DomainError):
-        fit_energy(energy_samples + [(10, 10.5), (11, 11.5)], ground_energy=0.5)
+        ENERGY.refit(energy_samples + [(10, 10.5), (11, 11.5)], (0.5,), None, None)
 
 
 def test_params_io_round_trip():
@@ -192,8 +192,20 @@ def test_params_io_round_trip():
     text = format_fit_params(gamma_params)
     back = parse_fit_params(text)
     assert back == gamma_params
-    energy_params = published_energy_params(0.5, GROUND_ENERGIES[0.5])
+    energy_params = ENERGY.published_params(0.5, (GROUND_ENERGIES[0.5],))
     assert parse_fit_params(format_fit_params(energy_params)) == energy_params
+
+
+def test_published_sets_and_reports_survive_pickle(refits):
+    # The records make the parameter types and name this module as theirs,
+    # so pickle finds each type here by name: GammaFitParams and
+    # EnergyFitParams.  repr compares the NaN fields of the published sets.
+    for model in MODELS.values():
+        for params in model.published.values():
+            back = pickle.loads(pickle.dumps(params))
+            assert type(back) is type(params) and repr(back) == repr(params)
+    report = refits["energy", 0.7][1]
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 def test_params_io_errors():
@@ -274,7 +286,7 @@ def test_lm_steps_within_the_range_of_a_rank_deficient_jacobian():
 def _refit(kind, data, depth):
     if kind == "gamma":
         return fit_gamma(data, n_label=depth)
-    return fit_energy(data, ground_energy=data[0][1], n_label=depth)
+    return ENERGY.refit(data, (data[0][1],), None, depth)
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +351,7 @@ def test_refit_linear_coefficients_are_least_squares_optimum(refits):
             m = n + 1.0
             denom = 1.0 + sum(getattr(p, "B%d" % j) ** 2 * m**j for j in range(1, 6))
             columns = [np.sqrt(m - 1.0) * m**i / denom for i in range(7)]
-            model = np.array([energy_fit_eval(p, k) for k in n])
+            model = np.array([ENERGY.value(p, k) for k in n])
         rel = (model - y) / y
         assert np.max(np.abs(rel)) == pytest.approx(report.max_rel_error, rel=1e-6)
         for column in columns:
@@ -351,7 +363,7 @@ def test_refit_linear_coefficients_are_least_squares_optimum(refits):
 def test_reported_errors_are_those_of_the_reported_params(refits):
     # the error written beside a parameter file is the error of those
     # parameters, evaluated with the public model functions
-    for kind, model, first in (("gamma", gamma_fit_eval, 3), ("energy", energy_fit_eval, 1)):
+    for kind, model, first in (("gamma", gamma_fit_eval, 3), ("energy", ENERGY.value, 1)):
         data, report, _ = refits[kind, 0.7]
         n = [k for k, _ in data if k >= first]
         y = np.array([v for k, v in data if k >= first])
@@ -429,7 +441,7 @@ def test_non_finite_level_index_is_a_typed_error(value):
     with pytest.raises(UnsupportedParameterError):
         gamma_fit_eval(params, value)
     with pytest.raises(UnsupportedParameterError):
-        energy_fit_eval(published_energy_params(0.0, 0.5), value)
+        ENERGY.value(ENERGY.published_params(0.0, (0.5,)), value)
     data = [(n, gamma_fit_eval(params, n)) for n in range(3, 9)] + [(value, 0.1)]
     with pytest.raises(UnsupportedParameterError):
         fit_gamma(data)

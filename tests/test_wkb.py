@@ -231,10 +231,22 @@ def test_closed_action_domain_errors():
         morse_action_closed(MORSE_REF, -10.0)
     with pytest.raises(AboveAsymptoteError):
         morse_action_closed(MORSE_REF, 32.0)
-    # a well that is not Morse, and one with beta = N alpha + b <= 0
-    for spec in (SexticReduced(0.0), Morse(1.0, -3.0, 1.0, 1.0)):
+    # a well that is not Morse, and one with c1 = 2b + alpha (2N+1) <= 0,
+    # which has no minimum
+    for spec in (SexticReduced(0.0), Morse(1.0, -3.0, 1.0, 1.0), Morse(1.0, -1.0, 1.0, 0.0)):
         with pytest.raises(DomainError):
             morse_action_closed(spec, 3.0)
+
+
+def test_closed_action_covers_a_well_with_negative_beta():
+    # beta = -0.4 but c1 = 0.2: the well has a minimum, v_min = 0.075, below
+    # its plateau v_inf = 0.08, and the closed form holds there
+    spec = Morse(1.0, 0.1, 1.0, -0.5)
+    energy = bohr_sommerfeld_invert(spec, 0, -0.45)
+    assert energy == pytest.approx(0.07875, rel=1e-14)
+    s = morse_action_closed(spec, energy)
+    assert abs(s / math.pi - 0.05) <= 1e-12
+    assert abs(s - action(spec, energy)) / math.pi <= 1e-12
 
 
 def test_accuracy_error_reports_achieved(monkeypatch):
@@ -533,14 +545,15 @@ def test_no_module_imports_scipy_optimize():
         "published = fm.PUBLISHED_GAMMA[0.0]\n"
         "fm.fit_gamma([(n, fm.gamma_fit_eval(published, n)) for n in range(3, 51)])\n"
     )
-    fit_energy = (
-        "truth = fm.published_energy_params(0.0, 0.5)\n"
-        "fm.fit_energy([(n, fm.energy_fit_eval(truth, n)) for n in range(51)], 0.5)\n"
+    energy_refit = (
+        "energy = fm.MODELS['energy']\n"
+        "truth = energy.published_params(0.0, (0.5,))\n"
+        "energy.refit([(n, energy.value(truth, n)) for n in range(51)], (0.5,), None, None)\n"
     )
     probes = {
         "qeswkb.wkb": "",
         "qeswkb.fitmodels": fit_gamma,
-        "qeswkb.cli": fit_gamma + fit_energy,
+        "qeswkb.cli": fit_gamma + energy_refit,
     }
     for module, fits in probes.items():
         probe = f"import sys, {module}\n{fits}print('scipy.optimize' in sys.modules)"
